@@ -16,7 +16,7 @@ from .grid import (build_rich_path, check_gridding, classify, cell_graph,
                    find_gridding, format_gridding_json, format_matrix_json,
                    parse_matrix_json, staircase)
 from .entries import parse_entry
-from .matcher import NoTextGridding, solve_cppm
+from .matcher import InvalidGridding, NoTextGridding, solve_cppm
 from .perm import contains, parse_perm
 from .sat import ParseError, parse_dimacs, solve_sat
 from .reduction import (Formula3CNF, ReductionError, normalize_3cnf, embedding_from_assignment,
@@ -93,7 +93,10 @@ def _cmd_match(args):
     text = _load_perm(args.text)
     stats = {}
     t0 = time.perf_counter()
-    emb = solve_cppm(pattern, text, matrix, stats=stats)
+    try:
+        emb = solve_cppm(pattern, text, matrix, stats=stats)
+    except InvalidGridding as exc:
+        raise _UsageError(f"{args.matrix}: {exc}")
     elapsed = (time.perf_counter() - t0) * 1000.0
     return {
         "command": "match",

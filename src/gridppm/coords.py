@@ -8,79 +8,70 @@ gadget formulas exact: no numeric tuning, no tolerance anywhere.
 
 delta is reserved for anchor inflation, so inflated runs can never
 collide with accumulated eps adjustments.
+
+Representation: four plain ints ``(na, nb, nc, den)`` with
+``a = na/den``, ``b = nb/den`` and ``c = nc/den``.  The shared
+denominator is positive and the four ints have no common factor, so
+every value has exactly one representation and equality, hashing and
+ordering work on the ints directly.  Arithmetic is integer-only, with
+a fast path when both operands share a denominator; ``a``, ``b`` and
+``c`` are available as read-only ``Fraction`` views.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Union
+from math import gcd, lcm
+from typing import NamedTuple, Union
 
 Rat = Union[int, Fraction]
 
-_ZERO_FRACTION = Fraction(0)
-
-# skips Fraction's own __new__, which re-dispatches on argument types
-_new_fraction = object.__new__
-
-
-def _frac(n: int, d: int) -> Fraction:
-    """Build a Fraction from a reduced-or-not integer pair.
-
-    Fraction(n, d) spends most of its time on argument dispatch; this
-    skips straight to the gcd reduction.  d must be positive.
-    """
-    g = gcd(n, d)
-    if g != 1:
-        n //= g
-        d //= g
-    f = _new_fraction(Fraction)
-    f._numerator = n
-    f._denominator = d
-    return f
-
 
 class ExactCoord:
-    """a + b*eps + c*delta, ordered lexicographically on (a, b, c).
+    """(na + nb*eps + nc*delta) / den, ordered lexicographically.
 
-    Arithmetic and comparisons are hand-written: coordinates are touched
-    millions of times while assembling large instances, and both the
-    dataclass-generated comparisons and stock Fraction arithmetic
-    dominate the profile at that scale.  Instances are treated as
-    immutable everywhere.
+    The constructor trusts its arguments: ``den > 0`` and
+    ``gcd(na, nb, nc, den) == 1``.  Build coordinates with ``coord``;
+    arithmetic keeps the invariant.  Instances are treated as immutable
+    everywhere.
     """
 
-    __slots__ = ("a", "b", "c")
+    __slots__ = ("na", "nb", "nc", "den")
 
-    def __init__(self, a: Fraction, b: Fraction = _ZERO_FRACTION,
-                 c: Fraction = _ZERO_FRACTION) -> None:
-        self.a = a
-        self.b = b
-        self.c = c
+    def __init__(self, na: int, nb: int, nc: int, den: int) -> None:
+        self.na = na
+        self.nb = nb
+        self.nc = nc
+        self.den = den
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.na, self.den)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.nb, self.den)
+
+    @property
+    def c(self) -> Fraction:
+        return Fraction(self.nc, self.den)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactCoord):
             return NotImplemented
-        sa, sb, sc = self.a, self.b, self.c
-        oa, ob, oc = other.a, other.b, other.c
-        return (sa.numerator == oa.numerator
-                and sa.denominator == oa.denominator
-                and sb.numerator == ob.numerator
-                and sb.denominator == ob.denominator
-                and sc.numerator == oc.numerator
-                and sc.denominator == oc.denominator)
+        return (self.na == other.na and self.den == other.den
+                and self.nb == other.nb and self.nc == other.nc)
 
     def __hash__(self) -> int:
-        return hash((self.a, self.b, self.c))
+        return hash((self.na, self.nb, self.nc, self.den))
 
     def __lt__(self, other: "ExactCoord") -> bool:
-        for s, o in ((self.a, other.a), (self.b, other.b),
-                     (self.c, other.c)):
-            d = s.numerator * o.denominator - o.numerator * s.denominator
-            if d:
-                return d < 0
-        return False
+        sd, od = self.den, other.den
+        if sd == od:
+            return ((self.na, self.nb, self.nc)
+                    < (other.na, other.nb, other.nc))
+        return ((self.na * od, self.nb * od, self.nc * od)
+                < (other.na * sd, other.nb * sd, other.nc * sd))
 
     def __le__(self, other: "ExactCoord") -> bool:
         return not other.__lt__(self)
@@ -92,67 +83,76 @@ class ExactCoord:
         return not self.__lt__(other)
 
     def __add__(self, other: "ExactCoord") -> "ExactCoord":
-        out = ExactCoord.__new__(ExactCoord)
-        for f in ("a", "b", "c"):
-            s = getattr(self, f)
-            o = getattr(other, f)
-            sd, od = s.denominator, o.denominator
-            setattr(out, f,
-                    _frac(s.numerator * od + o.numerator * sd, sd * od))
-        return out
+        sd, od = self.den, other.den
+        if sd == od:
+            return _reduced(self.na + other.na, self.nb + other.nb,
+                            self.nc + other.nc, sd)
+        g = gcd(sd, od)
+        ms, mo = od // g, sd // g
+        return _reduced(self.na * ms + other.na * mo,
+                        self.nb * ms + other.nb * mo,
+                        self.nc * ms + other.nc * mo, sd * ms)
 
     def __sub__(self, other: "ExactCoord") -> "ExactCoord":
-        out = ExactCoord.__new__(ExactCoord)
-        for f in ("a", "b", "c"):
-            s = getattr(self, f)
-            o = getattr(other, f)
-            sd, od = s.denominator, o.denominator
-            setattr(out, f,
-                    _frac(s.numerator * od - o.numerator * sd, sd * od))
-        return out
+        sd, od = self.den, other.den
+        if sd == od:
+            return _reduced(self.na - other.na, self.nb - other.nb,
+                            self.nc - other.nc, sd)
+        g = gcd(sd, od)
+        ms, mo = od // g, sd // g
+        return _reduced(self.na * ms - other.na * mo,
+                        self.nb * ms - other.nb * mo,
+                        self.nc * ms - other.nc * mo, sd * ms)
 
     def __neg__(self) -> "ExactCoord":
-        return ExactCoord(-self.a, -self.b, -self.c)
+        return ExactCoord(-self.na, -self.nb, -self.nc, self.den)
 
     def scale(self, r: Rat) -> "ExactCoord":
         rn, rd = (r, 1) if type(r) is int else (r.numerator, r.denominator)
-        out = ExactCoord.__new__(ExactCoord)
-        for f in ("a", "b", "c"):
-            s = getattr(self, f)
-            setattr(out, f, _frac(s.numerator * rn, s.denominator * rd))
-        return out
+        return _reduced(self.na * rn, self.nb * rn, self.nc * rn,
+                        self.den * rd)
 
     def shift(self, r: Rat) -> "ExactCoord":
         """Add a rational to the standard part."""
-        rn, rd = (r, 1) if type(r) is int else (r.numerator, r.denominator)
-        sa = self.a
-        sd = sa.denominator
-        out = ExactCoord.__new__(ExactCoord)
-        out.a = _frac(sa.numerator * rd + rn * sd, sd * rd)
-        out.b = self.b
-        out.c = self.c
-        return out
+        d = self.den
+        if type(r) is int:
+            # adding a multiple of den keeps the ints coprime
+            return ExactCoord(self.na + r * d, self.nb, self.nc, d)
+        rn, rd = r.numerator, r.denominator
+        return _reduced(self.na * rd + rn * d, self.nb * rd, self.nc * rd,
+                        d * rd)
 
     def __repr__(self) -> str:
         parts = [str(self.a)]
-        if self.b:
+        if self.nb:
             parts.append(f"{self.b}e")
-        if self.c:
+        if self.nc:
             parts.append(f"{self.c}d")
         return "+".join(parts).replace("+-", "-")
 
 
+def _reduced(na: int, nb: int, nc: int, den: int) -> ExactCoord:
+    """The coordinate (na, nb, nc)/den in lowest terms; den > 0."""
+    g = gcd(na, nb, nc, den)
+    if g != 1:
+        return ExactCoord(na // g, nb // g, nc // g, den // g)
+    return ExactCoord(na, nb, nc, den)
+
+
 def coord(a: Rat, b: Rat = 0, c: Rat = 0) -> ExactCoord:
-    return ExactCoord(Fraction(a), Fraction(b), Fraction(c))
+    fa, fb, fc = Fraction(a), Fraction(b), Fraction(c)
+    den = lcm(fa.denominator, fb.denominator, fc.denominator)
+    return _reduced(fa.numerator * (den // fa.denominator),
+                    fb.numerator * (den // fb.denominator),
+                    fc.numerator * (den // fc.denominator), den)
 
 
-ZERO = coord(0)
 EPS = coord(0, 1)
 DELTA = coord(0, 0, 1)
 
 
-@dataclass(frozen=True, order=True)
-class PlanePoint:
+class PlanePoint(NamedTuple):
+    """A point (x, y); immutable, ordered on x, then y."""
     x: ExactCoord
     y: ExactCoord
 

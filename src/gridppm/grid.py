@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import entries as E
-from .coords import ExactCoord, PlanePoint
+from .coords import PlanePoint, coord
 from .entries import ClassEntry
 from .perm import Permutation
 
@@ -528,38 +528,9 @@ _HALF = Fraction(1, 2)
 @dataclass(frozen=True)
 class Tile:
     """A finite set of plane points in general position inside the open
-    box (1/2, box_bound + 1/2)^2."""
+    box (1/2, box_bound + 1/2)^2.  ``assemble`` checks both."""
     points: Tuple[PlanePoint, ...]
     box_bound: Fraction
-
-    def validate(self) -> None:
-        # scaled to a common integer grid so the per-point checks stay
-        # cheap on six-figure tiles
-        if not self.points:
-            return
-        dens = {2, self.box_bound.denominator}
-        for p in self.points:
-            for c in (p.x, p.y):
-                dens.update((c.a.denominator, c.b.denominator,
-                             c.c.denominator))
-        common = math.lcm(*dens)
-        lo = (common // 2, 0, 0)
-        hi = (self.box_bound.numerator * (common // self.box_bound.denominator)
-              + common // 2, 0, 0)
-        for axis in ("x", "y"):
-            seen = set()
-            for p in self.points:
-                c = getattr(p, axis)
-                k = (c.a.numerator * (common // c.a.denominator),
-                     c.b.numerator * (common // c.b.denominator),
-                     c.c.numerator * (common // c.c.denominator))
-                if not (lo < k < hi):
-                    raise BoxOverflow(
-                        f"point {p} outside the {self.box_bound}-box")
-                if k in seen:
-                    raise ValueError(
-                        f"tile not in general position on {axis}")
-                seen.add(k)
 
 
 @dataclass(frozen=True)
@@ -573,10 +544,28 @@ class TileFamily:
         return self.tiles.get((i, j), Tile((), self.box_bound))
 
 
+def _placed_keys(coords, mult: Dict[int, int], flip_at: int, off: int
+                 ) -> List[Tuple[int, int, int]]:
+    """Exact integer sort keys (a, b, c) of coordinates on the common
+    denominator (``mult`` maps each denominator to its multiplier),
+    translated by ``off`` and, when ``flip_at`` is non-zero, reflected
+    as v -> flip_at - v."""
+    if flip_at:
+        base = flip_at + off
+        return [(base - c.na * m, -c.nb * m, -c.nc * m)
+                for c in coords for m in (mult[c.den],)]
+    return [(c.na * m + off, c.nb * m, c.nc * m)
+            for c in coords for m in (mult[c.den],)]
+
+
 def assemble(fam: TileFamily, f: Orientation
              ) -> Tuple[Permutation, Dict[Tuple[Cell, int], int], Gridding]:
     """F-assembly: orient each tile, translate it onto the diagonal grid
     of boxes, and standardize the union.
+
+    Every tile is checked on the way: its points must lie in the open
+    box (1/2, box_bound + 1/2)^2 (else BoxOverflow) and share no x and
+    no y (else ValueError).
 
     Coordinate ties between different tiles are resolved as if the whole
     picture were rotated clockwise by a tiny angle: on equal x the point
@@ -590,54 +579,62 @@ def assemble(fam: TileFamily, f: Orientation
     if len(f.f_c) != fam.cols or len(f.f_r) != fam.rows:
         raise DimensionMismatch("orientation does not match the family")
     mb = fam.box_bound
-    dens = {mb.denominator}
-    for tile in fam.tiles.values():
-        tile.validate()
+    tiles = []
+    for cell, tile in fam.tiles.items():
         if tile.box_bound != mb:
             raise BoxOverflow("tile box bound differs from the family's")
-        for p in tile.points:
-            for c in (p.x, p.y):
-                dens.update((c.a.denominator, c.b.denominator,
-                             c.c.denominator))
+        if tile.points:
+            tiles.append((cell, tile.points,
+                          [p.x for p in tile.points],
+                          [p.y for p in tile.points]))
 
-    # exact integer sort keys on a common denominator: the translations
-    # and orientation flips are folded in, so the big sorts below compare
-    # plain int tuples and no coordinate arithmetic happens per point
+    # one pass of exact integer keys on a common denominator, with the
+    # translations and orientation flips folded in: the box and
+    # general-position checks and the big sorts below compare plain int
+    # tuples, and no coordinate arithmetic happens per point.  A flip
+    # maps each box onto itself, so the box test needs no unflipping.
+    dens = {c.den for _, _, cx, cy in tiles for c in itertools.chain(cx, cy)}
+    dens.update((2, mb.denominator))
     common = math.lcm(*dens)
+    mult = {d: common // d for d in dens}
+    half = common // 2
     mbi = mb.numerator * (common // mb.denominator)
     flipi = mbi + common          # mb + 1, scaled
-
-    def ikey(c: ExactCoord, flipped: bool, off: int) -> Tuple[int, int, int]:
-        a = c.a.numerator * (common // c.a.denominator)
-        b = c.b.numerator * (common // c.b.denominator)
-        cc = c.c.numerator * (common // c.c.denominator)
-        if flipped:
-            return (flipi - a + off, -b, -cc)
-        return (a + off, b, cc)
-
-    keyed = []
-    for (i, j), tile in fam.tiles.items():
-        fx = f.col(i) == -1
-        fy = f.row(j) == -1
-        offx = (i - 1) * mbi
-        offy = (j - 1) * mbi
-        for idx, p in enumerate(tile.points):
-            keyed.append((ikey(p.x, fx, offx), ikey(p.y, fy, offy),
-                          (i, j), idx))
-
-    by_x = sorted(keyed, key=lambda t: (t[0], t[1]))
-    by_y = sorted(keyed, key=lambda t: (t[1],
-                                        tuple(-v for v in t[0])))
-    yrank = {(t[2], t[3]): r + 1 for r, t in enumerate(by_y)}
-    ranks = tuple(yrank[(t[2], t[3])] for t in by_x)
-    perm_out = Permutation(ranks)
-    prov = {(t[2], t[3]): pos + 1 for pos, t in enumerate(by_x)}
-
+    xs: List[Tuple[int, int, int]] = []
+    ys: List[Tuple[int, int, int]] = []
+    refs: List[Tuple[Cell, int]] = []
     col_counts = [0] * (fam.cols + 1)
     row_counts = [0] * (fam.rows + 1)
-    for (_, _, (i, j), _) in keyed:
-        col_counts[i] += 1
-        row_counts[j] += 1
+    for (i, j), pts, cx, cy in tiles:
+        offx = (i - 1) * mbi
+        offy = (j - 1) * mbi
+        kx = _placed_keys(cx, mult, flipi if f.col(i) == -1 else 0, offx)
+        ky = _placed_keys(cy, mult, flipi if f.row(j) == -1 else 0, offy)
+        for keys, off, axis in ((kx, offx, "x"), (ky, offy, "y")):
+            if len(set(keys)) != len(keys):
+                raise ValueError(f"tile not in general position on {axis}")
+            lo, hi = (half + off, 0, 0), (mbi + half + off, 0, 0)
+            if not (lo < min(keys) and max(keys) < hi):
+                bad = next(p for p, k in zip(pts, keys) if not lo < k < hi)
+                raise BoxOverflow(f"point {bad} outside the {mb}-box")
+        xs += kx
+        ys += ky
+        refs += zip(itertools.repeat((i, j)), range(len(pts)))
+        col_counts[i] += len(pts)
+        row_counts[j] += len(pts)
+
+    # stable sorts, so points tied on both keys keep their tile order:
+    # x ascending then y ascending; y ascending then x descending
+    n = len(refs)
+    by_x = sorted(sorted(range(n), key=ys.__getitem__), key=xs.__getitem__)
+    by_y = sorted(sorted(range(n), key=xs.__getitem__, reverse=True),
+                  key=ys.__getitem__)
+    yrank = [0] * n
+    for r, k in enumerate(by_y, 1):
+        yrank[k] = r
+    perm_out = Permutation(tuple([yrank[k] for k in by_x]))
+    prov = {refs[k]: pos for pos, k in enumerate(by_x, 1)}
+
     ccuts = [1]
     for i in range(1, fam.cols + 1):
         ccuts.append(ccuts[-1] + col_counts[i])
@@ -687,13 +684,13 @@ def sample_member(m: GriddingMatrix, rng, sizes: Dict[Cell, int]
                     for v in rng.sample(range(span), s))
         ys = sorted(Fraction(1 + v, denom) + _HALF
                     for v in rng.sample(range(span), s))
-        pts = tuple(PlanePoint(ExactCoord(xs[t]),
-                               ExactCoord(ys[content[t] - 1]))
+        pts = tuple(PlanePoint(coord(xs[t]), coord(ys[content[t] - 1]))
                     for t in range(s))
         tiles[cell] = Tile(pts, bound)
     fam = TileFamily(m.cols, m.rows, tiles, bound)
     p, _, g = assemble(fam, identity_orientation(m.cols, m.rows))
-    assert check_gridding(p, g, m)
+    if not check_gridding(p, g, m):
+        raise ValueError("sampled permutation violates its matrix")
     return p, g
 
 

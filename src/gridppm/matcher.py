@@ -61,12 +61,16 @@ class MonotonePartition:
                 raise MalformedPartition(f"part not {d}: {part}")
 
 
-def extract_partition(p: Permutation, g: Gridding,
-                      m: GriddingMatrix) -> MonotonePartition:
-    """One part per non-empty (monotone) matrix cell, in cell order."""
+def _require_monotone(m: GriddingMatrix) -> None:
     for cell in m.nonempty_cells():
         if not E.is_monotone(m.entry(*cell)):
             raise InvalidGridding("matrix must be monotone")
+
+
+def extract_partition(p: Permutation, g: Gridding,
+                      m: GriddingMatrix) -> MonotonePartition:
+    """One part per non-empty (monotone) matrix cell, in cell order."""
+    _require_monotone(m)
     if not check_gridding(p, g, m):
         raise InvalidGridding("not a valid gridding of the permutation")
     parts: List[Tuple[int, ...]] = []
@@ -348,8 +352,10 @@ def solve_cppm(pattern: Permutation, text: Permutation, m: GriddingMatrix,
     Fixes the first gridding of the text, then tries every gridding of
     the pattern.  Completeness: any embedding pulls the text's gridding
     back to a gridding of the pattern, which this loop reaches.
+    Raises InvalidGridding, before any search, when m is not monotone.
     """
     from .grid import find_gridding
+    _require_monotone(m)
     g_text = find_gridding(text, m)
     if g_text is None:
         raise NoTextGridding("text admits no gridding (broken promise)")

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Tuple
 
-from .coords import ExactCoord, PlanePoint
+from .coords import PlanePoint, pt
 
 
 class DuplicateCoordinate(ValueError):
@@ -200,12 +200,10 @@ def inflate(p: Permutation, index: int, q: Permutation) -> Permutation:
     for x, y in p.points():
         if x == index:
             for qx, qy in q.points():
-                pts.append(PlanePoint(
-                    ExactCoord(Fraction(x) + Fraction(qx, m + 1)),
-                    ExactCoord(Fraction(y) + Fraction(qy, m + 1))))
+                pts.append(pt(x + Fraction(qx, m + 1),
+                              y + Fraction(qy, m + 1)))
         else:
-            pts.append(PlanePoint(ExactCoord(Fraction(x)),
-                                  ExactCoord(Fraction(y))))
+            pts.append(pt(x, y))
     return standardize(pts)
 
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..coords import DELTA, EPS, ExactCoord, PlanePoint, coord
+from ..coords import EPS, ExactCoord, PlanePoint, coord
 from .. import entries as E
 from ..grid import (Gridding, GriddingMatrix, Orientation, Tile, TileFamily,
                     _orient_by_propagation, assemble, build_rich_path,
@@ -137,9 +137,6 @@ class PathSpec:
     out_coord: Tuple[str, ...]   # "x"/"y": assembled coordinate shared with
                                  # the next tile (last entry is a convention)
     d_tiles: Tuple[int, ...]     # 0-based path indices of non-monotone cells
-
-    def in_coord(self, t: int) -> str:
-        return "y" if self.out_coord[t] == "x" else "x"
 
 
 def _reduction_want(entry):
@@ -265,6 +262,13 @@ _EVAL_STAGES = [
     [(2, 3), (5, 6)],
     [(1, 2), (4, 5)],
 ]
+
+
+def _delta_run(c: ExactCoord, run: int) -> List[ExactCoord]:
+    """c + i*delta for i = 1 .. run-1.  Adding a multiple of the
+    denominator keeps the ints in lowest terms, so no gcd is needed."""
+    a, b, cc, d = c.na, c.nb, c.nc, c.den
+    return [ExactCoord(a, b, cc + i * d, d) for i in range(1, run)]
 
 
 class _Builder:
@@ -1147,12 +1151,15 @@ class _Builder:
                 highs = max(range(len(pts)), key=lambda i: pts[i].y)
                 inflation[fam]["low"].append((0, lows))
                 inflation[fam]["high"].append((0, highs))
-                for which, idx0, sgn in (("low", lows, 1), ("high", highs, 1)):
+                for which, idx0 in (("low", lows), ("high", highs)):
                     base = pts[idx0]
-                    for i in range(1, run):
-                        d = DELTA.scale(i)
-                        pts.append(PlanePoint(base.x + d, base.y + d))
-                        inflation[fam][which].append((0, len(pts) - 1))
+                    first = len(pts)
+                    xs = _delta_run(base.x, run)
+                    # the anchors sit on the diagonal: share the coordinates
+                    ys = xs if base.y == base.x else _delta_run(base.y, run)
+                    pts += map(PlanePoint, xs, ys)
+                    inflation[fam][which] += zip(
+                        itertools.repeat(0), range(first, len(pts)))
                 self.counts[fam][0] += 2 * (run - 1)
         else:
             for fam in _FAMS:
@@ -1166,7 +1173,10 @@ class _Builder:
             "tiles": self.cursor + 1,
             "anchor_run": run,
         }
-        assert sizes["pattern"] <= sizes["text"]
+        if sizes["pattern"] > sizes["text"]:
+            raise ReductionError(
+                f"pattern ({sizes['pattern']} points) larger than text "
+                f"({sizes['text']})")
 
         inst = ReductionInstance(
             formula=self.formula, mode=self.mode, path=self.path,
@@ -1205,8 +1215,11 @@ class _Builder:
         inst.griddings = grids
         inst.pattern = perms["P"]
         inst.text = perms["T"]
-        assert len(inst.pattern) == sizes["pattern"]
-        assert len(inst.text) == sizes["text"]
+        for name, p in (("pattern", inst.pattern), ("text", inst.text)):
+            if len(p) != sizes[name]:
+                raise ReductionError(
+                    f"assembled {name} has {len(p)} points, "
+                    f"{sizes[name]} counted")
         return inst
 
     def build(self) -> ReductionInstance:

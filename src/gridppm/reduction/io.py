@@ -53,13 +53,21 @@ def write_instance(inst: ReductionInstance, directory: str) -> None:
         fh.write(format_perm(inst.pattern) + "\n")
     with open(os.path.join(directory, "text.perm"), "w") as fh:
         fh.write(format_perm(inst.text) + "\n")
-    prov = {}
-    for fam, name in (("P", "pattern"), ("T", "text")):
-        prov[name] = {f"{i},{j}:{idx}": pos
-                      for ((i, j), idx), pos in sorted(inst.prov[fam].items())}
     with open(os.path.join(directory, "provenance.json"), "w") as fh:
-        json.dump(prov, fh, indent=1)
-        fh.write("\n")
+        fh.write(_provenance_json(inst))
+
+
+def _provenance_json(inst: ReductionInstance) -> str:
+    """The bytes ``json.dump(..., indent=1)`` plus a newline would write
+    for {"pattern": {"i,j:idx": pos, ...}, "text": {...}}, without the
+    pure-Python encoder that indentation forces on ``json``.  Both maps
+    are non-empty: every family carries its anchor points."""
+    parts = []
+    for fam, name in (("P", "pattern"), ("T", "text")):
+        lines = [f'  "{i},{j}:{idx}": {pos}'
+                 for ((i, j), idx), pos in sorted(inst.prov[fam].items())]
+        parts.append(f' "{name}": {{\n' + ",\n".join(lines) + "\n }")
+    return "{\n" + ",\n".join(parts) + "\n}\n"
 
 
 def read_instance_summary(directory: str) -> Dict:

@@ -59,6 +59,19 @@ def test_match_broken_promise_is_validation_failure(files, capsys):
     assert run(["match", "--matrix", m, "--pattern", p, "--text", t]) == 2
 
 
+def test_match_non_monotone_matrix_is_usage_error(files, capsys):
+    m = files("m.json",
+              '{"cols":2,"rows":1,"entries":[["inc","av:321"]]}')
+    p = files("p.perm", "1\n")
+    t = files("t.perm", "2 1\n")
+    assert run(["match", "--matrix", m, "--pattern", p, "--text", t]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("gridppm: ")
+    assert "monotone" in captured.err
+    assert captured.err.count("\n") == 1
+
+
 def test_gridcheck(files, capsys):
     m = files("m.json",
               '{"cols":2,"rows":1,"entries":[["inc","dec"]]}')

@@ -188,6 +188,17 @@ def test_solve_cppm_promise_violation():
         solve_cppm(perm(1), perm(2, 1), m)
 
 
+def test_solve_cppm_rejects_non_monotone_matrix_before_searching(
+        monkeypatch):
+    def no_search(*args):
+        raise AssertionError("gridding search ran")
+
+    monkeypatch.setattr("gridppm.grid.find_gridding", no_search)
+    m = mat([INC, av(perm(3, 2, 1))])
+    with pytest.raises(InvalidGridding):
+        solve_cppm(perm(1), perm(2, 1), m)
+
+
 def test_all_griddings_complete():
     m = mat([DEC, INC])
     p = perm(1, 2)

@@ -1,6 +1,7 @@
 """Permutation core: standardization, containment, symmetries, sums."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -94,6 +95,48 @@ def test_coord_antisymmetry(u, v):
 def test_coord_transitivity(u, v, w):
     if u < v and v < w:
         assert u < w
+
+
+# mixed denominators: powers of 2 and of 3, their products, and a prime
+rats_st = st.builds(Fraction, st.integers(-60, 60),
+                    st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12, 27, 64, 81,
+                                     96, 1024, 7]))
+triples_st = st.tuples(rats_st, rats_st, rats_st)
+
+
+def assert_coord_is(c, ref):
+    """c has the value ref = (a, b, c) and its ints are in lowest terms."""
+    assert (c.a, c.b, c.c) == ref
+    assert c.den > 0
+    assert math.gcd(c.na, c.nb, c.nc, c.den) == 1
+
+
+@settings(max_examples=300)
+@given(triples_st, triples_st, rats_st, st.integers(-9, 9))
+def test_coord_agrees_with_fraction_triples(u, v, r, k):
+    cu, cv = coord(*u), coord(*v)
+    assert_coord_is(cu, u)
+    assert_coord_is(cu + cv, tuple(x + y for x, y in zip(u, v)))
+    assert_coord_is(cu - cv, tuple(x - y for x, y in zip(u, v)))
+    assert_coord_is(-cu, tuple(-x for x in u))
+    assert_coord_is(cu.scale(r), tuple(x * r for x in u))
+    assert_coord_is(cu.scale(k), tuple(x * k for x in u))
+    assert_coord_is(cu.shift(r), (u[0] + r, u[1], u[2]))
+    assert_coord_is(cu.shift(k), (u[0] + k, u[1], u[2]))
+    # lexicographic order, as on the reference tuples
+    assert (cu < cv) == (u < v)
+    assert (cu <= cv) == (u <= v)
+    assert (cu > cv) == (u > v)
+    assert (cu >= cv) == (u >= v)
+    assert (cu == cv) == (u == v)
+    if u == v:
+        assert hash(cu) == hash(cv)
+    # the same value reached along another route is equal and hashes alike
+    back = (cu + cv) - cv
+    assert back == cu and hash(back) == hash(cu)
+    if r:
+        there = cu.scale(r).scale(1 / r)
+        assert there == cu and hash(there) == hash(cu)
 
 
 def test_eps_dominates_delta():
