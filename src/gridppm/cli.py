@@ -167,7 +167,10 @@ def _cmd_reduce(args):
 
 
 def _rebuild(directory):
-    summary = read_instance_summary(directory)
+    try:
+        summary = read_instance_summary(directory)
+    except (ValueError, KeyError, TypeError) as exc:   # incl. JSON syntax
+        raise _UsageError(f"{directory}: malformed instance.json: {exc}")
     inst = rebuild_instance(summary)
     stored_pattern = parse_perm(_read(f"{directory}/pattern.perm"))
     stored_text = parse_perm(_read(f"{directory}/text.perm"))
@@ -234,8 +237,6 @@ def build_parser():
         for flag, kw in flags.items():
             p.add_argument(flag, **kw)
         p.add_argument("--out", default=None)
-        p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--seed", type=int, default=0)
         return p
 
     add("brute", "containment by exhaustive search",

@@ -240,18 +240,6 @@ def _cell_contents_sparse(p: Permutation, g: Gridding
     return out
 
 
-def cell_contents(p: Permutation, g: Gridding) -> Dict[Cell, Permutation]:
-    """Standardization of each cell of p under the gridding g."""
-    k = len(g.col_cuts) - 1
-    l = len(g.row_cuts) - 1
-    out = _cell_contents_sparse(p, g)
-    empty = Permutation(())
-    for i in range(1, k + 1):
-        for j in range(1, l + 1):
-            out.setdefault((i, j), empty)
-    return out
-
-
 def check_gridding(p: Permutation, g: Gridding, m: GriddingMatrix) -> bool:
     n = len(p)
     if len(g.col_cuts) != m.cols + 1 or len(g.row_cuts) != m.rows + 1:
@@ -267,27 +255,26 @@ def check_gridding(p: Permutation, g: Gridding, m: GriddingMatrix) -> bool:
     return True
 
 
-def find_gridding(p: Permutation, m: GriddingMatrix) -> Optional[Gridding]:
-    """Lexicographically least valid gridding of p, or None.
+def all_griddings(p: Permutation, m: GriddingMatrix):
+    """All valid griddings of p, in lexicographic order of
+    (col_cuts, row_cuts).
 
-    Enumerates the O(n^{k+l-2}) cut vectors in lexicographic order of
-    (col_cuts, row_cuts) and returns the first that checks out.
+    Enumerates the O(n^{k+l-2}) cut vectors; ``combinations_with_
+    replacement`` yields only non-decreasing cuts.
     """
     n = len(p)
     inner = range(1, n + 2)
-    col_choices = itertools.combinations_with_replacement(inner, m.cols - 1)
-    for ccut in col_choices:
+    for ccut in itertools.combinations_with_replacement(inner, m.cols - 1):
         cols = (1,) + ccut + (n + 1,)
-        if any(a > b for a, b in zip(cols, cols[1:])):
-            continue
         for rcut in itertools.combinations_with_replacement(inner, m.rows - 1):
-            rows = (1,) + rcut + (n + 1,)
-            if any(a > b for a, b in zip(rows, rows[1:])):
-                continue
-            g = Gridding(cols, rows)
+            g = Gridding(cols, (1,) + rcut + (n + 1,))
             if check_gridding(p, g, m):
-                return g
-    return None
+                yield g
+
+
+def find_gridding(p: Permutation, m: GriddingMatrix) -> Optional[Gridding]:
+    """Lexicographically least valid gridding of p, or None."""
+    return next(all_griddings(p, m), None)
 
 
 # --- orientations ---------------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from . import entries as E
-from .grid import Gridding, GriddingMatrix, cell_contents, check_gridding
+from .grid import Gridding, GriddingMatrix, all_griddings, check_gridding
 from .perm import Permutation, is_order_isomorphic
 
 
@@ -330,19 +330,6 @@ def psi_embedding(pattern: Permutation, pi: MonotonePartition,
 
 
 # --- the full solver ----------------------------------------------------------
-
-def all_griddings(p: Permutation, m: GriddingMatrix):
-    """All valid griddings of p, in lexicographic cut order."""
-    n = len(p)
-    inner = range(1, n + 2)
-    for ccut in itertools.combinations_with_replacement(inner, m.cols - 1):
-        cols = (1,) + ccut + (n + 1,)
-        for rcut in itertools.combinations_with_replacement(inner, m.rows - 1):
-            rows = (1,) + rcut + (n + 1,)
-            g = Gridding(cols, rows)
-            if check_gridding(p, g, m):
-                yield g
-
 
 def solve_cppm(pattern: Permutation, text: Permutation, m: GriddingMatrix,
                stats: Optional[dict] = None) -> Optional[Tuple[int, ...]]:

@@ -23,10 +23,15 @@ to designated channels.  Layers come in four shapes:
                   juxtaposition; every channel is copied with freshly
                   assigned outgoing values, which reorders the channels.
 
-The same driver runs in two modes: ``geometry`` mode emits exact points
-and a full gadget trace, ``counting`` mode only tracks per-tile point
-counts and channel order, which makes instance sizes cheap to compute for
-large formulas.
+Every layer runs one code path in both of the builder's modes: it decides
+the gadgets, the output channels with their tags and lineage, freezing,
+the clause layouts and the new live order the same way.  The modes differ
+only inside the emission helpers.  ``geometry`` mode computes exact
+points, places them in their tiles and records the gadget trace;
+``counting`` mode creates no coordinates and no trace, bumps each tile's
+point count once per gadget or chain, and lets a plain copy keep its
+channel id, so instance sizes and the layer schedule stay cheap to compute
+for large formulas.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..coords import EPS, ExactCoord, PlanePoint, coord
+from ..coords import ExactCoord, PlanePoint
 from .. import entries as E
 from ..grid import (Gridding, GriddingMatrix, Orientation, Tile, TileFamily,
                     _orient_by_propagation, assemble, build_rich_path,
@@ -192,14 +197,8 @@ PointRef = Tuple[int, int]  # (path tile index, index within the tile)
 
 @dataclass
 class PairRec:
-    pid: int
-    family: str                     # "P" or "T"
-    tile: int
-    vals: Optional[Tuple[ExactCoord, ExactCoord]]
+    vals: Tuple[ExactCoord, ExactCoord]   # value slot on the outgoing axis
     pts: Tuple[PointRef, ...]
-    lineage: str = ""               # "Y"/"Z" for text occurrence channels
-    tag: Tuple = ()                 # ("anchor", i) / ("var", k) / ("occ", t)
-    frozen: bool = False
 
 
 @dataclass
@@ -264,6 +263,16 @@ _EVAL_STAGES = [
 ]
 
 
+# trace slot names of a single-tile gadget's output pairs, by their number
+_SLOTS = {1: ("pts",), 2: ("b1", "b2")}
+
+# single-tile gadget emitters by trace kind
+_GADGETS = {"initial": G.gadget_initial, "copy": G.gadget_copy,
+            "pick": G.gadget_pick, "follow": G.gadget_follow,
+            "choose": G.gadget_choose, "multiply": G.gadget_multiply,
+            "merge": G.gadget_merge, "bucket": G.gadget_bucket}
+
+
 def _delta_run(c: ExactCoord, run: int) -> List[ExactCoord]:
     """c + i*delta for i = 1 .. run-1.  Adding a multiple of the
     denominator keeps the ints in lowest terms, so no gcd is needed."""
@@ -307,7 +316,12 @@ class _Builder:
         self.occ_key: List[int] = []
         self.occ_order: List[int] = []
 
-    # -- low-level emission ----------------------------------------------
+    # -- emission ---------------------------------------------------------
+    #
+    # Only ``_gadget``, ``_copy``, ``_flip_chains``, ``_take_d`` and
+    # ``finish`` look at the mode.  Geometry mode places exact points and
+    # traces every gadget; counting mode only bumps the tiles' point
+    # counts, once per tile.
 
     def _bump(self, fam: str, t: int, k: int) -> int:
         c = self.counts[fam].get(t, 0)
@@ -324,39 +338,113 @@ class _Builder:
         self.tiles[fam].setdefault(t, []).append(pt)
         return (t, base)
 
-    def _new_pair(self, fam: str, t: int, rawpair: G.RawPair,
-                  tag: Tuple, lineage: str = "") -> int:
+    def _pid(self, fam: str, tag: Tuple, lineage: str) -> int:
         pid = self._next_pid[fam]
         self._next_pid[fam] += 1
-        refs = (self._put_raw(fam, t, rawpair[0]),
-                self._put_raw(fam, t, rawpair[1]))
-        self.pairs[(fam, pid)] = PairRec(
-            pid, fam, t, G.pair_values(rawpair), refs, lineage, tag)
         self.tag[fam][pid] = tag
         if fam == "T":
             self.lineage[pid] = lineage
         return pid
 
-    def _light_pair(self, fam: str, t: int, tag: Tuple,
-                    lineage: str = "") -> int:
-        pid = self._next_pid[fam]
-        self._next_pid[fam] += 1
-        self._bump(fam, t, 2)
-        self.tag[fam][pid] = tag
-        if fam == "T":
-            self.lineage[pid] = lineage
-        return pid
+    def _successor(self, fam: str, pid: int) -> int:
+        """A new pid continuing channel ``pid``, with its tag and lineage."""
+        return self._pid(fam, self.tag[fam][pid], self.lineage.get(pid, ""))
 
     def _rec(self, kind: str, fam: str, inputs: Tuple[int, ...],
-             outputs: Tuple[int, ...], slots: Dict, meta: Tuple = ()) -> None:
-        rec = GadgetRec(kind, fam, self.layer_no, inputs, outputs,
-                        {k: tuple(v) for k, v in slots.items()}, meta)
+             outputs: Sequence[int], slots: Dict[str, Tuple[PointRef, ...]],
+             meta: Tuple = ()) -> None:
+        rec = GadgetRec(kind, fam, self.layer_no, inputs, tuple(outputs),
+                        slots, meta)
         self.trace.append(rec)
         for pid in inputs:
             self.consumer[(fam, pid)] = rec
 
-    def _vals(self, fam: str, pid: int) -> Tuple[ExactCoord, ExactCoord]:
-        return self.pairs[(fam, pid)].vals
+    def _gadget(self, kind: str, fam: str, t: int, inputs: Tuple[int, ...],
+                outs: Optional[Sequence[Tuple[Tuple, str]]] = None,
+                meta: Tuple = (), args: Tuple = ()) -> List[int]:
+        """Emit the single-tile gadget ``kind`` into tile t, consuming the
+        pairs ``inputs``.  ``outs`` holds the (tag, lineage) of each output
+        pair, by default one successor of the first input; ``args`` follow
+        the input values in the emitter's call.  Returns the new pids."""
+        if outs is None:
+            pids = [self._successor(fam, inputs[0])]
+        else:
+            pids = [self._pid(fam, tg, lin) for tg, lin in outs]
+        if not self.geometry:
+            self._bump(fam, t, 2 * len(pids))
+            return pids
+        vals = ()
+        for pid in inputs:
+            vals += self.pairs[(fam, pid)].vals
+        slots = {}
+        for name, pid, rp in zip(_SLOTS[len(pids)], pids,
+                                 _GADGETS[kind](*vals, *args)):
+            pts = (self._put_raw(fam, t, rp[0]), self._put_raw(fam, t, rp[1]))
+            self.pairs[(fam, pid)] = PairRec(G.pair_values(rp), pts)
+            slots[name] = pts
+        self._rec(kind, fam, inputs, pids, slots, meta)
+        return pids
+
+    def _copy(self, fam: str, t: int, pids: Sequence[int]) -> List[int]:
+        """Copy every pair of ``pids`` into tile t; returns the new pids.
+        Counting mode keeps the old pids: a copy inherits tag and lineage
+        unchanged."""
+        if not self.geometry:
+            self._bump(fam, t, 2 * len(pids))
+            return list(pids)
+        return [self._gadget("copy", fam, t, (pid,))[0] for pid in pids]
+
+    def _flip_chains(self, fam: str, d1: int, d2: int,
+                     chains: Sequence[Tuple[str, Tuple[int, ...]]]
+                     ) -> List[int]:
+        """Emit every chain of one family's flip layer over tiles d1..d2
+        and return the family's new live order.
+
+        Each chain is (kind, input pids), in live order.  "copy" carries an
+        anchor by one copy gadget per tile.  "flippat" carries one pair and
+        "fliptext" an adjacent duo, exchanging its two slots: each input
+        gets a head point in d1, a middle pair in every interior tile and
+        an end pair in d2, which becomes its successor's pair.  Counting
+        mode bumps each tile once for all the flip chains.
+        """
+        new, width = [], 0
+        for kind, inputs in chains:
+            if kind == "copy":
+                (pid,) = inputs
+                for t in range(d1, d2 + 1):
+                    (pid,) = self._copy(fam, t, (pid,))
+                new.append(pid)
+                continue
+            pids = [self._successor(fam, pid) for pid in inputs]
+            new += reversed(pids)
+            if not self.geometry:
+                width += len(pids)
+                continue
+            vals = [v for pid in inputs for v in self.pairs[(fam, pid)].vals]
+            if kind == "fliptext":
+                if not vals[1] < vals[2]:
+                    raise ReductionError(
+                        "flip inputs must occupy disjoint slots")
+                ends = G.flip_text_chains(*vals)
+            else:
+                ends = (G.flip_pattern_chain(*vals),)
+            refs = [[self._put_raw(fam, d1, ch.head)] for ch in ends]
+            for t in range(d1 + 1, d2):
+                for ch, rs in zip(ends, refs):
+                    rs += (self._put_raw(fam, t, ch.middle[0]),
+                           self._put_raw(fam, t, ch.middle[1]))
+            for pid, ch, rs in zip(pids, ends, refs):
+                rs += (self._put_raw(fam, d2, ch.end[0]),
+                       self._put_raw(fam, d2, ch.end[1]))
+                self.pairs[(fam, pid)] = PairRec(ch.values, tuple(rs[-2:]))
+            self._rec(kind, fam, inputs, pids,
+                      dict(zip(("a1", "a2") if kind == "fliptext"
+                               else ("pts",), map(tuple, refs))))
+        if width:
+            self._bump(fam, d1, width)
+            for t in range(d1 + 1, d2 + 1):
+                self._bump(fam, t, 2 * width)
+        return new
 
     # -- D-entry supply ----------------------------------------------------
 
@@ -389,23 +477,8 @@ class _Builder:
         while self.cursor < target:
             t = self.cursor + 1
             for fam in _FAMS:
-                if not self.geometry:
-                    self._bump(fam, t, 2 * len(self.live[fam]))
-                    continue
-                new = []
-                for pid in self.live[fam]:
-                    new.append(self._apply_copy(fam, pid, t))
-                self.live[fam] = new
+                self.live[fam] = self._copy(fam, t, self.live[fam])
             self.cursor = t
-
-    def _apply_copy(self, fam: str, pid: int, t: int) -> int:
-        r, q = self._vals(fam, pid)
-        (pair,) = G.gadget_copy(r, q)
-        npid = self._new_pair(fam, t, pair, self.tag[fam][pid],
-                              self.lineage.get(pid, ""))
-        self._rec("copy", fam, (pid,), (npid,),
-                  {"pts": self.pairs[(fam, npid)].pts})
-        return npid
 
     def _dsimple(self, kind_of, meta_of=None) -> None:
         """One layer ending with a gadget step into the next D entry.
@@ -420,80 +493,27 @@ class _Builder:
         self._advance_to(d - 1)
         t = d
         for fam in _FAMS:
-            if not self.geometry:
-                new, skip = [], set()
-                for pos, pid in enumerate(self.live[fam]):
-                    if pos in skip:
-                        continue
-                    kind = kind_of(fam, pos, pid)
-                    if isinstance(kind, tuple):
-                        skip.add(kind[1])
-                        new.append(self._light_pair(
-                            fam, t, self.tag[fam][pid],
-                            self.lineage.get(pid, "")))
-                    elif kind == "choose":
-                        self._bump(fam, t, 4)
-                        lin = self.lineage.get(pid, "")
-                        tg = self.tag[fam][pid]
-                        a = self._next_pid[fam]; self._next_pid[fam] += 2
-                        self.tag[fam][a] = tg
-                        self.tag[fam][a + 1] = tg
-                        if fam == "T":
-                            self.lineage[a] = lin or "Y"
-                            self.lineage[a + 1] = ("Z" if not lin else lin)
-                        new.extend([a, a + 1])
-                    else:
-                        new.append(self._light_pair(
-                            fam, t, self.tag[fam][pid],
-                            self.lineage.get(pid, "")))
-                self.live[fam] = new
-                continue
-
+            live = self.live[fam]
             new, skip = [], set()
-            for pos, pid in enumerate(self.live[fam]):
+            for pos, pid in enumerate(live):
                 if pos in skip:
                     continue
                 kind = kind_of(fam, pos, pid)
-                meta = meta_of(fam, pos) if meta_of else ()
-                tg = self.tag[fam][pid]
-                lin = self.lineage.get(pid, "")
-                r, q = self._vals(fam, pid)
                 if kind == "copy":
-                    new.append(self._apply_copy(fam, pid, t))
-                elif kind == "pick":
-                    (pair,) = G.gadget_pick(r, q)
-                    npid = self._new_pair(fam, t, pair, tg, lin)
-                    self._rec("pick", fam, (pid,), (npid,),
-                              {"pts": self.pairs[(fam, npid)].pts}, meta)
-                    new.append(npid)
-                elif kind == "follow":
-                    (pair,) = G.gadget_follow(r, q)
-                    npid = self._new_pair(fam, t, pair, tg, lin)
-                    self._rec("follow", fam, (pid,), (npid,),
-                              {"pts": self.pairs[(fam, npid)].pts}, meta)
-                    new.append(npid)
-                elif kind == "choose":
-                    b1p, b2p = G.gadget_choose(r, q)
-                    l1 = (lin or "Y") if fam == "T" else ""
-                    l2 = (lin or "Z") if fam == "T" else ""
-                    n1 = self._new_pair(fam, t, b1p, tg, l1)
-                    n2 = self._new_pair(fam, t, b2p, tg, l2)
-                    self._rec("choose", fam, (pid,), (n1, n2),
-                              {"b1": self.pairs[(fam, n1)].pts,
-                               "b2": self.pairs[(fam, n2)].pts}, meta)
-                    new.extend([n1, n2])
-                elif isinstance(kind, tuple) and kind[0] == "merge":
-                    ppos = kind[1]
-                    pid2 = self.live[fam][ppos]
-                    skip.add(ppos)
-                    r2, q2 = self._vals(fam, pid2)
-                    (pair,) = G.gadget_merge(r, q, r2, q2)
-                    npid = self._new_pair(fam, t, pair, tg, lin)
-                    self._rec("merge", fam, (pid, pid2), (npid,),
-                              {"pts": self.pairs[(fam, npid)].pts}, meta)
-                    new.append(npid)
-                else:  # pragma: no cover - builder bug
-                    raise AssertionError(f"bad gadget kind {kind!r}")
+                    new += self._copy(fam, t, (pid,))
+                    continue
+                meta = meta_of(fam, pos) if meta_of else ()
+                if kind == "choose":
+                    tg, lin = self.tag[fam][pid], self.lineage.get(pid, "")
+                    new += self._gadget("choose", fam, t, (pid,),
+                                        [(tg, lin or "Y"), (tg, lin or "Z")],
+                                        meta)
+                elif isinstance(kind, tuple):
+                    skip.add(kind[1])
+                    new += self._gadget("merge", fam, t, (pid, live[kind[1]]),
+                                        meta=meta)
+                else:
+                    new += self._gadget(kind, fam, t, (pid,), meta=meta)
             self.live[fam] = new
         self.cursor = t
 
@@ -504,36 +524,12 @@ class _Builder:
         for fam in _FAMS:
             new = []
             for pos, pid in enumerate(self.live[fam]):
-                if not multiply_of(fam, pos):
-                    if self.geometry:
-                        new.append(self._apply_copy(fam, pid, t))
-                    else:
-                        new.append(self._light_pair(
-                            fam, t, self.tag[fam][pid],
-                            self.lineage.get(pid, "")))
-                    continue
-                if not self.geometry:
-                    self._bump(fam, t, 4)
-                    tg = self.tag[fam][pid]
-                    lin = self.lineage.get(pid, "")
-                    a = self._next_pid[fam]; self._next_pid[fam] += 2
-                    self.tag[fam][a] = tg
-                    self.tag[fam][a + 1] = tg
-                    if fam == "T":
-                        self.lineage[a] = lin
-                        self.lineage[a + 1] = lin
-                    new.extend([a, a + 1])
-                    continue
-                r, q = self._vals(fam, pid)
-                b1p, b2p = G.gadget_multiply(r, q)
-                tg = self.tag[fam][pid]
-                lin = self.lineage.get(pid, "")
-                n1 = self._new_pair(fam, t, b1p, tg, lin)
-                n2 = self._new_pair(fam, t, b2p, tg, lin)
-                self._rec("multiply", fam, (pid,), (n1, n2),
-                          {"b1": self.pairs[(fam, n1)].pts,
-                           "b2": self.pairs[(fam, n2)].pts})
-                new.extend([n1, n2])
+                if multiply_of(fam, pos):
+                    heir = (self.tag[fam][pid], self.lineage.get(pid, ""))
+                    new += self._gadget("multiply", fam, t, (pid,),
+                                        [heir, heir])
+                else:
+                    new += self._copy(fam, t, (pid,))
             self.live[fam] = new
         self.cursor = t
 
@@ -546,115 +542,21 @@ class _Builder:
         """
         d1, d2 = self._take_d(2)
         self._advance_to(d1 - 1)
-        n_mid = d2 - d1 - 1
         duo_low = {"T": set(text_duos), "P": set(pattern_duos)}
         for fam in _FAMS:
             lows = duo_low[fam]
             highs = {i + 1 for i in lows}
-            if not self.geometry:
-                new = []
-                live = self.live[fam]
-                for pos, pid in enumerate(live):
-                    tg = self.tag[fam][pid]
-                    lin = self.lineage.get(pid, "")
-                    if tg and tg[0] == "anchor":
-                        for t in range(d1, d2 + 1):
-                            self._bump(fam, t, 2)
-                        new.append(pid)
-                    elif pos in lows:
-                        pid2 = live[pos + 1]
-                        self._bump(fam, d1, 2)
-                        for t in range(d1 + 1, d2):
-                            self._bump(fam, t, 4)
-                        self._bump(fam, d2, 4)
-                        lo = self._next_pid[fam]; self._next_pid[fam] += 2
-                        self.tag[fam][lo] = self.tag[fam][pid2]
-                        self.tag[fam][lo + 1] = tg
-                        if fam == "T":
-                            self.lineage[lo] = self.lineage.get(pid2, "")
-                            self.lineage[lo + 1] = lin
-                        new.extend([lo, lo + 1])
-                    elif pos in highs:
-                        pass
-                    else:
-                        self._bump(fam, d1, 1)
-                        for t in range(d1 + 1, d2):
-                            self._bump(fam, t, 2)
-                        self._bump(fam, d2, 2)
-                        np_ = self._next_pid[fam]; self._next_pid[fam] += 1
-                        self.tag[fam][np_] = tg
-                        if fam == "T":
-                            self.lineage[np_] = lin
-                        new.append(np_)
-                self.live[fam] = new
-                continue
-
-            new = []
             live = self.live[fam]
+            chains = []
             for pos, pid in enumerate(live):
                 tg = self.tag[fam][pid]
-                lin = self.lineage.get(pid, "")
                 if tg and tg[0] == "anchor":
-                    cur = pid
-                    for t in range(d1, d2 + 1):
-                        cur = self._apply_copy(fam, cur, t)
-                    new.append(cur)
+                    chains.append(("copy", (pid,)))
                 elif pos in lows:
-                    pid2 = live[pos + 1]
-                    r1, q1 = self._vals(fam, pid)
-                    r2, q2 = self._vals(fam, pid2)
-                    assert q1 < r2, "flip inputs must occupy disjoint slots"
-                    c1, c2 = G.flip_text_chains(r1, q1, r2, q2)
-                    refs1 = [self._put_raw(fam, d1, c1.head)]
-                    refs2 = [self._put_raw(fam, d1, c2.head)]
-                    for t in range(d1 + 1, d2):
-                        refs1 += [self._put_raw(fam, t, c1.middle[0]),
-                                  self._put_raw(fam, t, c1.middle[1])]
-                        refs2 += [self._put_raw(fam, t, c2.middle[0]),
-                                  self._put_raw(fam, t, c2.middle[1])]
-                    e1 = (self._put_raw(fam, d2, c1.end[0]),
-                          self._put_raw(fam, d2, c1.end[1]))
-                    e2 = (self._put_raw(fam, d2, c2.end[0]),
-                          self._put_raw(fam, d2, c2.end[1]))
-                    refs1 += list(e1)
-                    refs2 += list(e2)
-                    hi = self._next_pid[fam]; self._next_pid[fam] += 1
-                    lo = self._next_pid[fam]; self._next_pid[fam] += 1
-                    self.pairs[(fam, hi)] = PairRec(
-                        hi, fam, d2, c1.values, e1, lin, tg)
-                    lin2 = self.lineage.get(pid2, "")
-                    tg2 = self.tag[fam][pid2]
-                    self.pairs[(fam, lo)] = PairRec(
-                        lo, fam, d2, c2.values, e2, lin2, tg2)
-                    self.tag[fam][hi] = tg
-                    self.tag[fam][lo] = tg2
-                    if fam == "T":
-                        self.lineage[hi] = lin
-                        self.lineage[lo] = lin2
-                    self._rec("fliptext", fam, (pid, pid2), (hi, lo),
-                              {"a1": refs1, "a2": refs2})
-                    new.extend([lo, hi])
-                elif pos in highs:
-                    pass
-                else:
-                    r, q = self._vals(fam, pid)
-                    ch = G.flip_pattern_chain(r, q)
-                    refs = [self._put_raw(fam, d1, ch.head)]
-                    for t in range(d1 + 1, d2):
-                        refs += [self._put_raw(fam, t, ch.middle[0]),
-                                 self._put_raw(fam, t, ch.middle[1])]
-                    e = (self._put_raw(fam, d2, ch.end[0]),
-                         self._put_raw(fam, d2, ch.end[1]))
-                    refs += list(e)
-                    np_ = self._next_pid[fam]; self._next_pid[fam] += 1
-                    self.pairs[(fam, np_)] = PairRec(
-                        np_, fam, d2, ch.values, e, lin, tg)
-                    self.tag[fam][np_] = tg
-                    if fam == "T":
-                        self.lineage[np_] = lin
-                    self._rec("flippat", fam, (pid,), (np_,), {"pts": refs})
-                    new.append(np_)
-            self.live[fam] = new
+                    chains.append(("fliptext", (pid, live[pos + 1])))
+                elif pos not in highs:
+                    chains.append(("flippat", (pid,)))
+            self.live[fam] = self._flip_chains(fam, d1, d2, chains)
         self.cursor = d2
 
     def _bucket(self, new_order: Dict[str, List[int]],
@@ -668,36 +570,12 @@ class _Builder:
         self._advance_to(d - 1)
         for fam in _FAMS:
             order = new_order[fam]
-            if not self.geometry:
-                new = []
-                for pos in order:
-                    pid = self.live[fam][pos]
-                    new.append(self._light_pair(
-                        fam, d, self.tag[fam][pid],
-                        self.lineage.get(pid, "")))
-                self.live[fam] = new
-                continue
-            total = 2 * len(order)
-            step = self.bound / (total + 1)
-            half = coord(Fraction(1, 2))
+            live = self.live[fam]
+            step = self.bound / (2 * len(order) + 1)
             new = []
-            nxt = 0
-            for pos in order:
-                pid = self.live[fam][pos]
-                r, q = self._vals(fam, pid)
-                s_in, t_in = r + EPS, q - EPS
-                v1 = half + coord(step * (nxt + 1))
-                v2 = half + coord(step * (nxt + 2))
-                nxt += 2
-                if dec_of[fam].get(pos, False):
-                    rawpair = (G.RawPoint(v1, t_in), G.RawPoint(v2, s_in))
-                else:
-                    rawpair = (G.RawPoint(v1, s_in), G.RawPoint(v2, t_in))
-                npid = self._new_pair(fam, d, rawpair, self.tag[fam][pid],
-                                      self.lineage.get(pid, ""))
-                self._rec("bucket", fam, (pid,), (npid,),
-                          {"pts": self.pairs[(fam, npid)].pts})
-                new.append(npid)
+            for k, pos in enumerate(order):
+                new += self._gadget("bucket", fam, d, (live[pos],), args=(
+                    step, k, dec_of[fam].get(pos, False)))
             self.live[fam] = new
         self.cursor = d
 
@@ -708,36 +586,17 @@ class _Builder:
     # -- phases ------------------------------------------------------------
 
     def build_phase_initial(self) -> None:
-        t = 0
         n = self.n
-
-        def diag(v_lo: Fraction, v_hi: Fraction) -> G.RawPair:
-            return (G.RawPoint(coord(v_lo), coord(v_lo)),
-                    G.RawPoint(coord(v_hi), coord(v_hi)))
-
-        a1 = diag(Fraction(5, 8), Fraction(7, 8))
-        a2 = diag(2 * n + Fraction(9, 8), 2 * n + Fraction(11, 8))
+        ks = range(1, n + 1)
+        tags = [("anchor", 0)] + [("var", k) for k in ks] + [("anchor", 1)]
+        values = [(Fraction(5, 8), Fraction(7, 8))] \
+            + [(Fraction(2 * k - 1), Fraction(2 * k)) for k in ks] \
+            + [(2 * n + Fraction(9, 8), 2 * n + Fraction(11, 8))]
         for fam in _FAMS:
-            ids = []
-            if self.geometry:
-                lo = self._new_pair(fam, t, a1, ("anchor", 0))
-                for k in range(1, n + 1):
-                    ids.append(self._new_pair(
-                        fam, t, diag(Fraction(2 * k - 1), Fraction(2 * k)),
-                        ("var", k)))
-                hi = self._new_pair(fam, t, a2, ("anchor", 1))
-                for pid in [lo] + ids + [hi]:
-                    self._rec("initial", fam, (), (pid,),
-                              {"pts": self.pairs[(fam, pid)].pts})
-            else:
-                lo = self._light_pair(fam, t, ("anchor", 0))
-                for k in range(1, n + 1):
-                    ids.append(self._light_pair(fam, t, ("var", k)))
-                hi = self._light_pair(fam, t, ("anchor", 1))
-            self.live[fam] = [lo] + ids + [hi]
-        if self.geometry:
-            for pp, tp in zip(self.live["P"], self.live["T"]):
-                self.init_map.append((pp, tp))
+            self.live[fam] = [
+                self._gadget("initial", fam, 0, (), [(tg, "")], args=v)[0]
+                for tg, v in zip(tags, values)]
+        self.init_map = list(zip(self.live["P"], self.live["T"]))
         self._mark_layer("initial")
 
     def build_phase_assignment(self) -> None:
@@ -837,18 +696,14 @@ class _Builder:
                     slot = per_var_seen[k] // width
                     per_var_seen[k] += 1
                     if slot >= counts[k]:
-                        if self.geometry:
-                            self.pairs[(fam, pid)].frozen = True
-                        continue
-                    tg = ("occ", occ_base[k] + slot)
-                    self.tag[fam][pid] = tg
-                    if self.geometry:
-                        self.pairs[(fam, pid)].tag = tg
+                        continue   # frozen: it leaves the live order
+                    self.tag[fam][pid] = ("occ", occ_base[k] + slot)
                 keep.append(pid)
             self.live[fam] = keep
         self._mark_layer("freeze")
         self._refresh_occ_order()
-        assert self.occ_order == list(range(len(self.occ_key)))
+        if self.occ_order != list(range(len(self.occ_key))):
+            raise ReductionError("kept channels are not in occurrence order")
 
     # -- occurrence position tracking ---------------------------------------
 
@@ -877,7 +732,8 @@ class _Builder:
         while any(key[self.occ_order[i]] > key[self.occ_order[i + 1]]
                   for i in range(len(self.occ_order) - 1)):
             guard += 1
-            assert guard <= 3 * len(self.occ_order) + 2
+            if guard > 3 * len(self.occ_order) + 2:
+                raise ReductionError("odd-even swap rounds do not terminate")
             swaps = [i for i in range(parity, len(self.occ_order) - 1, 2)
                      if key[self.occ_order[i]] > key[self.occ_order[i + 1]]]
             parity ^= 1
@@ -897,7 +753,8 @@ class _Builder:
             o1, o2 = self.occ_order[i], self.occ_order[i + 1]
             lo1, hi1 = pos_t[o1]
             lo2, hi2 = pos_t[o2]
-            assert (lo1, hi1, lo2, hi2) == (lo1, lo1 + 1, lo1 + 2, lo1 + 3)
+            if (hi1, lo2, hi2) != (lo1 + 1, lo1 + 2, lo1 + 3):
+                raise ReductionError("swapped occurrences are not adjacent")
             choose_pos.update([lo1, hi1, lo2, hi2])
             pick_pos.update([pos_p[o1], pos_p[o2]])
             quad = (lo1, hi1, lo2, hi2)
@@ -926,9 +783,11 @@ class _Builder:
         for i in swaps:
             o1, o2 = self.occ_order[i], self.occ_order[i + 1]
             span = pos_t[o1] + pos_t[o2]
-            assert span == list(range(span[0], span[0] + 8))
+            if span != list(range(span[0], span[0] + 8)):
+                raise ReductionError("swap block is not 8 contiguous channels")
             blocks.append(span[0])
-            assert pos_p[o2] == pos_p[o1] + 1
+            if pos_p[o2] != pos_p[o1] + 1:
+                raise ReductionError("swapped pattern channels not adjacent")
             pat_pos.append(pos_p[o1])
 
         for stage, duos in enumerate(_SWAP_STAGES):
@@ -951,8 +810,9 @@ class _Builder:
         self._mark_layer("swap-merge")
         self._refresh_occ_order()
         for i in swaps:
-            assert self.occ_key[self.occ_order[i]] < \
-                self.occ_key[self.occ_order[i + 1]]
+            if self.occ_key[self.occ_order[i]] >= \
+                    self.occ_key[self.occ_order[i + 1]]:
+                raise ReductionError("swap round left a pair out of order")
 
     def build_phase_sorting_juxtaposition(self) -> None:
         key = self.occ_key
@@ -962,7 +822,8 @@ class _Builder:
             self._mark_layer("sorted")
             return
         entry = self.bucket_entry
-        assert entry is not None
+        if entry is None:
+            raise ReductionError("juxtaposition sorting needs a bucket entry")
         d1_dec, d2_dec = entry.d1 == "dec", entry.d2 == "dec"
         has_dec = d1_dec or d2_dec
 
@@ -1001,7 +862,8 @@ class _Builder:
                 one = [o for o in seq if (start_pos[o] >> bit) & 1]
                 plans.append((set(zero), list(seq)))
                 seq = zero + one
-            assert seq == self.occ_order
+            if seq != self.occ_order:
+                raise ReductionError("radix plan does not invert the order")
             for zero_set, target_seq in reversed(plans):
                 rank = {o: r for r, o in enumerate(target_seq)}
 
@@ -1021,8 +883,10 @@ class _Builder:
                 self._pass(in_first, target_rank, d1_dec, d2_dec,
                            carried=True)
                 self._mark_layer("bucket")
-                assert self.occ_order == target_seq
-        assert [key[o] for o in self.occ_order] == sorted(key)
+                if self.occ_order != target_seq:
+                    raise ReductionError("bucket pass missed its target")
+        if [key[o] for o in self.occ_order] != sorted(key):
+            raise ReductionError("bucket passes left occurrences unsorted")
 
     def _pass(self, in_first, target_rank, d1_dec: bool, d2_dec: bool,
               carried: bool = False) -> None:
@@ -1041,8 +905,9 @@ class _Builder:
             part = [in_first(self.tag[fam][pid]) for pid in live]
             if carried:
                 cut = sum(part)
-                assert all(part[p] == (p < cut) for p in range(len(live))), \
-                    "carried split requires a prefix partition"
+                if any(part[p] != (p < cut) for p in range(len(live))):
+                    raise ReductionError(
+                        "carried split requires a prefix partition")
             first = [p for p in range(len(live)) if part[p]]
             second = [p for p in range(len(live)) if not part[p]]
             if d1_dec:
@@ -1066,7 +931,8 @@ class _Builder:
 
     def build_phase_evaluation(self) -> None:
         m = len(self.occ_order)
-        assert m == 3 * len(self.formula.clauses)
+        if m != 3 * len(self.formula.clauses):
+            raise ReductionError("occurrence count is not 3 per clause")
 
         # polarity: make each occurrence's literal-true channel the lower
         # one.  The true channel has lineage Y for positive literals and Z
@@ -1076,7 +942,8 @@ class _Builder:
         for o in self.occ_order:
             want = "Y" if self.occ_lit[o] > 0 else "Z"
             lo, hi = pos_t[o]
-            assert hi == lo + 1
+            if hi != lo + 1:
+                raise ReductionError("occurrence channels not adjacent")
             if self.lineage.get(self.live["T"][lo], "Y") != want:
                 flips.append(lo)
         if flips:
@@ -1120,7 +987,9 @@ class _Builder:
         for c in range(len(self.formula.clauses)):
             span = sorted(p for slot in range(3)
                           for p in pos_t[self.occ_order[3 * c + slot]])
-            assert span == list(range(span[0], span[0] + 7))
+            if span != list(range(span[0], span[0] + 7)):
+                raise ReductionError("clause block is not 7 contiguous "
+                                     "channels")
             bases.append(span[0])
 
         for duos in _EVAL_STAGES:
@@ -1128,13 +997,9 @@ class _Builder:
             self._flip(td, [])
             self._mark_layer("eval-flip")
 
-        if self.geometry:
-            roles = ["ya", "zbar_b", "za", "yb", "zc", "ztilde_b", "yc"]
-            self.clause_layouts = []
-            for b in bases:
-                block = self.live["T"][b: b + 7]
-                self.clause_layouts.append(
-                    {r: pid for r, pid in zip(roles, block)})
+        roles = ["ya", "zbar_b", "za", "yb", "zc", "ztilde_b", "yc"]
+        self.clause_layouts = [dict(zip(roles, self.live["T"][b: b + 7]))
+                               for b in bases]
 
     # -- finishing ----------------------------------------------------------
 
@@ -1160,10 +1025,8 @@ class _Builder:
                     pts += map(PlanePoint, xs, ys)
                     inflation[fam][which] += zip(
                         itertools.repeat(0), range(first, len(pts)))
-                self.counts[fam][0] += 2 * (run - 1)
-        else:
-            for fam in _FAMS:
-                self.counts[fam][0] += 2 * (run - 1)
+        for fam in _FAMS:
+            self.counts[fam][0] += 2 * (run - 1)
 
         sizes = {
             "pattern": pat_pre + 2 * (run - 1),
@@ -1257,9 +1120,7 @@ def bucket_rehearsal(keys: Sequence[int], matrix: GriddingMatrix,
         for pid in list(b.live[fam]):
             tg = b.tag[fam][pid]
             if tg[0] == "var":
-                ntg = ("occ", tg[1] - 1)
-                b.tag[fam][pid] = ntg
-                b.pairs[(fam, pid)].tag = ntg
+                b.tag[fam][pid] = ("occ", tg[1] - 1)
     b.occ_var = list(range(1, len(keys) + 1))
     b.occ_lit = [k for k in b.occ_var]
     b.occ_key = list(keys)

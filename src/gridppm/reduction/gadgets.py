@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
 
-from ..coords import EPS, ExactCoord
+from ..coords import EPS, ExactCoord, coord
 
 __all__ = [
     "RawPoint",
@@ -34,6 +34,8 @@ __all__ = [
     "gadget_choose",
     "gadget_merge",
     "gadget_follow",
+    "gadget_initial",
+    "gadget_bucket",
     "FlipChain",
     "flip_text_chains",
     "flip_pattern_chain",
@@ -99,6 +101,23 @@ def gadget_merge(
 def gadget_follow(r: ExactCoord, q: ExactCoord) -> List[RawPair]:
     """21 pair sandwiching a single input pair from outside."""
     return [(RawPoint(r, q + EPS), RawPoint(q, r - EPS))]
+
+
+def gadget_initial(lo: Fraction, hi: Fraction) -> List[RawPair]:
+    """12 pair on the diagonal at values ``lo < hi``: a channel's start."""
+    return [(RawPoint(coord(lo), coord(lo)), RawPoint(coord(hi), coord(hi)))]
+
+
+def gadget_bucket(r: ExactCoord, q: ExactCoord, step: Fraction, k: int,
+                  dec: bool) -> List[RawPair]:
+    """Pair sandwiched by the input, carrying it onto the k-th pair of
+    fresh outgoing values 1/2 + (2k+1)*step < 1/2 + (2k+2)*step: a 12, or
+    a 21 when the channel lands in a decreasing juxtaposition part."""
+    s_in, t_in = r + EPS, q - EPS
+    if dec:
+        s_in, t_in = t_in, s_in
+    lo = coord(Fraction(1, 2) + step * (2 * k + 1))
+    return [(RawPoint(lo, s_in), RawPoint(lo + coord(step), t_in))]
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,8 @@ assembles both families so grid-preserving embeddings can be enumerated
 exhaustively.
 """
 
-from gridppm.coords import coord
 from gridppm.entries import FIBP, INC
 from gridppm.grid import Tile, TileFamily, assemble, staircase
-from gridppm.reduction import gadgets as G
 from gridppm.reduction.builder import Formula3CNF, _Builder, make_path_spec
 
 
@@ -22,12 +20,8 @@ def micro(channels):
     for fam in "PT":
         ids = []
         for k, (lo, hi) in enumerate(channels[fam], 1):
-            pair = (G.RawPoint(coord(lo), coord(lo)),
-                    G.RawPoint(coord(hi), coord(hi)))
-            pid = b._new_pair(fam, 0, pair, ("var", k))
-            b._rec("initial", fam, (), (pid,),
-                   {"pts": b.pairs[(fam, pid)].pts})
-            ids.append(pid)
+            ids += b._gadget("initial", fam, 0, (), [(("var", k), "")],
+                             args=(lo, hi))
         b.live[fam] = ids
     return b
 

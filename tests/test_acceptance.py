@@ -238,6 +238,9 @@ def _random_formulas(count, rng):
 
 def _check_pipeline(f, mode):
     inst = reduce_formula(f, mode=mode)
+    plan = plan_layers(f, make_path_spec(inst.path.matrix), mode)
+    assert (plan.sizes, plan.layers, plan.d_used) == \
+        (inst.sizes, inst.layers, inst.d_used), (f.clauses, mode)
     assert validate_instance(inst)["violations"] == [], (f.clauses, mode)
     found, rho = simulate_grid_preserving(inst)
     asg = solve_sat(CNFFormula(f.nvars, f.clauses))

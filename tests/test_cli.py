@@ -112,6 +112,7 @@ def test_usage_errors_exit_one(files, capsys):
     bad = files("bad.perm", "1 5 2\n")
     ok = files("ok.perm", "1\n")
     assert run(["brute", "--pattern", bad, "--text", ok]) == 1
+    assert run(["brute", "--pattern", ok, "--text", ok, "--jobs", "2"]) == 1
 
 
 def test_sat_roundtrip(files, capsys):
@@ -145,6 +146,26 @@ def test_reduce_verify_embed_pipeline(files, tmp_path, capsys):
     r = report(capsys)
     assert r["satisfiable"] is True
     assert len(r["embedding"]) == len(set(r["embedding"]))
+
+
+@pytest.mark.parametrize("command", ["verify", "embed"])
+def test_malformed_instance_json_exits_one(command, files, tmp_path, capsys):
+    f = files("f.cnf", "p cnf 1 1\n1 0\n")
+    out = tmp_path / "inst"
+    assert run(["reduce", "--cnf", f, "--mode", "juxtaposition",
+                "--out", str(out)]) == 0
+    capsys.readouterr()
+    meta = out / "instance.json"
+    good = meta.read_text()
+    no_formula = {k: v for k, v in json.loads(good).items() if k != "formula"}
+    bad_clauses = dict(no_formula, formula={"nvars": 1, "clauses": [1]})
+    for broken in (good[: len(good) // 2], json.dumps(no_formula),
+                   json.dumps(bad_clauses)):
+        meta.write_text(broken)
+        assert run([command, str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"gridppm: {out}: malformed instance.json: ")
+        assert err.count("\n") == 1
 
 
 def test_embed_unsat_instance(files, tmp_path, capsys):

@@ -15,7 +15,7 @@ from gridppm.grid import (BoxOverflow, CellGraph, DimensionMismatch, Gridding,
                           GriddingMatrix, MultipleDEntries, NoCycle,
                           Orientation, Tile, TileFamily,
                           apply_orientation_gridded, apply_orientation_matrix,
-                          assemble, build_rich_path, cell_contents, cell_graph,
+                          assemble, build_rich_path, cell_graph,
                           check_gridding, classify, consistent_orientation,
                           find_gridding, format_gridding_json,
                           format_matrix_json, identity_orientation,

@@ -6,12 +6,12 @@ import random
 import pytest
 
 from gridppm.entries import DEC, EMPTY_E, INC, av
-from gridppm.grid import (Gridding, GriddingMatrix, find_gridding,
-                          matrix_from_rows_top_down, sample_member)
+from gridppm.grid import (Gridding, GriddingMatrix, all_griddings,
+                          find_gridding, matrix_from_rows_top_down,
+                          sample_member)
 from gridppm.matcher import (InvalidGridding, MalformedPartition,
                              MonotonePartition, NoTextGridding,
-                             all_griddings, extract_partition, psi_embedding,
-                             solve_cppm)
+                             extract_partition, psi_embedding, solve_cppm)
 from gridppm.perm import Permutation, contains, is_order_isomorphic, perm
 
 

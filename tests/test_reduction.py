@@ -1,12 +1,15 @@
 """The formula-to-instance builder, its gadget lemmas and verifiers."""
 
+import ast
 import itertools
+import pathlib
 from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gridppm.reduction
 from gridppm.entries import DEC, FIBP, INC, av, juxth, juxtv, parse_entry
 from gridppm.grid import (check_gridding, matrix_from_rows_top_down,
                           staircase)
@@ -244,6 +247,15 @@ def test_counting_matches_geometry(mode):
     assert plan.sizes == geom.sizes
     assert plan.layers == geom.layers
     assert plan.d_used == geom.d_used
+
+
+def test_reduction_invariants_survive_optimized_mode():
+    """``python -O`` strips asserts: the builder and its checks raise."""
+    pkg = pathlib.Path(gridppm.reduction.__file__).parent
+    for path in sorted(pkg.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+        assert lines == [], (path.name, lines)
 
 
 @pytest.mark.parametrize("mode", ["gadgets", "juxtaposition"])
