@@ -45,6 +45,11 @@ class BoxOverflow(ValueError):
     pass
 
 
+class ConstructionError(RuntimeError):
+    """A construction broke a guarantee it rests on: a bug in this
+    module, never a property of the input."""
+
+
 @dataclass(frozen=True)
 class GriddingMatrix:
     cols: int
@@ -224,20 +229,39 @@ def format_gridding_json(g: Gridding) -> str:
                        "row_cuts": list(g.row_cuts)})
 
 
-def _cell_contents_sparse(p: Permutation, g: Gridding
-                          ) -> Dict[Cell, Permutation]:
-    """Standardization of each non-empty cell of p under the gridding g."""
+def _cell_values(p: Permutation, g: Gridding) -> Dict[Cell, List[int]]:
+    """The values of p in each non-empty cell of the gridding g, in
+    position order."""
     vals: Dict[Cell, List[int]] = {}
     for pos in range(1, len(p) + 1):
         v = p[pos - 1]
         i = bisect.bisect_right(g.col_cuts, pos)
         j = bisect.bisect_right(g.row_cuts, v)
         vals.setdefault((i, j), []).append(v)
-    out: Dict[Cell, Permutation] = {}
-    for cell, vs in vals.items():
-        rank = {v: t + 1 for t, v in enumerate(sorted(vs))}
-        out[cell] = Permutation(tuple(rank[v] for v in vs))
-    return out
+    return vals
+
+
+def _standardize(vs: Sequence[int]) -> Permutation:
+    rank = {v: t + 1 for t, v in enumerate(sorted(vs))}
+    return Permutation(tuple(rank[v] for v in vs))
+
+
+def _cell_contents_sparse(p: Permutation, g: Gridding
+                          ) -> Dict[Cell, Permutation]:
+    """Standardization of each non-empty cell of p under the gridding g."""
+    return {cell: _standardize(vs) for cell, vs in _cell_values(p, g).items()}
+
+
+def _fits(e: ClassEntry, vs: Sequence[int]) -> bool:
+    """Whether values vs, in position order, form a member of e.  A
+    monotone entry is one scan of vs; other kinds standardize first."""
+    if e.kind == "inc":
+        return all(a < b for a, b in zip(vs, vs[1:]))
+    if e.kind == "dec":
+        return all(a > b for a, b in zip(vs, vs[1:]))
+    if e.kind == "empty":
+        return not vs
+    return E.entry_contains(e, _standardize(vs))
 
 
 def check_gridding(p: Permutation, g: Gridding, m: GriddingMatrix) -> bool:
@@ -249,27 +273,70 @@ def check_gridding(p: Permutation, g: Gridding, m: GriddingMatrix) -> bool:
     if g.row_cuts[0] != 1 or g.row_cuts[-1] != n + 1:
         return False
     # empty cells satisfy every entry; only filled cells need checking
-    for cell, content in _cell_contents_sparse(p, g).items():
-        if not E.entry_contains(m.entry(*cell), content):
-            return False
-    return True
+    return all(_fits(m.entry(*cell), vs)
+               for cell, vs in _cell_values(p, g).items())
 
 
 def all_griddings(p: Permutation, m: GriddingMatrix):
     """All valid griddings of p, in lexicographic order of
     (col_cuts, row_cuts).
 
-    Enumerates the O(n^{k+l-2}) cut vectors; ``combinations_with_
-    replacement`` yields only non-decreasing cuts.
+    For each column cut vector, the row cuts are placed bottom to top by
+    an iterative search.  Row j is checked as soon as its top cut is
+    placed; when one of its cells fails, no higher top cut is tried,
+    because every entry is a permutation class and raising the cut only
+    adds points to the row.  Each column keeps its points sorted by
+    value, so a row's cell is a slice found by bisection.
     """
     n = len(p)
-    inner = range(1, n + 2)
-    for ccut in itertools.combinations_with_replacement(inner, m.cols - 1):
+    k, l = m.cols, m.rows
+    for ccut in itertools.combinations_with_replacement(range(1, n + 2),
+                                                        k - 1):
         cols = (1,) + ccut + (n + 1,)
-        for rcut in itertools.combinations_with_replacement(inner, m.rows - 1):
-            g = Gridding(cols, (1,) + rcut + (n + 1,))
-            if check_gridding(p, g, m):
-                yield g
+        # per column: values ascending, and the positions in that order
+        vals, poss = [], []
+        for i in range(k):
+            pts = sorted((p[q], q) for q in range(cols[i] - 1,
+                                                  cols[i + 1] - 1))
+            vals.append([v for v, _ in pts])
+            poss.append([q for _, q in pts])
+
+        def row_fits(j: int, lo: int, hi: int) -> bool:
+            """Row j (1-based) holding the values in [lo, hi)."""
+            for i in range(k):
+                a = bisect.bisect_left(vals[i], lo)
+                b = bisect.bisect_left(vals[i], hi, a)
+                if a == b:
+                    continue
+                e = m.entries[i][j - 1]
+                if e.kind == "inc":
+                    ps = poss[i][a:b]
+                    if any(x > y for x, y in zip(ps, ps[1:])):
+                        return False
+                elif e.kind == "dec":
+                    ps = poss[i][a:b]
+                    if any(x < y for x, y in zip(ps, ps[1:])):
+                        return False
+                elif e.kind == "empty" or not _fits(
+                        e, [p[q] for q in sorted(poss[i][a:b])]):
+                    return False
+            return True
+
+        # rows[j] is the bottom cut of row j + 1; rows[l] = n + 1 is fixed
+        rows = [1] * l + [n + 1]
+        j = 1
+        while j > 0:
+            if j == l:
+                if row_fits(l, rows[l - 1], n + 1):
+                    yield Gridding(cols, tuple(rows))
+            elif rows[j] <= n + 1 and row_fits(j, rows[j - 1], rows[j]):
+                j += 1
+                if j < l:
+                    rows[j] = rows[j - 1]
+                continue
+            # this level is exhausted: raise the cut below it
+            j -= 1
+            rows[j] += 1
 
 
 def find_gridding(p: Permutation, m: GriddingMatrix) -> Optional[Gridding]:
@@ -388,7 +455,8 @@ def consistent_orientation(m: GriddingMatrix) -> Optional[Orientation]:
     if f is None:
         return None
     img = apply_orientation_matrix(m, f)
-    assert all(img.entry(*c).kind == "inc" for c in img.nonempty_cells())
+    if any(img.entry(*c).kind != "inc" for c in img.nonempty_cells()):
+        raise ConstructionError("orientation leaves a non-inc entry")
     return f
 
 
@@ -467,7 +535,9 @@ def build_rich_path(m: GriddingMatrix, length: int
     if f is None:
         base = refine(m, 2)
         f = sum_closing_orientation(base)
-        assert f is not None, "x2 refinement always admits an orientation"
+        if f is None:
+            raise ConstructionError(
+                "x2 refinement always admits an orientation")
 
     L = length
     refined = refine(base, L)
@@ -501,7 +571,8 @@ def build_rich_path(m: GriddingMatrix, length: int
     out = GriddingMatrix(refined.cols, refined.rows,
                          tuple(tuple(c) for c in cols))
     og = cell_graph(out)
-    assert classify(og) == "ProperTurningPath"
+    if classify(og) != "ProperTurningPath":
+        raise ConstructionError("rich path matrix is not a proper-turning path")
     order = path_order(og)
     d_positions = [cc for cc in order if not E.is_monotone(out.entry(*cc))]
     return out, order, d_positions

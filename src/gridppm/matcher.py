@@ -12,6 +12,7 @@ argument alone.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -27,6 +28,11 @@ class InvalidGridding(ValueError):
 
 class MalformedPartition(ValueError):
     pass
+
+
+class StaircaseError(RuntimeError):
+    """A pairwise relation of the encoding is not a monotone staircase;
+    this is a bug in the encoding, never a property of the input."""
 
 
 class NoTextGridding(ValueError):
@@ -194,29 +200,24 @@ def psi_embedding(pattern: Permutation, pi: MonotonePartition,
     for i, part in enumerate(pi.parts):
         for q in part:
             part_of[q] = i
-    # text part data, in canonical (ascending position) order
+    # text part data, in canonical (ascending position) order; tasc holds
+    # each part's values ascending, and a part rises when its values do
+    # along it (one with fewer than two points counts as rising)
     tpos = [list(part) for part in sigma.parts]
     tval = [[text[q] for q in part] for part in sigma.parts]
+    tasc = [sorted(vs) for vs in tval]
+    rising = [len(vs) < 2 or vs[0] < vs[1] for vs in tval]
 
-    # threshold variables: var[(p, j)] for j in 1..dom(p)-1
-    var: Dict[Tuple[int, int], int] = {}
-    for p in range(k):
-        for j in range(1, len(tpos[part_of[p]])):
-            var[(p, j)] = len(var)
-    ts = _TwoSat(len(var))
-
+    # threshold variables: z[p, j] for j in 1..dom(p)-1 is variable
+    # base[p] + j - 1; lits[p][j] is the literal for val_p >= j, with the
+    # constants TRUE at j = 0 and FALSE at j = dom(p)
     TRUE, FALSE = -1, -2
-
-    def z(p: int, j: int) -> int:
-        """Literal for val_p >= j (may be a constant marker)."""
-        dom = len(tpos[part_of[p]])
-        if j <= 0:
-            return TRUE
-        if j >= dom + 1:
-            return FALSE
-        if j == dom:
-            return FALSE
-        return _TwoSat.lit(var[(p, j)], True)
+    dom = [len(tpos[part_of[p]]) for p in range(k)]
+    base = list(itertools.accumulate((d - 1 for d in dom), initial=0))
+    lits = [[TRUE] + [_TwoSat.lit(base[p] + j - 1, True)
+                      for j in range(1, dom[p])] + [FALSE]
+            for p in range(k)]
+    ts = _TwoSat(base[k])
 
     def neg(a: int) -> int:
         if a == TRUE:
@@ -225,7 +226,7 @@ def psi_embedding(pattern: Permutation, pi: MonotonePartition,
             return TRUE
         return a ^ 1
 
-    def imply(a: int, b: int) -> Optional[bool]:
+    def imply(a: int, b: int) -> bool:
         """a -> b with constant folding; returns False when the system
         is immediately unsatisfiable."""
         if a == FALSE or b == TRUE:
@@ -242,66 +243,75 @@ def psi_embedding(pattern: Permutation, pi: MonotonePartition,
         return True
 
     # domain closure: z[p, j] -> z[p, j-1]
-    for p in range(k):
-        for j in range(2, len(tpos[part_of[p]])):
-            imply(z(p, j), z(p, j - 1))
+    for zp in lits:
+        for j in range(2, len(zp) - 1):
+            imply(zp[j], zp[j - 1])
 
-    def encode_staircase(p: int, q: int, rel) -> bool:
-        """Encode 'rel(a, b) must hold for the chosen indices a of p and
-        b of q', where rel is a staircase relation: for every a the
-        allowed b form a suffix or a prefix, with a monotone boundary."""
-        na = len(tpos[part_of[p]])
-        nb = len(tpos[part_of[q]])
-        rows = [[rel(a, b) for b in range(nb)] for a in range(na)]
-        suffix = all(not r[b] or all(r[b:]) for r in rows for b in range(nb))
-        prefix = all(not r[b] or all(r[:b + 1]) for r in rows for b in range(nb))
-        assert suffix or prefix, "pairwise relation is not a staircase"
-        if suffix:
-            thr = [nb - sum(r) for r in rows]  # least allowed b, nb if none
-            nondec = all(x <= y for x, y in zip(thr, thr[1:]))
-            noninc = all(x >= y for x, y in zip(thr, thr[1:]))
-            assert nondec or noninc, "staircase boundary not monotone"
-            if nondec:
-                for a in range(na):
-                    lhs = z(p, a) if a > 0 else TRUE
-                    if imply(lhs, z(q, thr[a])) is False:
-                        return False
-            else:
-                for a in range(na):
-                    # val_p <= a  =>  val_q >= thr[a]
-                    if imply(neg(z(p, a + 1)), z(q, thr[a])) is False:
-                        return False
-        else:
-            thr = [sum(r) - 1 for r in rows]  # greatest allowed b, -1 if none
-            nondec = all(x <= y for x, y in zip(thr, thr[1:]))
-            noninc = all(x >= y for x, y in zip(thr, thr[1:]))
-            assert nondec or noninc, "staircase boundary not monotone"
-            if nondec:
-                for a in range(na):
-                    # val_p <= a  =>  val_q <= thr[a]
-                    if imply(neg(z(p, a + 1)), neg(z(q, thr[a] + 1))) is False:
-                        return False
-            else:
-                for a in range(na):
-                    lhs = z(p, a) if a > 0 else TRUE
-                    if imply(lhs, neg(z(q, thr[a] + 1))) is False:
-                        return False
-        return True
+    stairs: Dict[Tuple[int, int, str], Tuple[bool, List[int], bool]] = {}
 
-    for p in range(k):
-        for q in range(p + 1, k):
-            ip, iq = part_of[p], part_of[q]
-            want_up = pattern[p] < pattern[q]
+    def staircase(ip: int, iq: int, kind: str) -> Tuple[bool, List[int], bool]:
+        """The relation between image index a in text part ip and b in
+        text part iq: 'x' is "a left of b", 'up' is "a below b" and
+        'down' is "a not below b".  For every a the allowed b are a
+        suffix or a prefix of part iq, counted by bisection.
 
-            def rel_x(a: int, b: int, ip=ip, iq=iq) -> bool:
+        Returns (suffix, thr, nondec): thr[a] is the least allowed b of
+        a suffix (len(iq) if none) or the greatest of a prefix (-1 if
+        none), and nondec says the boundary never falls.  The suffix
+        form is chosen whenever it fits, which for a natural prefix
+        means every row is empty or full; a constant boundary counts as
+        non-decreasing."""
+        key = (ip, iq, kind)
+        if key in stairs:
+            return stairs[key]
+        nb = len(tpos[iq])
+        if kind == "x":
+            def rel(a: int, b: int) -> bool:
                 return tpos[ip][a] < tpos[iq][b]
+            counts = [nb - bisect.bisect_right(tpos[iq], x) for x in tpos[ip]]
+            suffix = True
+        else:
+            up = kind == "up"
 
-            def rel_y(a: int, b: int, ip=ip, iq=iq, w=want_up) -> bool:
-                return (tval[ip][a] < tval[iq][b]) == w
+            def rel(a: int, b: int) -> bool:
+                return (tval[ip][a] < tval[iq][b]) == up
+            above = [nb - bisect.bisect_right(tasc[iq], v) for v in tval[ip]]
+            counts = above if up else [nb - c for c in above]
+            suffix = up == rising[iq] or all(c in (0, nb) for c in counts)
+        # the relation holds exactly on each row's interval [lo, hi) of
+        # allowed b: checked at both ends and just outside them
+        for a, c in enumerate(counts):
+            lo, hi = (nb - c, nb) if suffix else (0, c)
+            for b in {lo - 1, lo, hi - 1, hi}:
+                if 0 <= b < nb and rel(a, b) != (lo <= b < hi):
+                    raise StaircaseError("pairwise relation is not a staircase")
+        thr = [nb - c for c in counts] if suffix else [c - 1 for c in counts]
+        nondec = all(x <= y for x, y in zip(thr, thr[1:]))
+        if not nondec and not all(x >= y for x, y in zip(thr, thr[1:])):
+            raise StaircaseError("staircase boundary not monotone")
+        stairs[key] = out = (suffix, thr, nondec)
+        return out
 
-            if not encode_staircase(p, q, rel_x):
-                return None
-            if not encode_staircase(p, q, rel_y):
+    def encode(p: int, q: int, stair: Tuple[bool, List[int], bool]) -> bool:
+        """Encode the staircase relation between the image indices of
+        pattern points p and q, one implication per row a; False when
+        it is already unsatisfiable."""
+        suffix, thr, nondec = stair
+        zp, zq = lits[p], lits[q]
+        # val_p >= a, or val_p <= a, implies ...
+        lhs = zp[:-1] if suffix == nondec else [neg(x) for x in zp[1:]]
+        # ... val_q >= thr[a] (suffix), or val_q <= thr[a] (prefix)
+        rhs = ([zq[t] for t in thr] if suffix
+               else [neg(zq[t + 1]) for t in thr])
+        return all(imply(a, b) for a, b in zip(lhs, rhs))
+
+    for p in range(k):
+        ip = part_of[p]
+        for q in range(p + 1, k):
+            iq = part_of[q]
+            y = "up" if pattern[p] < pattern[q] else "down"
+            if not (encode(p, q, staircase(ip, iq, "x"))
+                    and encode(p, q, staircase(ip, iq, y))):
                 return None
 
     if stats is not None:
@@ -311,10 +321,10 @@ def psi_embedding(pattern: Permutation, pi: MonotonePartition,
         return None
     emb = []
     for p in range(k):
-        dom = len(tpos[part_of[p]])
+        # val_p is the largest j with z[p, j] true (0 if none)
         val = 0
-        for j in range(1, dom):
-            if model[var[(p, j)]]:
+        for j in range(1, dom[p]):
+            if model[base[p] + j - 1]:
                 val = j
         emb.append(tpos[part_of[p]][val])
     witness = tuple(emb)

@@ -22,6 +22,10 @@ class IndexOutOfRange(IndexError):
     pass
 
 
+class InvalidWitness(RuntimeError):
+    """A search returned an embedding that does not induce the pattern."""
+
+
 @dataclass(frozen=True)
 class Permutation:
     ranks: Tuple[int, ...]
@@ -107,32 +111,28 @@ def contains(text: Permutation, pattern: Permutation) -> Optional[Tuple[int, ...
     if k > n:
         return None
 
+    # iterative backtracking: chosen holds the positions picked so far
+    # and pos is the next candidate for the point after them
+    tr, pr = text.ranks, pattern.ranks
     chosen: list[int] = []
-
-    def consistent(pos: int) -> bool:
-        v = text[pos]
+    pos = 0
+    while len(chosen) < k:
         i = len(chosen)
+        if pos > n - k + i:   # not enough room left
+            if not chosen:
+                return None
+            pos = chosen.pop() + 1
+            continue
+        v, w = tr[pos], pr[i]
         for j, q in enumerate(chosen):
-            if (text[q] < v) != (pattern[j] < pattern[i]):
-                return False
-        return True
-
-    def search(start: int) -> bool:
-        if len(chosen) == k:
-            return True
-        # not enough room left
-        for pos in range(start, n - (k - len(chosen)) + 1):
-            if consistent(pos):
-                chosen.append(pos)
-                if search(pos + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    if not search(0):
-        return None
+            if (tr[q] < v) != (pr[j] < w):
+                break
+        else:
+            chosen.append(pos)
+        pos += 1
     witness = tuple(chosen)
-    assert is_order_isomorphic(text, pattern, witness)
+    if not is_order_isomorphic(text, pattern, witness):
+        raise InvalidWitness(f"backtracking produced {witness}")
     return witness
 
 

@@ -46,9 +46,11 @@ def write_instance(inst: ReductionInstance, directory: str) -> None:
     if inst.counting_only:
         raise ReductionError("counting instances carry no geometry")
     os.makedirs(directory, exist_ok=True)
+    # compact separators keep json on its C encoder; indentation would
+    # force the pure-Python one over the whole path matrix
     with open(os.path.join(directory, "instance.json"), "w") as fh:
-        json.dump(_instance_payload(inst), fh, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(_instance_payload(inst), separators=(",", ":"))
+                 + "\n")
     with open(os.path.join(directory, "pattern.perm"), "w") as fh:
         fh.write(format_perm(inst.pattern) + "\n")
     with open(os.path.join(directory, "text.perm"), "w") as fh:

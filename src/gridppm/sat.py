@@ -28,6 +28,10 @@ class CNFFormula:
                     raise ValueError(f"literal {lit} out of range")
 
 
+class InvalidModel(RuntimeError):
+    """The solver produced an assignment that falsifies the formula."""
+
+
 Assignment = Dict[int, bool]
 
 
@@ -132,5 +136,6 @@ def solve_sat(f: CNFFormula) -> Optional[Assignment]:
     if model is None:
         return None
     rho = {v: model.get(v, False) for v in range(1, f.nvars + 1)}
-    assert evaluates(f, rho), "DPLL produced a non-satisfying witness"
+    if not evaluates(f, rho):
+        raise InvalidModel("DPLL produced a non-satisfying witness")
     return rho

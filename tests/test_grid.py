@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridppm import entries as E
+from gridppm import grid as grid_mod
 from gridppm.coords import EPS, ExactCoord, coord, pt
 from gridppm.entries import DEC, EMPTY_E, FIBP, INC, av
 from gridppm.grid import (BoxOverflow, CellGraph, DimensionMismatch, Gridding,
                           GriddingMatrix, MultipleDEntries, NoCycle,
-                          Orientation, Tile, TileFamily,
+                          Orientation, Tile, TileFamily, all_griddings,
                           apply_orientation_gridded, apply_orientation_matrix,
                           assemble, build_rich_path, cell_graph,
                           check_gridding, classify, consistent_orientation,
@@ -201,6 +202,48 @@ def test_find_gridding_agrees_with_brute_force(m):
             rng.shuffle(ranks)
             p = Permutation(tuple(ranks))
             assert (find_gridding(p, m) is not None) == brute_has_gridding(p, m)
+
+
+# one entry of every kind, both monotone directions and both shapes of
+# each juxtaposition
+EVERY_KIND = [EMPTY_E, INC, DEC, FIBP, E.FIBM, av(P321), av(P132),
+              av(perm(2, 1)), E.juxth("inc", "dec"), E.juxth("dec", "dec"),
+              E.juxtv("inc", "dec"), E.juxtv("dec", "inc")]
+
+
+@st.composite
+def matrices_and_perms(draw):
+    k, l = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rows = [[draw(st.sampled_from(EVERY_KIND)) for _ in range(k)]
+            for _ in range(l)]
+    ranks = draw(st.permutations(list(range(1, draw(st.integers(0, 7)) + 1))))
+    return mat(*rows), Permutation(tuple(ranks))
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices_and_perms())
+def test_all_griddings_matches_brute_force_in_order(mp):
+    m, p = mp
+    n = len(p)
+    want = []
+    inner = range(1, n + 2)
+    for c in itertools.product(inner, repeat=m.cols - 1):
+        cuts_c = (1,) + c + (n + 1,)
+        if any(a > b for a, b in zip(cuts_c, cuts_c[1:])):
+            continue
+        for r in itertools.product(inner, repeat=m.rows - 1):
+            cuts_r = (1,) + r + (n + 1,)
+            if any(a > b for a, b in zip(cuts_r, cuts_r[1:])):
+                continue
+            g = Gridding(cuts_c, cuts_r)
+            ok = check_gridding(p, g, m)
+            # check_gridding agrees with standardizing every cell
+            assert ok == all(
+                E.entry_contains(m.entry(*cell), content) for cell, content
+                in grid_mod._cell_contents_sparse(p, g).items())
+            if ok:
+                want.append(g)
+    assert list(all_griddings(p, m)) == want
 
 
 def test_staircase_shape():

@@ -162,6 +162,12 @@ def test_contains_returns_lex_least():
     assert found == min(embeds)
 
 
+def test_contains_is_not_bounded_by_the_recursion_limit():
+    text = Permutation(tuple(range(1, 3001)))
+    pattern = Permutation(tuple(range(1, 2001)))
+    assert contains(text, pattern) == tuple(range(2000))
+
+
 @pytest.mark.parametrize("n,k", [(5, 2), (5, 3), (6, 3)])
 def test_contains_agrees_with_brute_force(n, k):
     pats = list(all_perms(k))

@@ -250,8 +250,9 @@ def test_counting_matches_geometry(mode):
 
 
 def test_reduction_invariants_survive_optimized_mode():
-    """``python -O`` strips asserts: the builder and its checks raise."""
-    pkg = pathlib.Path(gridppm.reduction.__file__).parent
+    """``python -O`` strips asserts: every invariant in the package,
+    the builder and its checks included, raises a named exception."""
+    pkg = pathlib.Path(gridppm.__file__).parent
     for path in sorted(pkg.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
