@@ -302,23 +302,15 @@ def all_griddings(p: Permutation, m: GriddingMatrix):
             poss.append([q for _, q in pts])
 
         def row_fits(j: int, lo: int, hi: int) -> bool:
-            """Row j (1-based) holding the values in [lo, hi)."""
+            """Row j (1-based) holding the values in [lo, hi).  A monotone
+            cell is checked on its positions in value order, which rise
+            or fall exactly when its values do."""
             for i in range(k):
                 a = bisect.bisect_left(vals[i], lo)
-                b = bisect.bisect_left(vals[i], hi, a)
-                if a == b:
-                    continue
+                ps = poss[i][a:bisect.bisect_left(vals[i], hi, a)]
                 e = m.entries[i][j - 1]
-                if e.kind == "inc":
-                    ps = poss[i][a:b]
-                    if any(x > y for x, y in zip(ps, ps[1:])):
-                        return False
-                elif e.kind == "dec":
-                    ps = poss[i][a:b]
-                    if any(x < y for x, y in zip(ps, ps[1:])):
-                        return False
-                elif e.kind == "empty" or not _fits(
-                        e, [p[q] for q in sorted(poss[i][a:b])]):
+                if ps and not _fits(e, ps if E.is_monotone(e)
+                                    else [p[q] for q in sorted(ps)]):
                     return False
             return True
 

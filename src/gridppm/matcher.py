@@ -257,10 +257,9 @@ def psi_embedding(pattern: Permutation, pi: MonotonePartition,
 
         Returns (suffix, thr, nondec): thr[a] is the least allowed b of
         a suffix (len(iq) if none) or the greatest of a prefix (-1 if
-        none), and nondec says the boundary never falls.  The suffix
-        form is chosen whenever it fits, which for a natural prefix
-        means every row is empty or full; a constant boundary counts as
-        non-decreasing."""
+        none), and nondec says the boundary never falls.  A relation
+        whose rows are all empty or full is both; it is encoded as a
+        suffix, and a constant boundary as non-decreasing."""
         key = (ip, iq, kind)
         if key in stairs:
             return stairs[key]

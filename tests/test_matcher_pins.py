@@ -7,13 +7,18 @@ For hand-made degenerate staircases (single-point parts, rows that are
 all empty or all full, pattern points sharing a part) and for seeded
 random partitions it pins ``psi_embedding``'s answer and clause count.
 A change to the gridding search order or to the staircase encoding that
-alters a single counter fails here.
+alters a single counter fails here, and so does one that keeps the
+counts but emits other implications or emits them in another order
+(the sha256 of the whole implication sequence is pinned too), because
+the 2-SAT model, and so the embedding found, depends on that order.
 """
 
+import hashlib
 import random
 
 import pytest
 
+from gridppm import matcher
 from gridppm.grid import sample_member
 from gridppm.matcher import MonotonePartition as MP
 from gridppm.matcher import psi_embedding, solve_cppm
@@ -58,8 +63,26 @@ SOLVE_PINS = {
 }
 
 
+# sha256 of the repr of the list of (a, b) implications, in order
+CLAUSE_SEQUENCE_PINS = {
+    0: "aec8e26cce6f45d5e817fbd34e9c04f8f03f5bb316b0fc8d5af08b48a692b31d",
+    1: "01739896d5b35ddf5d519d4555c61f992d6c8d6aae946994a84f6ace4ed32e9f",
+    2: "bc2e7a445fa7136075f86178d0b003b82a08d00972e25ce92e5a8f7e230635a6",
+    3: "fb900ce42746044412fca51ef82c8093bb80339904186a3f54535eda7ffc0fe0",
+    4: "16b694f8422da3df81e122339fc921414c22d61585bb3befdf2cc53764564292",
+}
+
+
 @pytest.mark.parametrize("mi", sorted(SOLVE_PINS))
-def test_solve_cppm_counters(mi):
+def test_solve_cppm_counters(mi, monkeypatch):
+    log = []
+    imply = matcher._TwoSat.imply
+
+    def logged(self, a, b):
+        log.append((a, b))
+        imply(self, a, b)
+
+    monkeypatch.setattr(matcher._TwoSat, "imply", logged)
     m = BATTERY[mi]
     rng = random.Random(300 + mi)
     cells = m.nonempty_cells()
@@ -76,6 +99,8 @@ def test_solve_cppm_counters(mi):
                     st["gridding_text"].row_cuts,
                     None if gp is None else (gp.col_cuts, gp.row_cuts)))
     assert got == SOLVE_PINS[mi]
+    assert hashlib.sha256(repr(log).encode()).hexdigest() == \
+        CLAUSE_SEQUENCE_PINS[mi]
 
 
 # name -> (text, sigma, pattern, pi, embedding, stats)
