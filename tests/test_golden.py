@@ -1,9 +1,10 @@
 """Written instances are pinned byte for byte.
 
-The sha256 of ``pattern.perm``, ``text.perm`` and ``provenance.json`` for
-the first three formulas of ``test_reduction.FORMULAS`` in both modes.  A
-change to the coordinate arithmetic, the assembly order or the writer
-that alters a single byte fails here.
+The sha256 of ``instance.json``, ``pattern.perm``, ``text.perm`` and
+``provenance.json`` for the first three formulas of
+``test_reduction.FORMULAS`` in both modes.  A change to the coordinate
+arithmetic, the assembly order, the rich-path matrix or the writer that
+alters a single byte fails here.
 """
 
 import hashlib
@@ -32,9 +33,19 @@ _F1 = {
 }
 
 GOLDEN = {
-    ("gadgets", 0): _F0,
-    ("gadgets", 1): _F1,
+    ("gadgets", 0): {
+        **_F0,
+        "instance.json":
+            "c75dfbc46d96678df471ff6dfc04b5a8b31d1d938f746402b20254b45873c058",
+    },
+    ("gadgets", 1): {
+        **_F1,
+        "instance.json":
+            "fd58f9db51b67db009cadde485875e7c824a9dffc7e19f2f196af160ddb09e0b",
+    },
     ("gadgets", 2): {
+        "instance.json":
+            "ccb2d2d623493617ef328e173b9c636563f401f5ea6da5a7eff1e5aec9979ef1",
         "pattern.perm":
             "c03316f26b8726e6231d3dc73246ddd3a941148e982e7f0c02634e032dfd61a6",
         "text.perm":
@@ -43,10 +54,21 @@ GOLDEN = {
             "66a87cf1a50ee1f434af26e6adeade52fd14b20dd0a66062df561b88a7f43fb1",
     },
     # one- and two-clause formulas on one variable need no sorting
-    # phase, so both modes build the same instance
-    ("juxtaposition", 0): _F0,
-    ("juxtaposition", 1): _F1,
+    # phase, so both modes build the same instance; only the mode field
+    # of instance.json differs
+    ("juxtaposition", 0): {
+        **_F0,
+        "instance.json":
+            "a45e00bf585cf9bfd7d15ab08d0abc6a1e721633739f9369124e989c96ac325b",
+    },
+    ("juxtaposition", 1): {
+        **_F1,
+        "instance.json":
+            "159de559a3e4da8b18d1e87fd2bae91aec56ff94a071275e8785d122c67f6832",
+    },
     ("juxtaposition", 2): {
+        "instance.json":
+            "f762326977593a970dc1ced3f52054d62252f2bdc684bd7fd9a7edad95f2069f",
         "pattern.perm":
             "9ed8d00fcc3af352539d3830edaeec843603f3370b768364730127db36d32c73",
         "text.perm":
