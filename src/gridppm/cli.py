@@ -52,7 +52,7 @@ def _load_perm(path):
 def _load_matrix(path):
     try:
         return parse_matrix_json(_read(path))
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise _UsageError(f"{path}: {exc}")
 
 
@@ -143,9 +143,9 @@ def _cmd_staircase(args):
         c = parse_entry(args.entries[0]) if args.entries else parse_entry("inc")
         d = parse_entry(args.entries[1]) if len(args.entries) > 1 \
             else parse_entry("av:321")
+        m = staircase(args.length, c, d)
     except ValueError as exc:
         raise _UsageError(str(exc))
-    m = staircase(args.length, c, d)
     return {"command": "staircase",
             "matrix": json.loads(format_matrix_json(m)),
             "shape": classify(cell_graph(m)),

@@ -1,8 +1,10 @@
 """Gridding matrices and everything built on top of them.
 
 A k x l gridding matrix has k columns and l rows of cell classes; rows
-are numbered 1..l from bottom to top.  This module provides cell graphs
-and their path/cycle classification, gridding search and verification,
+are numbered 1..l from bottom to top.  A matrix stores only its filled
+(non-empty) cells, since the refined path matrices of the reduction are
+almost all empty.  This module provides cell graphs and their
+path/cycle classification, gridding search and verification,
 orientations, refinements, staircase matrices, the rich-path
 construction, and F-assembly of tile families.
 """
@@ -52,56 +54,61 @@ class ConstructionError(RuntimeError):
 
 @dataclass(frozen=True)
 class GriddingMatrix:
+    """A cols x rows matrix of cell classes, stored sparsely.
+
+    ``filled`` maps each cell (column, row; row 1 = bottom) that holds a
+    non-empty class to that class.  Every other cell is empty.
+    """
     cols: int
     rows: int
-    # entries[i-1][j-1] is the class of column i, row j (row 1 = bottom)
-    entries: Tuple[Tuple[ClassEntry, ...], ...]
+    filled: Dict[Cell, ClassEntry]
 
     def __post_init__(self) -> None:
         if self.cols < 1 or self.rows < 1:
             raise ValueError("matrix must be at least 1x1")
-        if len(self.entries) != self.cols or any(
-                len(col) != self.rows for col in self.entries):
-            raise DimensionMismatch("entry array does not match cols x rows")
+        for (i, j), e in self.filled.items():
+            if not (1 <= i <= self.cols and 1 <= j <= self.rows):
+                raise DimensionMismatch(
+                    f"cell {(i, j)} outside {self.cols}x{self.rows}")
+            if E.is_empty(e):
+                raise ValueError(f"cell {(i, j)} filled with the empty class")
 
     def entry(self, i: int, j: int) -> ClassEntry:
-        return self.entries[i - 1][j - 1]
-
-    def cells(self):
-        for i in range(1, self.cols + 1):
-            for j in range(1, self.rows + 1):
-                yield (i, j)
+        return self.filled.get((i, j), E.EMPTY_E)
 
     def nonempty_cells(self) -> List[Cell]:
-        # cached: refined path matrices have millions of cells, nearly
-        # all empty, and several passes ask for this list
-        cached = self.__dict__.get("_nonempty")
-        if cached is None:
-            cached = [(i + 1, j + 1)
-                      for i, col in enumerate(self.entries)
-                      for j, e in enumerate(col)
-                      if not E.is_empty(e)]
-            object.__setattr__(self, "_nonempty", cached)
-        return list(cached)
+        """The filled cells in column-major order."""
+        return sorted(self.filled)
 
 
 def matrix_from_rows_top_down(rows: Sequence[Sequence[ClassEntry]]) -> GriddingMatrix:
     """Build a matrix from rows listed top-to-bottom (the human and file
     convention), converting to bottom-to-top indexing."""
     l = len(rows)
-    k = len(rows[0])
+    k = len(rows[0]) if rows else 0
     if any(len(r) != k for r in rows):
         raise DimensionMismatch("ragged rows")
-    cols = tuple(tuple(rows[l - j][i - 1] for j in range(1, l + 1))
-                 for i in range(1, k + 1))
-    return GriddingMatrix(k, l, cols)
+    return GriddingMatrix(k, l, {(i, l - t): e for t, row in enumerate(rows)
+                                 for i, e in enumerate(row, 1)
+                                 if not E.is_empty(e)})
 
 
 def parse_matrix_json(text: str) -> GriddingMatrix:
+    """The matrix {"cols": k, "rows": l, "entries": rows top to bottom}.
+    Every malformed input raises ValueError."""
     obj = json.loads(text)
-    k, l = obj["cols"], obj["rows"]
-    rows = [[E.parse_entry(s) for s in row] for row in obj["entries"]]
-    m = matrix_from_rows_top_down(rows)
+    if not (isinstance(obj, dict)
+            and {"cols", "rows", "entries"} <= obj.keys()):
+        raise ValueError('matrix must be an object with "cols", "rows" '
+                         'and "entries"')
+    k, l, rows = obj["cols"], obj["rows"], obj["entries"]
+    if not (isinstance(rows, list)
+            and all(isinstance(row, list)
+                    and all(isinstance(s, str) for s in row)
+                    for row in rows)):
+        raise ValueError('"entries" must be a list of rows of entry strings')
+    m = matrix_from_rows_top_down([[E.parse_entry(s) for s in row]
+                                   for row in rows])
     if m.cols != k or m.rows != l:
         raise DimensionMismatch(
             f"declared {k}x{l}, entries give {m.cols}x{m.rows}")
@@ -109,8 +116,10 @@ def parse_matrix_json(text: str) -> GriddingMatrix:
 
 
 def format_matrix_json(m: GriddingMatrix) -> str:
-    rows = [[E.format_entry(m.entry(i, j)) for i in range(1, m.cols + 1)]
-            for j in range(m.rows, 0, -1)]
+    """The dense file form: every cell, rows top to bottom."""
+    rows = [[E.format_entry(E.EMPTY_E)] * m.cols for _ in range(m.rows)]
+    for (i, j), e in m.filled.items():
+        rows[m.rows - j][i - 1] = E.format_entry(e)
     return json.dumps({"cols": m.cols, "rows": m.rows, "entries": rows})
 
 
@@ -120,16 +129,10 @@ def format_matrix_json(m: GriddingMatrix) -> str:
 class CellGraph:
     vertices: Tuple[Cell, ...]
     edges: Tuple[Tuple[Cell, Cell], ...]
+    adj: Dict[Cell, List[Cell]]
 
     def neighbours(self, v: Cell) -> List[Cell]:
-        adj = self.__dict__.get("_adj")
-        if adj is None:
-            adj = {u: [] for u in self.vertices}
-            for a, b in self.edges:
-                adj[a].append(b)
-                adj[b].append(a)
-            object.__setattr__(self, "_adj", adj)
-        return list(adj.get(v, ()))
+        return list(self.adj.get(v, ()))
 
 
 def cell_graph(m: GriddingMatrix) -> CellGraph:
@@ -151,7 +154,11 @@ def cell_graph(m: GriddingMatrix) -> CellGraph:
     for j, iis in by_row.items():
         iis.sort()
         edges.extend(((a, j), (b, j)) for a, b in zip(iis, iis[1:]))
-    return CellGraph(tuple(sorted(verts)), tuple(edges))
+    adj: Dict[Cell, List[Cell]] = {v: [] for v in verts}
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    return CellGraph(tuple(verts), tuple(edges), adj)
 
 
 def _no_three_in_line(verts: Sequence[Cell]) -> bool:
@@ -290,6 +297,8 @@ def all_griddings(p: Permutation, m: GriddingMatrix):
     """
     n = len(p)
     k, l = m.cols, m.rows
+    col_entries = [[m.entry(i, j) for j in range(1, l + 1)]
+                   for i in range(1, k + 1)]
     for ccut in itertools.combinations_with_replacement(range(1, n + 2),
                                                         k - 1):
         cols = (1,) + ccut + (n + 1,)
@@ -308,7 +317,7 @@ def all_griddings(p: Permutation, m: GriddingMatrix):
             for i in range(k):
                 a = bisect.bisect_left(vals[i], lo)
                 ps = poss[i][a:bisect.bisect_left(vals[i], hi, a)]
-                e = m.entries[i][j - 1]
+                e = col_entries[i][j - 1]
                 if ps and not _fits(e, ps if E.is_monotone(e)
                                     else [p[q] for q in sorted(ps)]):
                     return False
@@ -361,18 +370,14 @@ def identity_orientation(k: int, l: int) -> Orientation:
 def apply_orientation_matrix(m: GriddingMatrix, f: Orientation) -> GriddingMatrix:
     if len(f.f_c) != m.cols or len(f.f_r) != m.rows:
         raise DimensionMismatch("orientation size does not match matrix")
-    cols = []
-    for i in range(1, m.cols + 1):
-        col = []
-        for j in range(1, m.rows + 1):
-            e = m.entry(i, j)
-            if f.col(i) == -1:
-                e = E.entry_reverse(e)
-            if f.row(j) == -1:
-                e = E.entry_complement(e)
-            col.append(e)
-        cols.append(tuple(col))
-    return GriddingMatrix(m.cols, m.rows, tuple(cols))
+    filled = {}
+    for (i, j), e in m.filled.items():
+        if f.col(i) == -1:
+            e = E.entry_reverse(e)
+        if f.row(j) == -1:
+            e = E.entry_complement(e)
+        filled[i, j] = e
+    return GriddingMatrix(m.cols, m.rows, filled)
 
 
 def apply_orientation_gridded(p: Permutation, g: Gridding,
@@ -407,8 +412,8 @@ def _orient_by_propagation(m: GriddingMatrix, want_plus, root_sign=1
             [("r", j) for j in range(1, m.rows + 1)]
     adj: Dict[Tuple[str, int], List[Tuple[Tuple[str, int], int]]] = \
         {v: [] for v in nodes}
-    for (i, j) in m.nonempty_cells():
-        w = want_plus(m.entry(i, j))
+    for (i, j), e in m.filled.items():
+        w = want_plus(e)
         if w is None:
             continue
         adj[("c", i)].append((("r", j), w))
@@ -436,9 +441,8 @@ def _orient_by_propagation(m: GriddingMatrix, want_plus, root_sign=1
 def consistent_orientation(m: GriddingMatrix) -> Optional[Orientation]:
     """An orientation making every non-empty (monotone) entry inc, or
     None when the propagation over G_M conflicts."""
-    for cell in m.nonempty_cells():
-        if not E.is_monotone(m.entry(*cell)):
-            raise ValueError("consistent_orientation needs a monotone matrix")
+    if not all(E.is_monotone(e) for e in m.filled.values()):
+        raise ValueError("consistent_orientation needs a monotone matrix")
 
     def want(e: ClassEntry) -> int:
         return 1 if e.kind == "inc" else -1
@@ -447,7 +451,7 @@ def consistent_orientation(m: GriddingMatrix) -> Optional[Orientation]:
     if f is None:
         return None
     img = apply_orientation_matrix(m, f)
-    if any(img.entry(*c).kind != "inc" for c in img.nonempty_cells()):
+    if any(e.kind != "inc" for e in img.filled.values()):
         raise ConstructionError("orientation leaves a non-inc entry")
     return f
 
@@ -473,21 +477,17 @@ def sum_closing_orientation(m: GriddingMatrix) -> Optional[Orientation]:
 def refine(m: GriddingMatrix, q: int) -> GriddingMatrix:
     """Replace each sum-closed entry by a q x q diagonal block and each
     skew-closed entry by an anti-diagonal block."""
-    k, l = m.cols, m.rows
-    cols = [[E.EMPTY_E] * (q * l) for _ in range(q * k)]
-    for (i, j) in m.cells():
-        e = m.entry(i, j)
-        if E.is_empty(e):
-            continue
+    filled = {}
+    for (i, j), e in m.filled.items():
         if E.sum_closed(e):
             for t in range(1, q + 1):
-                cols[(i - 1) * q + t - 1][(j - 1) * q + t - 1] = e
+                filled[(i - 1) * q + t, (j - 1) * q + t] = e
         elif E.skew_closed(e):
             for t in range(1, q + 1):
-                cols[(i - 1) * q + t - 1][(j - 1) * q + q - t] = e
+                filled[(i - 1) * q + t, j * q + 1 - t] = e
         else:
             raise NotClosedEntry(f"entry {E.format_entry(e)} at {(i, j)}")
-    return GriddingMatrix(q * k, q * l, tuple(tuple(c) for c in cols))
+    return GriddingMatrix(q * m.cols, q * m.rows, filled)
 
 
 def staircase(k: int, c: ClassEntry, d: ClassEntry) -> GriddingMatrix:
@@ -496,11 +496,12 @@ def staircase(k: int, c: ClassEntry, d: ClassEntry) -> GriddingMatrix:
     cell (i+1, i) holds d for i in [k]; k+1 columns, k rows."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    cols = [[E.EMPTY_E] * k for _ in range(k + 1)]
+    filled = {}
     for i in range(1, k + 1):
-        cols[i - 1][i - 1] = c
-        cols[i][i - 1] = d
-    return GriddingMatrix(k + 1, k, tuple(tuple(col) for col in cols))
+        filled[i, i] = c
+        filled[i + 1, i] = d
+    return GriddingMatrix(k + 1, k, {cc: e for cc, e in filled.items()
+                                     if not E.is_empty(e)})
 
 
 def build_rich_path(m: GriddingMatrix, length: int
@@ -514,11 +515,10 @@ def build_rich_path(m: GriddingMatrix, length: int
     g = cell_graph(m)
     if classify(g) != "ProperTurningCycle":
         raise NoCycle("cell graph is not a single proper-turning cycle")
-    d_cells = [cc for cc in m.nonempty_cells()
-               if not E.is_monotone(m.entry(*cc))]
-    if len(d_cells) != 1:
-        raise MultipleDEntries(f"need exactly one D entry, got {len(d_cells)}")
-    d_entry = m.entry(*d_cells[0])
+    ds = [e for e in m.filled.values() if not E.is_monotone(e)]
+    if len(ds) != 1:
+        raise MultipleDEntries(f"need exactly one D entry, got {len(ds)}")
+    d_entry = ds[0]
     if not (E.sum_closed(d_entry) or E.skew_closed(d_entry)):
         raise NotClosedEntry("D entry must be sum- or skew-closed")
 
@@ -544,29 +544,25 @@ def build_rich_path(m: GriddingMatrix, length: int
         return t + 1 if f.row(j + 1) == 1 else L - t
 
     # first non-empty monotone entry of the base matrix hosts the shift
-    mono = [cc for cc in base.nonempty_cells()
-            if E.is_monotone(base.entry(*cc))]
-    si, sj = mono[0]
-    shift_entry = base.entry(si, sj)
+    si, sj = min(cc for cc, e in base.filled.items() if E.is_monotone(e))
+    shift_entry = base.filled[si, sj]
 
-    cols = [list(col) for col in refined.entries]
+    # empty the refined block of that entry, then write the L - 1 shifts
     col_range = range((si - 1) * L + 1, si * L + 1)
     row_range = range((sj - 1) * L + 1, sj * L + 1)
-    for a in col_range:
-        for b in row_range:
-            cols[a - 1][b - 1] = E.EMPTY_E
+    filled = {(a, b): e for (a, b), e in refined.filled.items()
+              if a not in col_range or b not in row_range}
     col_of_label = {col_label(a): a for a in col_range}
     row_of_label = {row_label(b): b for b in row_range}
     for s in range(1, L):
-        cols[col_of_label[s] - 1][row_of_label[s + 1] - 1] = shift_entry
+        filled[col_of_label[s], row_of_label[s + 1]] = shift_entry
 
-    out = GriddingMatrix(refined.cols, refined.rows,
-                         tuple(tuple(c) for c in cols))
+    out = GriddingMatrix(refined.cols, refined.rows, filled)
     og = cell_graph(out)
     if classify(og) != "ProperTurningPath":
         raise ConstructionError("rich path matrix is not a proper-turning path")
     order = path_order(og)
-    d_positions = [cc for cc in order if not E.is_monotone(out.entry(*cc))]
+    d_positions = [cc for cc in order if not E.is_monotone(filled[cc])]
     return out, order, d_positions
 
 

@@ -68,9 +68,8 @@ class MonotonePartition:
 
 
 def _require_monotone(m: GriddingMatrix) -> None:
-    for cell in m.nonempty_cells():
-        if not E.is_monotone(m.entry(*cell)):
-            raise InvalidGridding("matrix must be monotone")
+    if not all(E.is_monotone(e) for e in m.filled.values()):
+        raise InvalidGridding("matrix must be monotone")
 
 
 def extract_partition(p: Permutation, g: Gridding,

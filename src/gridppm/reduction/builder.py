@@ -1150,8 +1150,8 @@ def _default_bucket_entry(matrix: GriddingMatrix,
                           ) -> Optional[E.ClassEntry]:
     if override is not None:
         return override
-    ds = [matrix.entry(*cc) for cc in matrix.nonempty_cells()
-          if not E.is_monotone(matrix.entry(*cc))]
+    ds = [e for _, e in sorted(matrix.filled.items())
+          if not E.is_monotone(e)]
     if ds and ds[0].kind in ("juxth", "juxtv"):
         return ds[0]
     return E.parse_entry("juxth:inc,inc")
@@ -1159,8 +1159,7 @@ def _default_bucket_entry(matrix: GriddingMatrix,
 
 def _capability_check(matrix: GriddingMatrix, mode: str,
                       bucket_entry: Optional[E.ClassEntry]) -> None:
-    ds = {matrix.entry(*cc) for cc in matrix.nonempty_cells()
-          if not E.is_monotone(matrix.entry(*cc))}
+    ds = {e for e in matrix.filled.values() if not E.is_monotone(e)}
     if not ds:
         raise UnusableMatrix("matrix has no non-monotone entry")
     probes = [perm(2, 1), perm(2, 1, 4, 3), perm(2, 1, 4, 3, 6, 5)]

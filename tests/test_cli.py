@@ -105,6 +105,17 @@ def test_staircase(files, capsys):
     assert r["shape"] == "ProperTurningPath"
 
 
+# matrix files of the wrong shape; each must be one usage-error line
+MALFORMED_MATRICES = [
+    '{"cols":1,"rows":0,"entries":[]}',
+    '{"cols":2,"rows":1,"entries":[1,2]}',
+    '{"cols":1,"rows":1,"entries":5}',
+    '{"cols":1,"rows":1,"entries":[[5]]}',
+    '[1,2]',
+    '{"cols":1,"rows":1}',
+]
+
+
 def test_usage_errors_exit_one(files, capsys):
     assert run(["match", "--pattern", "x"]) == 1
     assert run(["brute", "--pattern", "/does/not/exist",
@@ -113,6 +124,26 @@ def test_usage_errors_exit_one(files, capsys):
     ok = files("ok.perm", "1\n")
     assert run(["brute", "--pattern", bad, "--text", ok]) == 1
     assert run(["brute", "--pattern", ok, "--text", ok, "--jobs", "2"]) == 1
+    capsys.readouterr()
+    cnf = files("f.cnf", "p cnf 1 1\n1 0\n")
+    for k, text in enumerate(MALFORMED_MATRICES):
+        m = files(f"m{k}.json", text)
+        for argv in (["match", "--matrix", m, "--pattern", ok, "--text", ok],
+                     ["gridcheck", "--matrix", m, "--perm", ok],
+                     ["richpath", "--matrix", m, "--length", "2"],
+                     ["reduce", "--cnf", cnf, "--matrix", m]):
+            assert run(argv) == 1, (argv[0], text)
+            err = capsys.readouterr().err
+            assert err.startswith(f"gridppm: {m}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("length", ["0", "-2"])
+def test_staircase_without_steps_exits_one(length, capsys):
+    assert run(["staircase", "--length", length]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("gridppm: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_sat_roundtrip(files, capsys):
@@ -159,8 +190,10 @@ def test_malformed_instance_json_exits_one(command, files, tmp_path, capsys):
     good = meta.read_text()
     no_formula = {k: v for k, v in json.loads(good).items() if k != "formula"}
     bad_clauses = dict(no_formula, formula={"nvars": 1, "clauses": [1]})
-    for broken in (good[: len(good) // 2], json.dumps(no_formula),
-                   json.dumps(bad_clauses)):
+    bad_matrices = [json.dumps(dict(json.loads(good), matrix=json.loads(t)))
+                    for t in MALFORMED_MATRICES]
+    for broken in [good[: len(good) // 2], json.dumps(no_formula),
+                   json.dumps(bad_clauses)] + bad_matrices:
         meta.write_text(broken)
         assert run([command, str(out)]) == 1
         err = capsys.readouterr().err

@@ -100,6 +100,32 @@ def test_matrix_json_roundtrip():
     assert m2.entry(1, 1) == INC and m2.entry(2, 1) == DEC
 
 
+ALL_KINDS = [EMPTY_E, INC, DEC, FIBP, E.FIBM, av(P321), av(P132),
+             E.juxth("inc", "dec"), E.juxtv("dec", "inc")]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda k: st.lists(
+    st.lists(st.sampled_from(ALL_KINDS), min_size=k, max_size=k),
+    min_size=1, max_size=4)))
+def test_sparse_matrix_agrees_with_its_rows(rows):
+    m = mat(*rows)
+    k, l = len(rows[0]), len(rows)
+    dense = {(i, j): rows[l - j][i - 1]
+             for i in range(1, k + 1) for j in range(1, l + 1)}
+    assert (m.cols, m.rows) == (k, l)
+    assert all(m.entry(*cc) == e for cc, e in dense.items())
+    assert m.nonempty_cells() == [cc for cc in sorted(dense)
+                                  if dense[cc] != EMPTY_E]
+    text = format_matrix_json(m)
+    assert format_matrix_json(parse_matrix_json(text)) == text
+    for outside in ((0, 1), (k + 1, 1), (1, 0), (1, l + 1)):
+        with pytest.raises(DimensionMismatch):
+            GriddingMatrix(k, l, {**m.filled, outside: INC})
+    with pytest.raises(ValueError, match="empty"):
+        GriddingMatrix(k, l, {**m.filled, (1, 1): EMPTY_E})
+
+
 def test_gridding_json_roundtrip():
     g = Gridding((1, 3, 6), (1, 2, 6))
     assert parse_gridding_json(format_gridding_json(g)) == g
@@ -153,7 +179,7 @@ def test_cell_graph_skips_blocked_pairs():
 
 
 def test_check_gridding_trivial():
-    m = GriddingMatrix(1, 1, ((INC,),))
+    m = GriddingMatrix(1, 1, {(1, 1): INC})
     assert check_gridding(perm(1, 2), Gridding((1, 3), (1, 3)), m)
     assert not check_gridding(perm(2, 1), Gridding((1, 3), (1, 3)), m)
 
@@ -324,10 +350,10 @@ def test_gridded_orientation_preserves_gridding():
 
 
 def test_refine_single_entries():
-    d = refine(GriddingMatrix(1, 1, ((INC,),)), 2)
+    d = refine(GriddingMatrix(1, 1, {(1, 1): INC}), 2)
     assert d.entry(1, 1) == INC and d.entry(2, 2) == INC
     assert d.entry(1, 2) == EMPTY_E and d.entry(2, 1) == EMPTY_E
-    a = refine(GriddingMatrix(1, 1, ((DEC,),)), 2)
+    a = refine(GriddingMatrix(1, 1, {(1, 1): DEC}), 2)
     assert a.entry(1, 2) == DEC and a.entry(2, 1) == DEC
     assert a.entry(1, 1) == EMPTY_E and a.entry(2, 2) == EMPTY_E
 

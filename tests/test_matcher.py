@@ -72,7 +72,7 @@ def random_perm(n, rng):
 
 
 def test_extract_partition_trivial():
-    m = GriddingMatrix(1, 1, ((INC,),))
+    m = GriddingMatrix(1, 1, {(1, 1): INC})
     p = perm(1, 2, 3)
     pi = extract_partition(p, Gridding((1, 4), (1, 4)), m)
     assert pi.parts == ((0, 1, 2),) and pi.dirs == ("inc",)
@@ -95,7 +95,7 @@ def test_extract_partition_skips_empty_entries():
 
 
 def test_extract_partition_rejects_bad_gridding():
-    m = GriddingMatrix(1, 1, ((INC,),))
+    m = GriddingMatrix(1, 1, {(1, 1): INC})
     with pytest.raises(InvalidGridding):
         extract_partition(perm(2, 1), Gridding((1, 3), (1, 3)), m)
 
