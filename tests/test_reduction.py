@@ -271,6 +271,31 @@ def test_anchor_counting(mode):
 
 
 @pytest.mark.parametrize("mode", ["gadgets", "juxtaposition"])
+@pytest.mark.parametrize("f", FORMULAS)
+def test_anchor_runs_are_contiguous_inflations(mode, f):
+    """Each anchor run directly follows its anchor in tile 0, on
+    consecutive positions with consecutive values: the family is its
+    core inflated at two points by increasing runs.  The runs carry the
+    last 2*(anchor_run - 1) point indices of tile 0, low run first."""
+    inst = reduce_formula(f, mode=mode)
+    extra = inst.sizes["anchor_run"] - 1
+    cell0 = inst.path.cells[0]
+    for fam, p in (("P", inst.pattern), ("T", inst.text)):
+        prov = inst.prov[fam]
+        at = {pos: key for key, pos in prov.items()}
+        c = sum(1 for cell, _ in prov if cell == cell0) - 2 * extra
+        assert c > 0
+        for first in (c, c + extra):
+            q = [prov[(cell0, first + i)] for i in range(extra)]
+            assert q == list(range(q[0], q[0] + extra))
+            assert [p[k - 1] for k in q] == list(range(p[q[0] - 1],
+                                                       p[q[0] - 1] + extra))
+            cell, idx = at[q[0] - 1]
+            assert cell == cell0 and idx < c
+            assert p[q[0] - 2] == p[q[0] - 1] - 1
+
+
+@pytest.mark.parametrize("mode", ["gadgets", "juxtaposition"])
 def test_tiles_are_direct_sums_of_gadget_blocks(mode):
     """Within a tile, each gadget's points fill an x-interval disjoint
     from every other gadget's: the tile is a sum of the gadget blocks."""
