@@ -18,7 +18,7 @@ from .grid import (build_rich_path, check_gridding, classify, cell_graph,
 from .entries import parse_entry
 from .matcher import InvalidGridding, NoTextGridding, solve_cppm
 from .perm import contains, parse_perm
-from .sat import ParseError, parse_dimacs, solve_sat
+from .sat import parse_dimacs, solve_sat
 from .reduction import (Formula3CNF, ReductionError, normalize_3cnf, embedding_from_assignment,
                         read_instance_summary, rebuild_instance, reduce_formula,
                         simulate_grid_preserving, validate_instance,
@@ -56,11 +56,20 @@ def _load_matrix(path):
         raise _UsageError(f"{path}: {exc}")
 
 
-def _load_cnf(path):
+def _load_dimacs(path):
     try:
-        cnf = parse_dimacs(_read(path))
+        return parse_dimacs(_read(path))
+    except ValueError as exc:   # a ParseError too
+        raise _UsageError(f"{path}: {exc}")
+
+
+def _load_cnf(path):
+    """A DIMACS file as a 3-CNF formula; an empty or a wider clause is a
+    usage error."""
+    cnf = _load_dimacs(path)
+    try:
         return normalize_3cnf(cnf.nvars, cnf.clauses)
-    except (ParseError, ValueError) as exc:
+    except ReductionError as exc:
         raise _UsageError(f"{path}: {exc}")
 
 
@@ -172,8 +181,8 @@ def _rebuild(directory):
     except (ValueError, KeyError, TypeError) as exc:   # incl. JSON syntax
         raise _UsageError(f"{directory}: malformed instance.json: {exc}")
     inst = rebuild_instance(summary)
-    stored_pattern = parse_perm(_read(f"{directory}/pattern.perm"))
-    stored_text = parse_perm(_read(f"{directory}/text.perm"))
+    stored_pattern = _load_perm(f"{directory}/pattern.perm")
+    stored_text = _load_perm(f"{directory}/text.perm")
     if stored_pattern != inst.pattern or stored_text != inst.text:
         raise ReductionError(
             "stored permutations do not match a deterministic rebuild")
@@ -217,7 +226,7 @@ def _cmd_embed(args):
 
 
 def _cmd_sat(args):
-    formula = _load_cnf(args.cnf)
+    formula = _load_dimacs(args.cnf)
     t0 = time.perf_counter()
     witness = _oracle(formula)
     payload = {"command": "sat", "satisfiable": witness is not None,

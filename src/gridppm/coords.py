@@ -1,21 +1,18 @@
-"""Exact plane coordinates with two symbolic infinitesimals.
+"""Exact plane coordinates with one symbolic infinitesimal.
 
-A coordinate is a formal expression ``a + b*eps + c*delta`` with rational
-a, b, c, where eps and delta are positive infinitesimals and eps is
-infinitely larger than delta.  Comparison is therefore lexicographic on
-(a, b, c).  This makes every "for a small enough eps > 0" clause in the
-gadget formulas exact: no numeric tuning, no tolerance anywhere.
+A coordinate is a formal expression ``a + b*eps`` with rational a and b,
+where eps is a positive infinitesimal.  Comparison is therefore
+lexicographic on (a, b).  This makes every "for a small enough eps > 0"
+clause in the gadget formulas exact: no numeric tuning, no tolerance
+anywhere.
 
-delta is reserved for anchor inflation, so inflated runs can never
-collide with accumulated eps adjustments.
-
-Representation: four plain ints ``(na, nb, nc, den)`` with
-``a = na/den``, ``b = nb/den`` and ``c = nc/den``.  The shared
-denominator is positive and the four ints have no common factor, so
-every value has exactly one representation and equality, hashing and
-ordering work on the ints directly.  Arithmetic is integer-only, with
-a fast path when both operands share a denominator; ``a``, ``b`` and
-``c`` are available as read-only ``Fraction`` views.
+Representation: three plain ints ``(na, nb, den)`` with ``a = na/den``
+and ``b = nb/den``.  The shared denominator is positive and the three
+ints have no common factor, so every value has exactly one
+representation and equality, hashing and ordering work on the ints
+directly.  Arithmetic is integer-only, with a fast path when both
+operands share a denominator; ``a`` and ``b`` are available as
+read-only ``Fraction`` views.
 """
 
 from __future__ import annotations
@@ -28,20 +25,19 @@ Rat = Union[int, Fraction]
 
 
 class ExactCoord:
-    """(na + nb*eps + nc*delta) / den, ordered lexicographically.
+    """(na + nb*eps) / den, ordered lexicographically.
 
     The constructor trusts its arguments: ``den > 0`` and
-    ``gcd(na, nb, nc, den) == 1``.  Build coordinates with ``coord``;
+    ``gcd(na, nb, den) == 1``.  Build coordinates with ``coord``;
     arithmetic keeps the invariant.  Instances are treated as immutable
     everywhere.
     """
 
-    __slots__ = ("na", "nb", "nc", "den")
+    __slots__ = ("na", "nb", "den")
 
-    def __init__(self, na: int, nb: int, nc: int, den: int) -> None:
+    def __init__(self, na: int, nb: int, den: int) -> None:
         self.na = na
         self.nb = nb
-        self.nc = nc
         self.den = den
 
     @property
@@ -52,26 +48,20 @@ class ExactCoord:
     def b(self) -> Fraction:
         return Fraction(self.nb, self.den)
 
-    @property
-    def c(self) -> Fraction:
-        return Fraction(self.nc, self.den)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactCoord):
             return NotImplemented
         return (self.na == other.na and self.den == other.den
-                and self.nb == other.nb and self.nc == other.nc)
+                and self.nb == other.nb)
 
     def __hash__(self) -> int:
-        return hash((self.na, self.nb, self.nc, self.den))
+        return hash((self.na, self.nb, self.den))
 
     def __lt__(self, other: "ExactCoord") -> bool:
         sd, od = self.den, other.den
         if sd == od:
-            return ((self.na, self.nb, self.nc)
-                    < (other.na, other.nb, other.nc))
-        return ((self.na * od, self.nb * od, self.nc * od)
-                < (other.na * sd, other.nb * sd, other.nc * sd))
+            return (self.na, self.nb) < (other.na, other.nb)
+        return (self.na * od, self.nb * od) < (other.na * sd, other.nb * sd)
 
     def __le__(self, other: "ExactCoord") -> bool:
         return not other.__lt__(self)
@@ -85,70 +75,60 @@ class ExactCoord:
     def __add__(self, other: "ExactCoord") -> "ExactCoord":
         sd, od = self.den, other.den
         if sd == od:
-            return _reduced(self.na + other.na, self.nb + other.nb,
-                            self.nc + other.nc, sd)
+            return _reduced(self.na + other.na, self.nb + other.nb, sd)
         g = gcd(sd, od)
         ms, mo = od // g, sd // g
         return _reduced(self.na * ms + other.na * mo,
-                        self.nb * ms + other.nb * mo,
-                        self.nc * ms + other.nc * mo, sd * ms)
+                        self.nb * ms + other.nb * mo, sd * ms)
 
     def __sub__(self, other: "ExactCoord") -> "ExactCoord":
         sd, od = self.den, other.den
         if sd == od:
-            return _reduced(self.na - other.na, self.nb - other.nb,
-                            self.nc - other.nc, sd)
+            return _reduced(self.na - other.na, self.nb - other.nb, sd)
         g = gcd(sd, od)
         ms, mo = od // g, sd // g
         return _reduced(self.na * ms - other.na * mo,
-                        self.nb * ms - other.nb * mo,
-                        self.nc * ms - other.nc * mo, sd * ms)
+                        self.nb * ms - other.nb * mo, sd * ms)
 
     def __neg__(self) -> "ExactCoord":
-        return ExactCoord(-self.na, -self.nb, -self.nc, self.den)
+        return ExactCoord(-self.na, -self.nb, self.den)
 
     def scale(self, r: Rat) -> "ExactCoord":
         rn, rd = (r, 1) if type(r) is int else (r.numerator, r.denominator)
-        return _reduced(self.na * rn, self.nb * rn, self.nc * rn,
-                        self.den * rd)
+        return _reduced(self.na * rn, self.nb * rn, self.den * rd)
 
     def shift(self, r: Rat) -> "ExactCoord":
         """Add a rational to the standard part."""
         d = self.den
         if type(r) is int:
             # adding a multiple of den keeps the ints coprime
-            return ExactCoord(self.na + r * d, self.nb, self.nc, d)
+            return ExactCoord(self.na + r * d, self.nb, d)
         rn, rd = r.numerator, r.denominator
-        return _reduced(self.na * rd + rn * d, self.nb * rd, self.nc * rd,
-                        d * rd)
+        return _reduced(self.na * rd + rn * d, self.nb * rd, d * rd)
 
     def __repr__(self) -> str:
         parts = [str(self.a)]
         if self.nb:
             parts.append(f"{self.b}e")
-        if self.nc:
-            parts.append(f"{self.c}d")
         return "+".join(parts).replace("+-", "-")
 
 
-def _reduced(na: int, nb: int, nc: int, den: int) -> ExactCoord:
-    """The coordinate (na, nb, nc)/den in lowest terms; den > 0."""
-    g = gcd(na, nb, nc, den)
+def _reduced(na: int, nb: int, den: int) -> ExactCoord:
+    """The coordinate (na, nb)/den in lowest terms; den > 0."""
+    g = gcd(na, nb, den)
     if g != 1:
-        return ExactCoord(na // g, nb // g, nc // g, den // g)
-    return ExactCoord(na, nb, nc, den)
+        return ExactCoord(na // g, nb // g, den // g)
+    return ExactCoord(na, nb, den)
 
 
-def coord(a: Rat, b: Rat = 0, c: Rat = 0) -> ExactCoord:
-    fa, fb, fc = Fraction(a), Fraction(b), Fraction(c)
-    den = lcm(fa.denominator, fb.denominator, fc.denominator)
+def coord(a: Rat, b: Rat = 0) -> ExactCoord:
+    fa, fb = Fraction(a), Fraction(b)
+    den = lcm(fa.denominator, fb.denominator)
     return _reduced(fa.numerator * (den // fa.denominator),
-                    fb.numerator * (den // fb.denominator),
-                    fc.numerator * (den // fc.denominator), den)
+                    fb.numerator * (den // fb.denominator), den)
 
 
 EPS = coord(0, 1)
-DELTA = coord(0, 0, 1)
 
 
 class PlanePoint(NamedTuple):

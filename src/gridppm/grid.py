@@ -574,9 +574,16 @@ _HALF = Fraction(1, 2)
 @dataclass(frozen=True)
 class Tile:
     """A finite set of plane points in general position inside the open
-    box (1/2, box_bound + 1/2)^2.  ``assemble`` checks both."""
+    box (1/2, box_bound + 1/2)^2.  ``assemble`` checks both.
+
+    ``runs`` inflates some of the points.  An entry (k, r) stands for an
+    increasing run of r more points just after point k, nearer to it on
+    both axes than any other point of the plane.  The run points are
+    indexed after ``points``, run by run in the order listed.
+    """
     points: Tuple[PlanePoint, ...]
     box_bound: Fraction
+    runs: Tuple[Tuple[int, int], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -591,16 +598,16 @@ class TileFamily:
 
 
 def _placed_keys(coords, mult: Dict[int, int], flip_at: int, off: int
-                 ) -> List[Tuple[int, int, int]]:
-    """Exact integer sort keys (a, b, c) of coordinates on the common
+                 ) -> List[Tuple[int, int]]:
+    """Exact integer sort keys (a, b) of coordinates on the common
     denominator (``mult`` maps each denominator to its multiplier),
     translated by ``off`` and, when ``flip_at`` is non-zero, reflected
     as v -> flip_at - v."""
     if flip_at:
         base = flip_at + off
-        return [(base - c.na * m, -c.nb * m, -c.nc * m)
+        return [(base - c.na * m, -c.nb * m)
                 for c in coords for m in (mult[c.den],)]
-    return [(c.na * m + off, c.nb * m, c.nc * m)
+    return [(c.na * m + off, c.nb * m)
             for c in coords for m in (mult[c.den],)]
 
 
@@ -618,6 +625,10 @@ def assemble(fam: TileFamily, f: Orientation
     with larger y ends up further right; on equal y the point with
     larger x ends up lower.
 
+    Runs are expanded after the points are sorted: a point inflated by
+    r run points takes r + 1 consecutive positions and values, itself
+    first on an axis its tile keeps and last on an axis it flips.
+
     Returns the permutation, a provenance map (cell, point index within
     its tile) -> permutation position (1-based), and the induced
     gridding.
@@ -630,28 +641,29 @@ def assemble(fam: TileFamily, f: Orientation
         if tile.box_bound != mb:
             raise BoxOverflow("tile box bound differs from the family's")
         if tile.points:
-            tiles.append((cell, tile.points,
+            tiles.append((cell, tile.points, tile.runs,
                           [p.x for p in tile.points],
                           [p.y for p in tile.points]))
 
     # one pass of exact integer keys on a common denominator, with the
     # translations and orientation flips folded in: the box and
     # general-position checks and the big sorts below compare plain int
-    # tuples, and no coordinate arithmetic happens per point.  A flip
+    # pairs, and no coordinate arithmetic happens per point.  A flip
     # maps each box onto itself, so the box test needs no unflipping.
-    dens = {c.den for _, _, cx, cy in tiles for c in itertools.chain(cx, cy)}
+    dens = {c.den for *_, cx, cy in tiles for c in itertools.chain(cx, cy)}
     dens.update((2, mb.denominator))
     common = math.lcm(*dens)
     mult = {d: common // d for d in dens}
     half = common // 2
     mbi = mb.numerator * (common // mb.denominator)
     flipi = mbi + common          # mb + 1, scaled
-    xs: List[Tuple[int, int, int]] = []
-    ys: List[Tuple[int, int, int]] = []
+    xs: List[Tuple[int, int]] = []
+    ys: List[Tuple[int, int]] = []
     refs: List[Tuple[Cell, int]] = []
+    runs = []       # (index into refs of the inflated point, cell, first, r)
     col_counts = [0] * (fam.cols + 1)
     row_counts = [0] * (fam.rows + 1)
-    for (i, j), pts, cx, cy in tiles:
+    for (i, j), pts, tile_runs, cx, cy in tiles:
         offx = (i - 1) * mbi
         offy = (j - 1) * mbi
         kx = _placed_keys(cx, mult, flipi if f.col(i) == -1 else 0, offx)
@@ -659,15 +671,21 @@ def assemble(fam: TileFamily, f: Orientation
         for keys, off, axis in ((kx, offx, "x"), (ky, offy, "y")):
             if len(set(keys)) != len(keys):
                 raise ValueError(f"tile not in general position on {axis}")
-            lo, hi = (half + off, 0, 0), (mbi + half + off, 0, 0)
+            lo, hi = (half + off, 0), (mbi + half + off, 0)
             if not (lo < min(keys) and max(keys) < hi):
                 bad = next(p for p, k in zip(pts, keys) if not lo < k < hi)
                 raise BoxOverflow(f"point {bad} outside the {mb}-box")
+        size = len(pts)
+        for k, r in tile_runs:
+            if not (0 <= k < len(pts) and r >= 0):
+                raise ValueError(f"run {(k, r)} does not fit its tile")
+            runs.append((len(refs) + k, (i, j), size, r))
+            size += r
         xs += kx
         ys += ky
         refs += zip(itertools.repeat((i, j)), range(len(pts)))
-        col_counts[i] += len(pts)
-        row_counts[j] += len(pts)
+        col_counts[i] += size
+        row_counts[j] += size
 
     # stable sorts, so points tied on both keys keep their tile order:
     # x ascending then y ascending; y ascending then x descending
@@ -675,11 +693,24 @@ def assemble(fam: TileFamily, f: Orientation
     by_x = sorted(sorted(range(n), key=ys.__getitem__), key=xs.__getitem__)
     by_y = sorted(sorted(range(n), key=xs.__getitem__, reverse=True),
                   key=ys.__getitem__)
-    yrank = [0] * n
-    for r, k in enumerate(by_y, 1):
+
+    # an inflated point becomes the block of itself and its run points
+    blocks: Dict[int, List[int]] = {}
+    for k, cell, first, r in runs:
+        blocks.setdefault(k, [k]).extend(range(len(refs), len(refs) + r))
+        refs += zip(itertools.repeat(cell), range(first, first + r))
+    xblock, yblock = {}, {}
+    for k, block in blocks.items():
+        i, j = refs[k][0]
+        xblock[k], yblock[k] = block[::f.col(i)], block[::f.row(j)]
+    order_x = [e for k in by_x for e in xblock.get(k, (k,))]
+    order_y = [e for k in by_y for e in yblock.get(k, (k,))]
+
+    yrank = [0] * len(refs)
+    for r, k in enumerate(order_y, 1):
         yrank[k] = r
-    perm_out = Permutation(tuple([yrank[k] for k in by_x]))
-    prov = {refs[k]: pos for pos, k in enumerate(by_x, 1)}
+    perm_out = Permutation(tuple([yrank[k] for k in order_x]))
+    prov = {refs[k]: pos for pos, k in enumerate(order_x, 1)}
 
     ccuts = [1]
     for i in range(1, fam.cols + 1):

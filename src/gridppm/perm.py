@@ -225,8 +225,7 @@ def is_fibonacci(p: Permutation, mirrored: bool = False) -> bool:
 def parse_perm(text: str) -> Permutation:
     """One line of space-separated decimal ranks; empty input is the
     empty permutation."""
-    fields = text.split()
-    return Permutation(tuple(int(f) for f in fields))
+    return Permutation(tuple(map(int, text.split())))
 
 
 def format_perm(p: Permutation) -> str:

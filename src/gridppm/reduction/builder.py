@@ -29,9 +29,9 @@ the clause layouts and the new live order the same way.  The modes differ
 only inside the emission helpers.  ``geometry`` mode computes exact
 points, places them in their tiles and records the gadget trace;
 ``counting`` mode creates no coordinates and no trace, bumps each tile's
-point count once per gadget or chain, and lets a plain copy keep its
-channel id, so instance sizes and the layer schedule stay cheap to compute
-for large formulas.
+point count once per gadget or chain, and lets a plain copy or a flip
+keep its channel ids, so instance sizes and the layer schedule stay cheap
+to compute for large formulas.
 """
 
 from __future__ import annotations
@@ -230,7 +230,6 @@ class ReductionInstance:
     init_map: Optional[List[Tuple[int, int]]] = None
     clause_layouts: Optional[List[Dict[str, int]]] = None
     final_positions: Optional[Dict[int, int]] = None   # text pid -> live slot
-    inflation: Optional[Dict[str, Dict[str, List[PointRef]]]] = None
     tiles: Optional[Dict[str, Dict[int, List[PlanePoint]]]] = None
     families: Optional[Dict[str, TileFamily]] = None
     pattern: Optional[Permutation] = None
@@ -271,13 +270,6 @@ _GADGETS = {"initial": G.gadget_initial, "copy": G.gadget_copy,
             "pick": G.gadget_pick, "follow": G.gadget_follow,
             "choose": G.gadget_choose, "multiply": G.gadget_multiply,
             "merge": G.gadget_merge, "bucket": G.gadget_bucket}
-
-
-def _delta_run(c: ExactCoord, run: int) -> List[ExactCoord]:
-    """c + i*delta for i = 1 .. run-1.  Adding a multiple of the
-    denominator keeps the ints in lowest terms, so no gcd is needed."""
-    a, b, cc, d = c.na, c.nb, c.nc, c.den
-    return [ExactCoord(a, b, cc + i * d, d) for i in range(1, run)]
 
 
 class _Builder:
@@ -405,7 +397,8 @@ class _Builder:
         "fliptext" an adjacent duo, exchanging its two slots: each input
         gets a head point in d1, a middle pair in every interior tile and
         an end pair in d2, which becomes its successor's pair.  Counting
-        mode bumps each tile once for all the flip chains.
+        mode bumps each tile once for all the flip chains and keeps the
+        input pids, since a flip changes no tag and no lineage.
         """
         new, width = [], 0
         for kind, inputs in chains:
@@ -415,11 +408,12 @@ class _Builder:
                     (pid,) = self._copy(fam, t, (pid,))
                 new.append(pid)
                 continue
+            if not self.geometry:
+                new += reversed(inputs)
+                width += len(inputs)
+                continue
             pids = [self._successor(fam, pid) for pid in inputs]
             new += reversed(pids)
-            if not self.geometry:
-                width += len(pids)
-                continue
             vals = [v for pid in inputs for v in self.pairs[(fam, pid)].vals]
             if kind == "fliptext":
                 if not vals[1] < vals[2]:
@@ -1007,27 +1001,6 @@ class _Builder:
         text_pre = sum(self.counts["T"].values())
         pat_pre = sum(self.counts["P"].values())
         run = text_pre + 1           # length of each anchor run
-        inflation = None
-        if self.geometry:
-            inflation = {f: {"low": [], "high": []} for f in _FAMS}
-            for fam in _FAMS:
-                pts = self.tiles[fam][0]
-                lows = min(range(len(pts)), key=lambda i: pts[i].y)
-                highs = max(range(len(pts)), key=lambda i: pts[i].y)
-                inflation[fam]["low"].append((0, lows))
-                inflation[fam]["high"].append((0, highs))
-                for which, idx0 in (("low", lows), ("high", highs)):
-                    base = pts[idx0]
-                    first = len(pts)
-                    xs = _delta_run(base.x, run)
-                    # the anchors sit on the diagonal: share the coordinates
-                    ys = xs if base.y == base.x else _delta_run(base.y, run)
-                    pts += map(PlanePoint, xs, ys)
-                    inflation[fam][which] += zip(
-                        itertools.repeat(0), range(first, len(pts)))
-        for fam in _FAMS:
-            self.counts[fam][0] += 2 * (run - 1)
-
         sizes = {
             "pattern": pat_pre + 2 * (run - 1),
             "text": text_pre + 2 * (run - 1),
@@ -1056,16 +1029,21 @@ class _Builder:
         inst.clause_layouts = self.clause_layouts
         inst.final_positions = {pid: i for i, pid in
                                 enumerate(self.live["T"])}
-        inst.inflation = inflation
         inst.tiles = self.tiles
         fams = {}
         provs = {}
         grids = {}
         perms = {}
         for fam in _FAMS:
+            # tile 0 inflates its lowest and its highest point into the
+            # two anchor runs, low first
+            ys = [p.y for p in self.tiles[fam][0]]
+            runs = ((ys.index(min(ys)), run - 1),
+                    (ys.index(max(ys)), run - 1))
             tf = TileFamily(
                 self.path.matrix.cols, self.path.matrix.rows,
-                {self.path.cells[t]: Tile(tuple(pts), self.bound)
+                {self.path.cells[t]: Tile(tuple(pts), self.bound,
+                                          runs if t == 0 else ())
                  for t, pts in self.tiles[fam].items() if pts},
                 self.bound)
             p, prov, grd = assemble(tf, self.path.orientation)

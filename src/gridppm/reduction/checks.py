@@ -39,6 +39,13 @@ def _map_refs(pmap, a_refs, b_refs) -> None:
         pmap[a] = b
 
 
+def _anchor_refs(tile: Tile) -> List[Tuple[int, int]]:
+    """Tile 0's inflated anchors, then all of their run points."""
+    n = len(tile.points)
+    return [(0, k) for k, _ in tile.runs] + [
+        (0, i) for i in range(n, n + sum(r for _, r in tile.runs))]
+
+
 def _propagate(inst: ReductionInstance, rho: Sequence[bool],
                b_choices: Dict[int, int], want_points: bool):
     """Follow the gadget trace and map every pattern pair (and point,
@@ -53,9 +60,9 @@ def _propagate(inst: ReductionInstance, rho: Sequence[bool],
         if want_points:
             _map_refs(pmap, pairs[("P", ppid)].pts, pairs[("T", tpid)].pts)
     if want_points:
-        for which in ("low", "high"):
-            _map_refs(pmap, inst.inflation["P"][which],
-                      inst.inflation["T"][which])
+        cell0 = inst.path.cells[0]
+        _map_refs(pmap, _anchor_refs(inst.families["P"].tiles[cell0]),
+                  _anchor_refs(inst.families["T"].tiles[cell0]))
 
     for rec in inst.trace:
         if rec.family != "P" or rec.kind == "initial":

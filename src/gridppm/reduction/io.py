@@ -73,14 +73,26 @@ def _provenance_json(inst: ReductionInstance) -> str:
 
 
 def read_instance_summary(directory: str) -> Dict:
-    """The instance.json payload, with the formula and matrix parsed."""
+    """The instance.json payload, with the formula and matrix parsed.
+    A malformed formula, mode, matrix or bucket entry raises
+    ValueError."""
     with open(os.path.join(directory, "instance.json")) as fh:
         data = json.load(fh)
-    data["formula_obj"] = Formula3CNF(
-        data["formula"]["nvars"],
-        tuple(tuple(c) for c in data["formula"]["clauses"]))
-    data["matrix_obj"] = parse_matrix_json(json.dumps(data["matrix"]))
+    nvars, clauses = data["formula"]["nvars"], data["formula"]["clauses"]
+    if not (type(nvars) is int and nvars >= 0
+            and isinstance(clauses, list)
+            and all(isinstance(c, list) and len(c) == 3
+                    and all(type(x) is int and 0 < abs(x) <= nvars
+                            for x in c) for c in clauses)):
+        raise ValueError('"formula" needs an int "nvars" and "clauses" of '
+                         'three non-zero literals within +-nvars')
+    if data["mode"] not in ("gadgets", "juxtaposition"):
+        raise ValueError(f'unknown "mode" {data["mode"]!r}')
     be = data.get("bucket_entry")
+    if not (be is None or isinstance(be, str)):
+        raise ValueError('"bucket_entry" must be an entry string or null')
+    data["formula_obj"] = Formula3CNF(nvars, tuple(map(tuple, clauses)))
+    data["matrix_obj"] = parse_matrix_json(json.dumps(data["matrix"]))
     data["bucket_entry_obj"] = parse_entry(be) if be else None
     return data
 

@@ -135,6 +135,13 @@ def test_usage_errors_exit_one(files, capsys):
             assert run(argv) == 1, (argv[0], text)
             err = capsys.readouterr().err
             assert err.startswith(f"gridppm: {m}: ") and err.count("\n") == 1
+    # a clause the construction cannot take is a usage error, not a
+    # validation failure
+    for k, text in enumerate(["p cnf 1 1\n0\n", "p cnf 4 1\n1 2 3 4 0\n"]):
+        wide = files(f"w{k}.cnf", text)
+        assert run(["reduce", "--cnf", wide]) == 1, text
+        err = capsys.readouterr().err
+        assert err.startswith(f"gridppm: {wide}: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("length", ["0", "-2"])
@@ -152,6 +159,15 @@ def test_sat_roundtrip(files, capsys):
     r = report(capsys)
     assert r["satisfiable"] is True
     assert r["assignment"]["1"] is False
+
+
+def test_sat_takes_any_clause_width(files, capsys):
+    f = files("f.cnf", "p cnf 4 1\n1 2 3 4 0\n")
+    assert run(["sat", "--cnf", f]) == 0
+    assert report(capsys)["satisfiable"] is True
+    f = files("g.cnf", "p cnf 1 1\n0\n")
+    assert run(["sat", "--cnf", f]) == 0
+    assert report(capsys)["satisfiable"] is False
 
 
 def test_sat_unsat(files, capsys):
@@ -190,15 +206,33 @@ def test_malformed_instance_json_exits_one(command, files, tmp_path, capsys):
     good = meta.read_text()
     no_formula = {k: v for k, v in json.loads(good).items() if k != "formula"}
     bad_clauses = dict(no_formula, formula={"nvars": 1, "clauses": [1]})
+    bad_fields = [dict(json.loads(good), **kv) for kv in (
+        {"formula": {"nvars": 1, "clauses": [[1, 1, 2]]}},   # out of range
+        {"formula": {"nvars": 1, "clauses": [[1, 0, 1]]}},
+        {"formula": {"nvars": "1", "clauses": [[1, 1, 1]]}},
+        {"formula": {"nvars": 1, "clauses": [[1, 1]]}},
+        {"mode": "sideways"},
+        {"bucket_entry": 5})]
     bad_matrices = [json.dumps(dict(json.loads(good), matrix=json.loads(t)))
                     for t in MALFORMED_MATRICES]
     for broken in [good[: len(good) // 2], json.dumps(no_formula),
-                   json.dumps(bad_clauses)] + bad_matrices:
+                   json.dumps(bad_clauses)] + bad_matrices + [
+                       json.dumps(b) for b in bad_fields]:
         meta.write_text(broken)
-        assert run([command, str(out)]) == 1
+        assert run([command, str(out)]) == 1, broken
         err = capsys.readouterr().err
         assert err.startswith(f"gridppm: {out}: malformed instance.json: ")
         assert err.count("\n") == 1
+    meta.write_text(good)
+    for name in ("pattern.perm", "text.perm"):
+        perm_file = out / name
+        kept = perm_file.read_text()
+        perm_file.write_text("1 x 2\n")
+        assert run([command, str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"gridppm: {perm_file}: ")
+        assert err.count("\n") == 1
+        perm_file.write_text(kept)
 
 
 def test_embed_unsat_instance(files, tmp_path, capsys):

@@ -23,7 +23,7 @@ from gridppm.grid import (BoxOverflow, CellGraph, DimensionMismatch, Gridding,
                           matrix_from_rows_top_down, parse_gridding_json,
                           parse_matrix_json, path_order, refine,
                           sample_member, staircase, sum_closing_orientation)
-from gridppm.perm import Permutation, perm
+from gridppm.perm import Permutation, inflate, perm
 
 P321 = perm(3, 2, 1)
 P312 = perm(3, 1, 2)
@@ -472,3 +472,80 @@ def test_assemble_passes_induced_gridding():
         fam = TileFamily(2, 2, tiles, bound)
         p, _, g = assemble(fam, f)
         assert check_gridding(p, g, m)
+
+
+@st.composite
+def families_with_runs(draw):
+    """1-3 tiles of at most five integer points on a 2x2 grid at most,
+    with up to three runs of 0-3 points each, and an orientation."""
+    cols, rows = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    cells = draw(st.lists(st.tuples(st.integers(1, cols),
+                                    st.integers(1, rows)),
+                          min_size=1, max_size=3, unique=True))
+    bound = Fraction(5)
+    tiles = {}
+    for cell in cells:
+        n = draw(st.integers(1, 5))
+        coords = st.lists(st.integers(1, 5), min_size=n, max_size=n,
+                          unique=True)
+        pts = tuple(map(pt, draw(coords), draw(coords)))
+        runs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                       st.integers(0, 3)), max_size=3))
+        tiles[cell] = Tile(pts, bound, tuple(runs))
+    signs = st.sampled_from((1, -1))
+    f = Orientation(tuple(draw(signs) for _ in range(cols)),
+                    tuple(draw(signs) for _ in range(rows)))
+    return TileFamily(cols, rows, tiles, bound), f
+
+
+@settings(max_examples=200, deadline=None)
+@given(families_with_runs())
+def test_assemble_runs_match_inflating_the_core(fam_f):
+    """Assembling with runs equals assembling the core and inflating
+    each inflated point, rightmost first, by a monotone block: rising
+    when its tile flips both axes or neither, falling otherwise."""
+    fam, f = fam_f
+    core = TileFamily(fam.cols, fam.rows,
+                      {c: Tile(t.points, t.box_bound)
+                       for c, t in fam.tiles.items()}, fam.box_bound)
+    p, prov, g = assemble(core, f)
+    grown = {}          # (cell, k) -> run point indices, in order
+    for cell, tile in fam.tiles.items():
+        nxt = len(tile.points)
+        for k, r in tile.runs:
+            grown.setdefault((cell, k), []).extend(range(nxt, nxt + r))
+            nxt += r
+    for key in sorted(grown, key=prov.__getitem__, reverse=True):
+        r = len(grown[key])
+        (i, j), _ = key
+        block = range(1, r + 2) if f.col(i) == f.row(j) else \
+            range(r + 1, 0, -1)
+        p = inflate(p, prov[key], Permutation(tuple(block)))
+
+    # every point moves right by the runs before it; a run's points
+    # follow their base, or precede it on a flipped x axis
+    want = {}
+    for key, pos in prov.items():
+        before = sum(len(ids) for k2, ids in grown.items()
+                     if prov[k2] < pos)
+        ids = grown.get(key, [])
+        (i, _), _ = key
+        start = pos + before
+        if f.col(i) == 1:
+            want[key] = start
+            want.update(((key[0], idx), start + t)
+                        for t, idx in enumerate(ids, 1))
+        else:
+            want[key] = start + len(ids)
+            want.update(((key[0], idx), start + len(ids) - t)
+                        for t, idx in enumerate(ids, 1))
+    colx = [0] * (fam.cols + 1)
+    rowx = [0] * (fam.rows + 1)
+    for ((i, j), _), ids in grown.items():
+        colx[i] += len(ids)
+        rowx[j] += len(ids)
+    want_g = Gridding(
+        tuple(c + sum(colx[:a + 1]) for a, c in enumerate(g.col_cuts)),
+        tuple(c + sum(rowx[:b + 1]) for b, c in enumerate(g.row_cuts)))
+
+    assert assemble(fam, f) == (p, want, want_g)
