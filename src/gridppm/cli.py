@@ -19,10 +19,15 @@ from .entries import parse_entry
 from .matcher import InvalidGridding, NoTextGridding, solve_cppm
 from .perm import contains, parse_perm
 from .sat import parse_dimacs, solve_sat
-from .reduction import (Formula3CNF, ReductionError, normalize_3cnf, embedding_from_assignment,
-                        read_instance_summary, rebuild_instance, reduce_formula,
+from .reduction import (Formula3CNF, NotAPath, PathTooShort, ReductionError,
+                        UnusableMatrix, embedding_from_assignment,
+                        normalize_3cnf, read_instance_summary,
+                        rebuild_instance, reduce_formula,
                         simulate_grid_preserving, validate_instance,
                         write_instance)
+
+# a matrix the construction cannot use: the user's input is at fault
+_MATRIX_ERRORS = (NotAPath, UnusableMatrix, PathTooShort)
 
 
 class _UsageError(Exception):
@@ -165,7 +170,12 @@ def _cmd_reduce(args):
     formula = _load_cnf(args.cnf)
     matrix = _load_matrix(args.matrix) if args.matrix else None
     t0 = time.perf_counter()
-    inst = reduce_formula(formula, mode=args.mode, matrix=matrix)
+    try:
+        inst = reduce_formula(formula, mode=args.mode, matrix=matrix)
+    except _MATRIX_ERRORS as exc:
+        if matrix is None:
+            raise
+        raise _UsageError(f"{args.matrix}: {exc}")
     elapsed = (time.perf_counter() - t0) * 1000.0
     if args.out:
         write_instance(inst, args.out)
@@ -180,7 +190,10 @@ def _rebuild(directory):
         summary = read_instance_summary(directory)
     except (ValueError, KeyError, TypeError) as exc:   # incl. JSON syntax
         raise _UsageError(f"{directory}: malformed instance.json: {exc}")
-    inst = rebuild_instance(summary)
+    try:
+        inst = rebuild_instance(summary)
+    except _MATRIX_ERRORS as exc:
+        raise _UsageError(f"{directory}: malformed instance.json: {exc}")
     stored_pattern = _load_perm(f"{directory}/pattern.perm")
     stored_text = _load_perm(f"{directory}/text.perm")
     if stored_pattern != inst.pattern or stored_text != inst.text:

@@ -136,12 +136,6 @@ class PlanePoint(NamedTuple):
     x: ExactCoord
     y: ExactCoord
 
-    def translate(self, dx: Rat, dy: Rat) -> "PlanePoint":
-        return PlanePoint(self.x.shift(dx), self.y.shift(dy))
-
-    def transpose(self) -> "PlanePoint":
-        return PlanePoint(self.y, self.x)
-
 
 def pt(x: Union[Rat, ExactCoord], y: Union[Rat, ExactCoord]) -> PlanePoint:
     if not isinstance(x, ExactCoord):

@@ -236,16 +236,22 @@ def format_gridding_json(g: Gridding) -> str:
                        "row_cuts": list(g.row_cuts)})
 
 
-def _cell_values(p: Permutation, g: Gridding) -> Dict[Cell, List[int]]:
-    """The values of p in each non-empty cell of the gridding g, in
-    position order."""
-    vals: Dict[Cell, List[int]] = {}
-    for pos in range(1, len(p) + 1):
-        v = p[pos - 1]
-        i = bisect.bisect_right(g.col_cuts, pos)
-        j = bisect.bisect_right(g.row_cuts, v)
-        vals.setdefault((i, j), []).append(v)
-    return vals
+def cell_positions(p: Permutation, g: Gridding) -> Dict[Cell, List[int]]:
+    """The 0-based positions of p in each occupied cell of the gridding
+    g, ascending.  The cuts of g must run from 1 to len(p) + 1.
+
+    A column is a contiguous run of positions, so each column is walked
+    in turn; a value's row is read from a table."""
+    ranks, rc = p.ranks, g.row_cuts
+    row_of = [0] * (len(p) + 1)
+    for j in range(1, len(rc)):
+        row_of[rc[j - 1]:rc[j]] = [j] * (rc[j] - rc[j - 1])
+    cells: Dict[Cell, List[int]] = {}
+    cc = g.col_cuts
+    for i in range(1, len(cc)):
+        for pos in range(cc[i - 1] - 1, cc[i] - 1):
+            cells.setdefault((i, row_of[ranks[pos]]), []).append(pos)
+    return cells
 
 
 def _standardize(vs: Sequence[int]) -> Permutation:
@@ -256,7 +262,8 @@ def _standardize(vs: Sequence[int]) -> Permutation:
 def _cell_contents_sparse(p: Permutation, g: Gridding
                           ) -> Dict[Cell, Permutation]:
     """Standardization of each non-empty cell of p under the gridding g."""
-    return {cell: _standardize(vs) for cell, vs in _cell_values(p, g).items()}
+    return {cell: _standardize([p.ranks[q] for q in qs])
+            for cell, qs in cell_positions(p, g).items()}
 
 
 def _fits(e: ClassEntry, vs: Sequence[int]) -> bool:
@@ -280,8 +287,8 @@ def check_gridding(p: Permutation, g: Gridding, m: GriddingMatrix) -> bool:
     if g.row_cuts[0] != 1 or g.row_cuts[-1] != n + 1:
         return False
     # empty cells satisfy every entry; only filled cells need checking
-    return all(_fits(m.entry(*cell), vs)
-               for cell, vs in _cell_values(p, g).items())
+    return all(_fits(m.entry(*cell), [p.ranks[q] for q in qs])
+               for cell, qs in cell_positions(p, g).items())
 
 
 def all_griddings(p: Permutation, m: GriddingMatrix):
@@ -401,12 +408,12 @@ def apply_orientation_gridded(p: Permutation, g: Gridding,
     return Permutation(tuple(vals))
 
 
-def _orient_by_propagation(m: GriddingMatrix, want_plus, root_sign=1
+def _orient_by_propagation(m: GriddingMatrix, want_plus
                            ) -> Optional[Orientation]:
     """2-colour columns/rows so that each non-empty entry (i,j) has
     f_c(i)*f_r(j) equal to want_plus(entry) (+1/-1/None=unconstrained).
     In every connected component the largest-indexed column is anchored
-    to root_sign (canonical representative)."""
+    to +1 (canonical representative)."""
     sign: Dict[Tuple[str, int], int] = {}
     nodes = [("c", i) for i in range(1, m.cols + 1)] + \
             [("r", j) for j in range(1, m.rows + 1)]
@@ -422,7 +429,7 @@ def _orient_by_propagation(m: GriddingMatrix, want_plus, root_sign=1
                  [("r", j) for j in range(m.rows, 0, -1)]:
         if start in sign:
             continue
-        sign[start] = root_sign
+        sign[start] = 1
         stack = [start]
         while stack:
             v = stack.pop()

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from . import entries as E
-from .grid import Gridding, GriddingMatrix, all_griddings, check_gridding
+from .grid import (Gridding, GriddingMatrix, all_griddings, cell_positions,
+                   check_gridding)
 from .perm import Permutation, is_order_isomorphic
 
 
@@ -78,15 +79,10 @@ def extract_partition(p: Permutation, g: Gridding,
     _require_monotone(m)
     if not check_gridding(p, g, m):
         raise InvalidGridding("not a valid gridding of the permutation")
-    parts: List[Tuple[int, ...]] = []
-    dirs: List[str] = []
-    for (i, j) in m.nonempty_cells():
-        poss = tuple(
-            pos for pos in range(g.col_cuts[i - 1] - 1, g.col_cuts[i] - 1)
-            if g.row_cuts[j - 1] <= p[pos] < g.row_cuts[j])
-        parts.append(poss)
-        dirs.append(m.entry(i, j).kind)
-    out = MonotonePartition(tuple(parts), tuple(dirs))
+    cells = cell_positions(p, g)
+    nonempty = m.nonempty_cells()
+    out = MonotonePartition(tuple(tuple(cells.get(c, ())) for c in nonempty),
+                            tuple(m.entry(*c).kind for c in nonempty))
     out.validate(p)
     return out
 

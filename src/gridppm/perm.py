@@ -7,9 +7,10 @@ symmetries, sums and inflation all operate on this diagram view.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .coords import PlanePoint, pt
 
@@ -99,39 +100,69 @@ def is_order_isomorphic(text: Permutation, pattern: Permutation,
     return True
 
 
+def embeddings(text: Permutation, pattern: Permutation,
+               allowed: Optional[Sequence[Sequence[int]]] = None
+               ) -> Iterator[Tuple[int, ...]]:
+    """Every embedding of pattern into text (0-based positions, strictly
+    increasing), in lexicographic order.
+
+    ``allowed[i]``, when given, is the ascending list of text positions
+    that pattern point i may take.  Iterative backtracking; worst case
+    O(n^k).
+    """
+    n, k = len(text), len(pattern)
+    if allowed is None:
+        allowed = [range(n)] * k
+    elif len(allowed) != k:
+        raise ValueError(f"{len(allowed)} allowed lists for {k} points")
+    if k == 0:
+        yield ()
+        return
+
+    tr, pr = text.ranks, pattern.ranks
+    chosen: List[int] = []
+    # one entry per pattern point from 0 to len(chosen): its untried
+    # candidates, and the open value interval the points chosen before
+    # it leave for its image
+    stack = []
+    while True:
+        i = len(chosen)
+        if len(stack) == i:
+            # enter point i: candidates right of the last choice that
+            # leave room for the k - 1 - i points after it
+            cand = allowed[i]
+            a = bisect.bisect_right(cand, chosen[-1]) if chosen else 0
+            w = pr[i]
+            lo = max([tr[q] for j, q in enumerate(chosen) if pr[j] < w],
+                     default=0)
+            hi = min([tr[q] for j, q in enumerate(chosen) if pr[j] > w],
+                     default=n + 1)
+            stack.append((iter(cand[a:bisect.bisect_right(cand, n - k + i)]),
+                          lo, hi))
+        it, lo, hi = stack[-1]
+        for pos in it:
+            if lo < tr[pos] < hi:
+                break
+        else:
+            stack.pop()
+            if not chosen:
+                return
+            chosen.pop()
+            continue
+        if i + 1 == k:
+            yield tuple(chosen) + (pos,)
+        else:
+            chosen.append(pos)
+
+
 def contains(text: Permutation, pattern: Permutation) -> Optional[Tuple[int, ...]]:
     """Lexicographically least embedding of pattern into text, or None.
 
-    Backtracking over text positions in increasing order; worst case
-    O(n^k).  The witness is re-validated before being returned.
+    The witness is re-validated before being returned.
     """
-    n, k = len(text), len(pattern)
-    if k == 0:
-        return ()
-    if k > n:
-        return None
-
-    # iterative backtracking: chosen holds the positions picked so far
-    # and pos is the next candidate for the point after them
-    tr, pr = text.ranks, pattern.ranks
-    chosen: list[int] = []
-    pos = 0
-    while len(chosen) < k:
-        i = len(chosen)
-        if pos > n - k + i:   # not enough room left
-            if not chosen:
-                return None
-            pos = chosen.pop() + 1
-            continue
-        v, w = tr[pos], pr[i]
-        for j, q in enumerate(chosen):
-            if (tr[q] < v) != (pr[j] < w):
-                break
-        else:
-            chosen.append(pos)
-        pos += 1
-    witness = tuple(chosen)
-    if not is_order_isomorphic(text, pattern, witness):
+    witness = next(embeddings(text, pattern), None)
+    if witness is not None and not is_order_isomorphic(text, pattern,
+                                                       witness):
         raise InvalidWitness(f"backtracking produced {witness}")
     return witness
 

@@ -8,8 +8,7 @@ from .builder import (ReductionError, EmptyClause, ClauseTooWide,
                       plan_layers, reduce_formula, default_matrix,
                       rich_path_matrix, bucket_rehearsal)
 from .checks import (validate_instance, simulate_grid_preserving,
-                     embedding_from_assignment,
-                     enumerate_grid_embeddings)
+                     embedding_from_assignment)
 from .io import write_instance, read_instance_summary, rebuild_instance
 
 __all__ = [
@@ -19,7 +18,6 @@ __all__ = [
     "ReductionInstance", "plan_layers", "reduce_formula",
     "default_matrix", "rich_path_matrix", "bucket_rehearsal",
     "validate_instance", "simulate_grid_preserving",
-    "embedding_from_assignment", "enumerate_grid_embeddings",
-    "write_instance",
+    "embedding_from_assignment", "write_instance",
     "read_instance_summary", "rebuild_instance",
 ]

@@ -157,6 +157,8 @@ def make_path_spec(matrix: GriddingMatrix) -> PathSpec:
     if classify(g) != "ProperTurningPath":
         raise NotAPath("cell graph is not a single proper-turning path")
     cells = path_order(g)
+    if len(cells) < 2:
+        raise NotAPath("a path needs at least two cells")
 
     def shared_axis(a: Cell, b: Cell) -> str:
         return "row" if a[1] == b[1] else "col"

@@ -12,7 +12,6 @@ from its raw tiles.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -20,7 +19,7 @@ from ..grid import BoxOverflow, Tile, TileFamily, assemble, check_gridding
 from .builder import (ReductionError, ReductionInstance, TooManyVariables)
 
 __all__ = ["validate_instance", "simulate_grid_preserving",
-           "embedding_from_assignment", "enumerate_grid_embeddings"]
+           "embedding_from_assignment"]
 
 
 def _literal_true(lit: int, rho: Sequence[bool]) -> bool:
@@ -47,22 +46,20 @@ def _anchor_refs(tile: Tile) -> List[Tuple[int, int]]:
 
 
 def _propagate(inst: ReductionInstance, rho: Sequence[bool],
-               b_choices: Dict[int, int], want_points: bool):
-    """Follow the gadget trace and map every pattern pair (and point,
-    when requested) onto its forced text image under ``rho``."""
+               b_choices: Dict[int, int]):
+    """Follow the gadget trace under ``rho`` and map every pattern point
+    onto its forced text image."""
     pairs = inst.pairs
     cons = inst.consumer
     imap: Dict[int, int] = {}
-    pmap = {} if want_points else None
+    pmap = {}
 
     for ppid, tpid in inst.init_map:
         imap[ppid] = tpid
-        if want_points:
-            _map_refs(pmap, pairs[("P", ppid)].pts, pairs[("T", tpid)].pts)
-    if want_points:
-        cell0 = inst.path.cells[0]
-        _map_refs(pmap, _anchor_refs(inst.families["P"].tiles[cell0]),
-                  _anchor_refs(inst.families["T"].tiles[cell0]))
+        _map_refs(pmap, pairs[("P", ppid)].pts, pairs[("T", tpid)].pts)
+    cell0 = inst.path.cells[0]
+    _map_refs(pmap, _anchor_refs(inst.families["P"].tiles[cell0]),
+              _anchor_refs(inst.families["T"].tiles[cell0]))
 
     for rec in inst.trace:
         if rec.family != "P" or rec.kind == "initial":
@@ -81,9 +78,8 @@ def _propagate(inst: ReductionInstance, rho: Sequence[bool],
                     (images[0], images[1]) != t1.inputs:
                 raise ReductionError(
                     "swap commitments do not meet a text flip duo")
-            if want_points:
-                _map_refs(pmap, rec.slots["a1"], t1.slots["a1"])
-                _map_refs(pmap, rec.slots["a2"], t1.slots["a2"])
+            _map_refs(pmap, rec.slots["a1"], t1.slots["a1"])
+            _map_refs(pmap, rec.slots["a2"], t1.slots["a2"])
             imap[rec.outputs[0]] = t1.outputs[0]
             imap[rec.outputs[1]] = t1.outputs[1]
             continue
@@ -96,8 +92,7 @@ def _propagate(inst: ReductionInstance, rho: Sequence[bool],
         if (rec.kind, trec.kind) in (("copy", "copy"), ("bucket", "bucket"),
                                      ("flippat", "flippat"),
                                      ("follow", "merge"), ("pick", "pick")):
-            if want_points:
-                _map_refs(pmap, rec.slots["pts"], trec.slots["pts"])
+            _map_refs(pmap, rec.slots["pts"], trec.slots["pts"])
             imap[rec.outputs[0]] = trec.outputs[0]
             continue
 
@@ -117,23 +112,20 @@ def _propagate(inst: ReductionInstance, rho: Sequence[bool],
             else:
                 raise ReductionError("pick meets a choose without a rule")
             slot = "b1" if beta == 0 else "b2"
-            if want_points:
-                _map_refs(pmap, rec.slots["pts"], trec.slots[slot])
+            _map_refs(pmap, rec.slots["pts"], trec.slots[slot])
             imap[rec.outputs[0]] = trec.outputs[beta]
             continue
 
         if rec.kind == "flippat" and trec.kind == "fliptext":
             side = 0 if img == trec.inputs[0] else 1
             key = "a1" if side == 0 else "a2"
-            if want_points:
-                _map_refs(pmap, rec.slots["pts"], trec.slots[key])
+            _map_refs(pmap, rec.slots["pts"], trec.slots[key])
             imap[rec.outputs[0]] = trec.outputs[side]
             continue
 
         if rec.kind == "multiply" and trec.kind == "multiply":
-            if want_points:
-                _map_refs(pmap, rec.slots["b1"], trec.slots["b1"])
-                _map_refs(pmap, rec.slots["b2"], trec.slots["b2"])
+            _map_refs(pmap, rec.slots["b1"], trec.slots["b1"])
+            _map_refs(pmap, rec.slots["b2"], trec.slots["b2"])
             imap[rec.outputs[0]] = trec.outputs[0]
             imap[rec.outputs[1]] = trec.outputs[1]
             continue
@@ -141,7 +133,7 @@ def _propagate(inst: ReductionInstance, rho: Sequence[bool],
         raise ReductionError(
             f"pattern {rec.kind} gadget cannot map onto text {trec.kind}")
 
-    return imap, pmap
+    return pmap
 
 
 # --- decision and witness ----------------------------------------------------
@@ -193,7 +185,7 @@ def embedding_from_assignment(inst: ReductionInstance,
         raise ReductionError("assignment does not satisfy the formula")
     b_choices = {c: (0 if _literal_true(cl[0], rho) else 1)
                  for c, cl in enumerate(inst.formula.clauses)}
-    _, pmap = _propagate(inst, rho, b_choices, want_points=True)
+    pmap = _propagate(inst, rho, b_choices)
     if len(pmap) != inst.sizes["pattern"]:
         raise ReductionError(
             f"propagation covered {len(pmap)} of "
@@ -252,51 +244,3 @@ def validate_instance(inst: ReductionInstance) -> Dict[str, object]:
             len(inst.text) != inst.sizes["text"]:
         violations.append("recorded sizes disagree with the permutations")
     return {"ok": not violations, "violations": violations}
-
-
-# --- exhaustive grid-preserving embedding search ------------------------------
-
-
-def _cell_at(pos1: int, val: int, g) -> Tuple[int, int]:
-    i = bisect.bisect_right(g.col_cuts, pos1)
-    j = bisect.bisect_right(g.row_cuts, val)
-    return (i, j)
-
-
-def enumerate_grid_embeddings(pattern, g_p, text, g_t,
-                              pin: Optional[Dict[int, int]] = None,
-                              cap: Optional[int] = None
-                              ) -> List[Tuple[int, ...]]:
-    """All grid-preserving embeddings of ``pattern`` into ``text``.
-
-    An embedding is a strictly increasing map of 0-based positions that
-    is order-isomorphic on values and keeps every point inside the cell
-    the griddings assign it.  Backtracking; intended for small inputs.
-    ``pin`` forces selected pattern positions to given text positions,
-    ``cap`` stops the search after that many embeddings.
-    """
-    k, n = len(pattern), len(text)
-    pcell = [_cell_at(i + 1, pattern[i], g_p) for i in range(k)]
-    tcell = [_cell_at(q + 1, text[q], g_t) for q in range(n)]
-    out: List[Tuple[int, ...]] = []
-    cur = [-1] * k
-
-    def rec(i: int, last: int) -> None:
-        if cap is not None and len(out) >= cap:
-            return
-        if i == k:
-            out.append(tuple(cur))
-            return
-        forced = pin.get(i) if pin else None
-        for q in range(last + 1, n - (k - i) + 1):
-            if forced is not None and q != forced:
-                continue
-            if tcell[q] != pcell[i]:
-                continue
-            if all((pattern[j] < pattern[i]) == (text[cur[j]] < text[q])
-                   for j in range(i)):
-                cur[i] = q
-                rec(i + 1, q)
-
-    rec(0, -1)
-    return out

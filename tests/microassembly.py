@@ -7,7 +7,7 @@ exhaustively.
 """
 
 from gridppm.entries import FIBP, INC
-from gridppm.grid import Tile, TileFamily, assemble, staircase
+from gridppm.grid import Tile, TileFamily, assemble, cell_positions, staircase
 from gridppm.reduction.builder import Formula3CNF, _Builder, make_path_spec
 
 
@@ -53,3 +53,19 @@ def chain_positions(b, prov, fam, kind, slot=None):
             out.append(tuple(sorted(prov[(b.path.cells[t], i)] - 1
                                     for (t, i) in refs)))
     return out
+
+
+def cell_of(p, g):
+    """The cell of each 0-based position of p under the gridding g."""
+    out = [None] * len(p)
+    for cell, qs in cell_positions(p, g).items():
+        for q in qs:
+            out[q] = cell
+    return out
+
+
+def grid_allowed(p, gp, t, gt):
+    """For each pattern position, the text positions in its cell: the
+    allowed lists that make ``perm.embeddings`` grid-preserving."""
+    tcells = cell_positions(t, gt)
+    return [tcells.get(cell, []) for cell in cell_of(p, gp)]

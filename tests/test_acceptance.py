@@ -20,17 +20,16 @@ from gridppm.entries import DEC, INC, av
 from gridppm.grid import (build_rich_path, cell_graph, classify,
                           find_gridding, sample_member, staircase)
 from gridppm.matcher import psi_embedding, solve_cppm
-from gridppm.perm import contains, is_order_isomorphic, perm
+from gridppm.perm import contains, embeddings, is_order_isomorphic, perm
 from gridppm.reduction import (PathTooShort, default_matrix,
-                               embedding_from_assignment,
-                               enumerate_grid_embeddings, make_path_spec,
+                               embedding_from_assignment, make_path_spec,
                                normalize_3cnf, plan_layers, reduce_formula,
                                rich_path_matrix, simulate_grid_preserving,
                                validate_instance)
-from gridppm.reduction.checks import _cell_at
 from gridppm.sat import CNFFormula, solve_sat
 
-from microassembly import chain_positions, finish_micro, micro, pair_positions
+from microassembly import (cell_of, chain_positions, finish_micro,
+                           grid_allowed, micro, pair_positions)
 from test_matcher import (BATTERY, brute_psi, mat, random_partition,
                           random_perm)
 
@@ -108,8 +107,10 @@ def test_copy_gadget_forces_the_image_pair():
     for ch in range(2):
         t_in = pair_positions(b, tp, "T", srcs["T"][ch])
         t_out = pair_positions(b, tp, "T", b.live["T"][ch])
-        embs = enumerate_grid_embeddings(p, gp, t, gt,
-                                         pin=dict(zip(p_in, t_in)))
+        allowed = grid_allowed(p, gp, t, gt)
+        for i, q in zip(p_in, t_in):
+            allowed[i] = [q] if q in allowed[i] else []
+        embs = list(embeddings(t, p, allowed))
         assert len(embs) == 1
         assert tuple(sorted(embs[0][i] for i in p_out)) == t_out
 
@@ -120,7 +121,7 @@ def test_choose_and_pick_admit_exactly_two_embeddings():
     out = finish_micro(b)
     assert _sizes_ok(out)
     (p, pp, gp), (t, tp, gt) = out["P"], out["T"]
-    embs = enumerate_grid_embeddings(p, gp, t, gt)
+    embs = list(embeddings(t, p, grid_allowed(p, gp, t, gt)))
     assert len(embs) == 2
     rec = next(r for r in b.trace if r.kind == "choose")
     branches = {
@@ -137,7 +138,8 @@ def test_multiply_gadget_maps_branches_index_wise():
     out = finish_micro(b)
     assert _sizes_ok(out)
     (p, _, gp), (t, _, gt) = out["P"], out["T"]
-    assert enumerate_grid_embeddings(p, gp, t, gt) == [tuple(range(len(p)))]
+    embs = list(embeddings(t, p, grid_allowed(p, gp, t, gt)))
+    assert embs == [tuple(range(len(p)))]
 
 
 def test_merge_and_follow_funnel_both_branches():
@@ -152,10 +154,12 @@ def test_merge_and_follow_funnel_both_branches():
     out = finish_micro(b)
     assert _sizes_ok(out)
     (p, pp, gp), (t, tp, gt) = out["P"], out["T"]
-    embs = enumerate_grid_embeddings(p, gp, t, gt)
+    embs = list(embeddings(t, p, grid_allowed(p, gp, t, gt)))
     assert embs
     merged = pair_positions(b, tp, "T", b.live["T"][0])
     followed = pair_positions(b, pp, "P", b.live["P"][0])
+    # the merge output holds the tile's only descent: every embedding
+    # funnels the pattern's follow pair onto it
     assert all(tuple(sorted(e[i] for i in followed)) == merged
                for e in embs)
 
@@ -166,7 +170,7 @@ def test_flip_gadget_forces_aligned_duo():
     out = finish_micro(b)
     assert _sizes_ok(out)
     (p, _, gp), (t, _, gt) = out["P"], out["T"]
-    assert len(enumerate_grid_embeddings(p, gp, t, gt)) == 1
+    assert len(list(embeddings(t, p, grid_allowed(p, gp, t, gt)))) == 1
 
 
 def test_flip_gadget_rejects_crossed_pair():
@@ -175,7 +179,7 @@ def test_flip_gadget_rejects_crossed_pair():
     out = finish_micro(b)
     assert _sizes_ok(out)
     (p, _, gp), (t, _, gt) = out["P"], out["T"]
-    assert enumerate_grid_embeddings(p, gp, t, gt) == []
+    assert list(embeddings(t, p, grid_allowed(p, gp, t, gt))) == []
 
 
 def test_flip_gadget_preserves_branch_identity():
@@ -184,12 +188,13 @@ def test_flip_gadget_preserves_branch_identity():
     out = finish_micro(b)
     assert _sizes_ok(out)
     (p, pp, gp), (t, tp, gt) = out["P"], out["T"]
-    embs = enumerate_grid_embeddings(p, gp, t, gt)
+    embs = list(embeddings(t, p, grid_allowed(p, gp, t, gt)))
     assert embs
     pchain = chain_positions(b, pp, "P", "flippat")[0]
     sides = {chain_positions(b, tp, "T", "fliptext", s)[0]
              for s in ("a1", "a2")}
     images = {tuple(sorted(e[i] for i in pchain)) for e in embs}
+    # the whole chain commits to one text chain, and both are reachable
     assert images == sides
 
 
@@ -248,10 +253,10 @@ def _check_pipeline(f, mode):
     if found:
         emb = embedding_from_assignment(inst, rho)
         assert len(emb) == inst.sizes["pattern"]
-        gp, gt = inst.griddings["P"], inst.griddings["T"]
-        for ppos, tpos in enumerate(emb):
-            assert (_cell_at(ppos + 1, inst.pattern[ppos], gp)
-                    == _cell_at(tpos + 1, inst.text[tpos], gt))
+        pcell = cell_of(inst.pattern, inst.griddings["P"])
+        tcell = cell_of(inst.text, inst.griddings["T"])
+        assert all(pcell[ppos] == tcell[tpos]
+                   for ppos, tpos in enumerate(emb))
 
 
 def test_pipeline_agrees_with_sat_oracle():

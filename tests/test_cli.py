@@ -115,6 +115,14 @@ MALFORMED_MATRICES = [
     '{"cols":1,"rows":1}',
 ]
 
+# well-formed matrices the construction cannot use: one cell, a cycle,
+# and a path too short for the formula
+UNUSABLE_MATRICES = [
+    '{"cols":1,"rows":1,"entries":[["fib+"]]}',
+    '{"cols":2,"rows":2,"entries":[["dec","inc"],["fib+","dec"]]}',
+    '{"cols":2,"rows":1,"entries":[["inc","fib+"]]}',
+]
+
 
 def test_usage_errors_exit_one(files, capsys):
     assert run(["match", "--pattern", "x"]) == 1
@@ -135,6 +143,11 @@ def test_usage_errors_exit_one(files, capsys):
             assert run(argv) == 1, (argv[0], text)
             err = capsys.readouterr().err
             assert err.startswith(f"gridppm: {m}: ") and err.count("\n") == 1
+    for k, text in enumerate(UNUSABLE_MATRICES):
+        m = files(f"u{k}.json", text)
+        assert run(["reduce", "--cnf", cnf, "--matrix", m]) == 1, text
+        err = capsys.readouterr().err
+        assert err.startswith(f"gridppm: {m}: ") and err.count("\n") == 1
     # a clause the construction cannot take is a usage error, not a
     # validation failure
     for k, text in enumerate(["p cnf 1 1\n0\n", "p cnf 4 1\n1 2 3 4 0\n"]):
@@ -214,7 +227,7 @@ def test_malformed_instance_json_exits_one(command, files, tmp_path, capsys):
         {"mode": "sideways"},
         {"bucket_entry": 5})]
     bad_matrices = [json.dumps(dict(json.loads(good), matrix=json.loads(t)))
-                    for t in MALFORMED_MATRICES]
+                    for t in MALFORMED_MATRICES + UNUSABLE_MATRICES]
     for broken in [good[: len(good) // 2], json.dumps(no_formula),
                    json.dumps(bad_clauses)] + bad_matrices + [
                        json.dumps(b) for b in bad_fields]:

@@ -5,13 +5,14 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridppm.coords import EPS, ExactCoord, coord, pt
 from gridppm.perm import (EMPTY, DuplicateCoordinate, IndexOutOfRange,
                           Permutation, SymmetryOp, all_symmetries,
                           apply_symmetry, avoids, contains, direct_sum,
+                          embeddings,
                           format_perm, inflate, is_fibonacci,
                           is_order_isomorphic, parse_perm, perm, skew_sum,
                           standardize)
@@ -179,6 +180,34 @@ def test_contains_agrees_with_brute_force(n, k):
             assert (got is None) == (want is None)
             if got is not None:
                 assert got == want  # both lexicographically least
+
+
+def _subsets(n):
+    """Ascending lists of positions in range(n), the empty one included."""
+    return st.lists(st.booleans(), min_size=n, max_size=n).map(
+        lambda bits: [q for q, b in enumerate(bits) if b])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 8).flatmap(lambda n: st.integers(0, 4).flatmap(
+    lambda k: st.tuples(st.permutations(range(1, n + 1)),
+                        st.permutations(range(1, k + 1)),
+                        st.none() | st.lists(_subsets(n), min_size=k,
+                                             max_size=k)))))
+@example(((2, 1), (), None))
+@example(((2, 1), (), []))
+@example(((1,), (1, 2), None))
+@example(((1,), (2, 1), [[0], [0]]))
+@example(((3, 1, 2), (1, 2), [[], [0, 1, 2]]))
+def test_embeddings_agree_with_brute_force(case):
+    """Every embedding, in lexicographic order, against an enumeration of
+    all position subsets; allowed lists restrict each point's image."""
+    t, p, allowed = case
+    text, pattern = Permutation(tuple(t)), Permutation(tuple(p))
+    want = [c for c in itertools.combinations(range(len(text)), len(pattern))
+            if is_order_isomorphic(text, pattern, c) and
+            (allowed is None or all(q in a for q, a in zip(c, allowed)))]
+    assert list(embeddings(text, pattern, allowed)) == want
 
 
 def test_avoids():

@@ -1,4 +1,4 @@
-"""The formula-to-instance builder, its gadget lemmas and verifiers."""
+"""The formula-to-instance builder and its verifiers."""
 
 import ast
 import itertools
@@ -18,15 +18,11 @@ from gridppm.reduction import (ClauseTooWide, EmptyClause, Formula3CNF,
                                ReductionError,
                                NotAPath, PathTooShort, UnusableMatrix,
                                bucket_rehearsal, default_matrix,
-                               embedding_from_assignment,
-                               enumerate_grid_embeddings, make_path_spec,
+                               embedding_from_assignment, make_path_spec,
                                normalize_3cnf, plan_layers,
                                read_instance_summary, rebuild_instance,
                                reduce_formula, simulate_grid_preserving,
                                validate_instance, write_instance)
-
-from microassembly import (chain_positions, finish_micro, micro,
-                           pair_positions)
 
 
 def truth_table_sat(f):
@@ -119,103 +115,6 @@ def test_short_path_reports_requirement():
     assert inst.d_used <= exc.value.required_d
 
 
-# --- gadget micro-lemmas ------------------------------------------------------
-
-
-def test_copy_forces_the_image_pair():
-    b = micro({"P": [(1, 2)], "T": [(1, 2), (3, 4)]})
-    srcs = {fam: list(b.live[fam]) for fam in "PT"}
-    b._advance_to(1)
-    out = finish_micro(b)
-    (p, pp, gp), (t, tp, gt) = out["P"], out["T"]
-    p_in = pair_positions(b, pp, "P", srcs["P"][0])
-    p_out = pair_positions(b, pp, "P", b.live["P"][0])
-    for ch in range(2):
-        t_in = pair_positions(b, tp, "T", srcs["T"][ch])
-        t_out = pair_positions(b, tp, "T", b.live["T"][ch])
-        embs = enumerate_grid_embeddings(p, gp, t, gt,
-                                         pin=dict(zip(p_in, t_in)))
-        assert len(embs) == 1
-        assert tuple(sorted(embs[0][i] for i in p_out)) == t_out
-
-
-def test_choose_pick_admits_exactly_two_embeddings():
-    b = micro({"P": [(1, 2)], "T": [(1, 2)]})
-    b._dsimple(lambda fam, pos, pid: "pick" if fam == "P" else "choose")
-    out = finish_micro(b)
-    (p, pp, gp), (t, tp, gt) = out["P"], out["T"]
-    embs = enumerate_grid_embeddings(p, gp, t, gt)
-    assert len(embs) == 2
-    rec = next(r for r in b.trace if r.kind == "choose")
-    branches = {
-        tuple(sorted(tp[(b.path.cells[tt], i)] - 1
-                     for (tt, i) in rec.slots[s]))
-        for s in ("b1", "b2")}
-    picked = pair_positions(b, pp, "P", b.live["P"][0])
-    assert {tuple(sorted(e[i] for i in picked)) for e in embs} == branches
-
-
-def test_multiply_maps_branches_index_wise():
-    b = micro({"P": [(1, 2)], "T": [(1, 2)]})
-    b._mono(lambda fam, pos: True)
-    out = finish_micro(b)
-    (p, _, gp), (t, _, gt) = out["P"], out["T"]
-    embs = enumerate_grid_embeddings(p, gp, t, gt)
-    assert embs == [tuple(range(len(p)))]
-
-
-def test_merge_funnels_both_branches():
-    b = micro({"P": [(1, 2), (5, 6)], "T": [(1, 2), (3, 4), (5, 6)]})
-
-    def kind_of(fam, pos, pid):
-        if fam == "T":
-            return ("merge", 1) if pos == 0 else "copy"
-        return "follow" if pos == 0 else "copy"
-
-    b._dsimple(kind_of)
-    out = finish_micro(b)
-    (p, pp, gp), (t, tp, gt) = out["P"], out["T"]
-    embs = enumerate_grid_embeddings(p, gp, t, gt)
-    assert embs
-    merged = pair_positions(b, tp, "T", b.live["T"][0])
-    followed = pair_positions(b, pp, "P", b.live["P"][0])
-    # the merge output holds the tile's only descent: every embedding
-    # funnels the pattern's follow pair onto it
-    assert all(tuple(sorted(e[i] for i in followed)) == merged
-               for e in embs)
-
-
-def test_flip_aligned_duo_is_forced():
-    b = micro({"P": [(1, 2), (3, 4)], "T": [(1, 2), (3, 4)]})
-    b._flip([0], [0])
-    out = finish_micro(b)
-    (p, _, gp), (t, _, gt) = out["P"], out["T"]
-    assert len(enumerate_grid_embeddings(p, gp, t, gt)) == 1
-
-
-def test_flip_crossed_pair_is_infeasible():
-    b = micro({"P": [(1, 2), (3, 4)], "T": [(1, 2), (3, 4)]})
-    b._flip([], [0])   # pattern commits to a flip the text never performs
-    out = finish_micro(b)
-    (p, _, gp), (t, _, gt) = out["P"], out["T"]
-    assert enumerate_grid_embeddings(p, gp, t, gt) == []
-
-
-def test_flip_preserves_branch_identity():
-    b = micro({"P": [(1, 2)], "T": [(1, 2), (3, 4)]})
-    b._flip([0], [])
-    out = finish_micro(b)
-    (p, pp, gp), (t, tp, gt) = out["P"], out["T"]
-    embs = enumerate_grid_embeddings(p, gp, t, gt)
-    assert embs
-    pchain = chain_positions(b, pp, "P", "flippat")[0]
-    sides = {chain_positions(b, tp, "T", "fliptext", s)[0]
-             for s in ("a1", "a2")}
-    images = {tuple(sorted(e[i] for i in pchain)) for e in embs}
-    # the whole chain commits to one text chain, and both are reachable
-    assert images == sides
-
-
 # --- structural invariants ----------------------------------------------------
 
 
@@ -257,6 +156,23 @@ def test_reduction_invariants_survive_optimized_mode():
         tree = ast.parse(path.read_text(), filename=str(path))
         lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
         assert lines == [], (path.name, lines)
+
+
+def test_no_function_calls_itself():
+    """No search recurses to a depth the input sets: no function in the
+    package calls itself by name.  ``solve_sat``'s DPLL ``search`` is
+    the one exception left."""
+    pkg = pathlib.Path(gridppm.__file__).parent
+    found = []
+    for path in sorted(pkg.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef) and any(
+                    isinstance(c, ast.Call) and
+                    ast.unparse(c.func) in (fn.name, "self." + fn.name)
+                    for c in ast.walk(fn)):
+                found.append((path.name, fn.name))
+    assert found == [("sat.py", "search")]
 
 
 @pytest.mark.parametrize("mode", ["gadgets", "juxtaposition"])
