@@ -24,6 +24,24 @@ from gridppm.reduction import (ClauseTooWide, EmptyClause, Formula3CNF,
                                reduce_formula, simulate_grid_preserving,
                                validate_instance, write_instance)
 
+# The gadget micro-lemmas live in test_acceptance.py, which also checks
+# each assembly's size; they are collected here too under their own names.
+from test_acceptance import (
+    test_choose_and_pick_admit_exactly_two_embeddings
+    as test_choose_pick_admits_exactly_two_embeddings,
+    test_copy_gadget_forces_the_image_pair
+    as test_copy_forces_the_image_pair,
+    test_flip_gadget_forces_aligned_duo
+    as test_flip_aligned_duo_is_forced,
+    test_flip_gadget_preserves_branch_identity
+    as test_flip_preserves_branch_identity,
+    test_flip_gadget_rejects_crossed_pair
+    as test_flip_crossed_pair_is_infeasible,
+    test_merge_and_follow_funnel_both_branches
+    as test_merge_funnels_both_branches,
+    test_multiply_gadget_maps_branches_index_wise
+    as test_multiply_maps_branches_index_wise)
+
 
 def truth_table_sat(f):
     for bits in itertools.product([False, True], repeat=f.nvars):
