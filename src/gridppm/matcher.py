@@ -2,12 +2,14 @@
 
 The (Pi, Sigma)-embedding decision works on threshold literals
 z[p, j] <=> "the image index of pattern point p within its target part
-is at least j".  For every ordered pair of pattern points, the x- and
-y-relations on their image indices are monotone staircases, so each
-contributes O(n) binary implications; the whole system is then solved
-as 2-SAT by strongly-connected-component analysis.  Every witness is
-re-validated pointwise, so solver soundness never rests on the encoding
-argument alone.
+is at least j".  Order is transitive, so only neighbouring pairs are
+constrained: pattern positions p and p+1 in x, and neighbours in
+pattern-value order in y.  Each such relation on image indices is a
+monotone staircase of O(n) binary implications, so k pattern points
+give O(kn) clauses; the whole system is then solved as 2-SAT by
+strongly-connected-component analysis.  Every witness is re-validated
+pointwise, so solver soundness never rests on the encoding argument
+alone.
 """
 
 from __future__ import annotations
@@ -246,9 +248,9 @@ def psi_embedding(pattern: Permutation, pi: MonotonePartition,
 
     def staircase(ip: int, iq: int, kind: str) -> Tuple[bool, List[int], bool]:
         """The relation between image index a in text part ip and b in
-        text part iq: 'x' is "a left of b", 'up' is "a below b" and
-        'down' is "a not below b".  For every a the allowed b are a
-        suffix or a prefix of part iq, counted by bisection.
+        text part iq: 'x' is "a left of b" and 'up' is "a below b".  For
+        every a the allowed b are a suffix or a prefix of part iq,
+        counted by bisection.
 
         Returns (suffix, thr, nondec): thr[a] is the least allowed b of
         a suffix (len(iq) if none) or the greatest of a prefix (-1 if
@@ -265,13 +267,10 @@ def psi_embedding(pattern: Permutation, pi: MonotonePartition,
             counts = [nb - bisect.bisect_right(tpos[iq], x) for x in tpos[ip]]
             suffix = True
         else:
-            up = kind == "up"
-
             def rel(a: int, b: int) -> bool:
-                return (tval[ip][a] < tval[iq][b]) == up
-            above = [nb - bisect.bisect_right(tasc[iq], v) for v in tval[ip]]
-            counts = above if up else [nb - c for c in above]
-            suffix = up == rising[iq] or all(c in (0, nb) for c in counts)
+                return tval[ip][a] < tval[iq][b]
+            counts = [nb - bisect.bisect_right(tasc[iq], v) for v in tval[ip]]
+            suffix = rising[iq] or all(c in (0, nb) for c in counts)
         # the relation holds exactly on each row's interval [lo, hi) of
         # allowed b: checked at both ends and just outside them
         for a, c in enumerate(counts):
@@ -299,14 +298,15 @@ def psi_embedding(pattern: Permutation, pi: MonotonePartition,
                else [neg(zq[t + 1]) for t in thr])
         return all(imply(a, b) for a, b in zip(lhs, rhs))
 
-    for p in range(k):
-        ip = part_of[p]
-        for q in range(p + 1, k):
-            iq = part_of[q]
-            y = "up" if pattern[p] < pattern[q] else "down"
-            if not (encode(p, q, staircase(ip, iq, "x"))
-                    and encode(p, q, staircase(ip, iq, y))):
-                return None
+    # x between positions p and p+1; y between neighbours in value
+    # order, the lower-valued point's part giving the rows
+    by_value = sorted(range(k), key=pattern.__getitem__)
+    for p, q in zip(range(k), range(1, k)):
+        if not encode(p, q, staircase(part_of[p], part_of[q], "x")):
+            return None
+    for p, q in zip(by_value, by_value[1:]):
+        if not encode(p, q, staircase(part_of[p], part_of[q], "up")):
+            return None
 
     if stats is not None:
         stats["clauses"] = ts.clauses
