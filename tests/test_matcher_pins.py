@@ -31,33 +31,33 @@ from test_matcher import BATTERY, random_partition, random_perm
 SOLVE_PINS = {
     0: [((6,), 1, 1, (1, 6, 9), (1, 9), ((1, 1, 2), (1, 2))),
         ((5,), 1, 4, (1, 5, 11), (1, 11), ((1, 1, 2), (1, 2))),
-        ((1, 2, 3, 4), 1, 35, (1, 4, 9), (1, 9), ((1, 3, 5), (1, 5))),
-        ((1, 3, 5), 1, 18, (1, 3, 8), (1, 8), ((1, 2, 4), (1, 4))),
-        ((0, 2, 4, 6, 8), 1, 73, (1, 4, 10), (1, 10), ((1, 3, 6), (1, 6))),
+        ((1, 2, 3, 4), 1, 27, (1, 4, 9), (1, 9), ((1, 3, 5), (1, 5))),
+        ((1, 3, 5), 1, 17, (1, 3, 8), (1, 8), ((1, 2, 4), (1, 4))),
+        ((0, 2, 4, 6, 8), 1, 41, (1, 4, 10), (1, 10), ((1, 3, 6), (1, 6))),
         ((5, 6), 1, 4, (1, 6, 8), (1, 8), ((1, 1, 3), (1, 3)))],
-    1: [(None, 2, 136, (1, 9), (1, 5, 9), None),
+    1: [(None, 2, 74, (1, 9), (1, 5, 9), None),
         (None, 2, 0, (1, 3), (1, 2, 3), None),
         (None, 2, 0, (1, 3), (1, 1, 3), None),
         (None, 2, 0, (1, 3), (1, 2, 3), None),
-        ((0, 1, 3), 1, 21, (1, 6), (1, 3, 6), ((1, 4), (1, 1, 4))),
-        ((0, 2, 3), 1, 21, (1, 5), (1, 2, 5), ((1, 4), (1, 1, 4)))],
-    2: [(None, 7, 992, (1, 11, 20), (1, 10, 20), None),
+        ((0, 1, 3), 1, 15, (1, 6), (1, 3, 6), ((1, 4), (1, 1, 4))),
+        ((0, 2, 3), 1, 15, (1, 5), (1, 2, 5), ((1, 4), (1, 1, 4)))],
+    2: [(None, 7, 499, (1, 11, 20), (1, 10, 20), None),
         (None, 7, 0, (1, 7, 15), (1, 4, 15), None),
-        (None, 10, 168, (1, 7, 13), (1, 5, 13), None),
-        (None, 4, 383, (1, 8, 16), (1, 9, 16), None),
+        (None, 10, 114, (1, 7, 13), (1, 5, 13), None),
+        (None, 4, 180, (1, 8, 16), (1, 9, 16), None),
         ((5, 12), 1, 10, (1, 4, 14), (1, 7, 14), ((1, 1, 3), (1, 2, 3))),
         (None, 7, 0, (1, 5, 11), (1, 3, 11), None)],
     3: [(None, 8, 0, (1, 3, 7), (1, 4, 7), None),
-        ((1, 2, 3, 5, 6), 3, 9, (1, 5, 9), (1, 6, 9), ((1, 4, 6), (1, 4, 6))),
+        ((1, 2, 3, 5, 6), 3, 10, (1, 5, 9), (1, 6, 9), ((1, 4, 6), (1, 4, 6))),
         ((0, 6, 8, 9), 1, 13, (1, 9, 12), (1, 6, 12), ((1, 3, 5), (1, 3, 5))),
         (None, 9, 0, (1, 4, 12), (1, 3, 12), None),
-        ((0, 1, 4, 6, 7, 9), 1, 62, (1, 6, 16), (1, 8, 16),
+        ((0, 1, 4, 6, 7, 9), 1, 40, (1, 6, 16), (1, 8, 16),
          ((1, 4, 7), (1, 2, 7))),
-        ((0, 1, 2, 5), 6, 51, (1, 6, 11), (1, 6, 11), ((1, 4, 5), (1, 5, 5)))],
+        ((0, 1, 2, 5), 6, 33, (1, 6, 11), (1, 6, 11), ((1, 4, 5), (1, 5, 5)))],
     4: [(None, 1, 0, (1, 5, 14), (1, 6, 14), None),
-        (None, 3, 80, (1, 6, 11), (1, 5, 11), None),
+        (None, 3, 48, (1, 6, 11), (1, 5, 11), None),
         ((3, 6), 1, 12, (1, 3, 10), (1, 5, 10), ((1, 1, 3), (1, 1, 3))),
-        ((2, 6, 7, 9), 3, 10, (1, 6, 11), (1, 5, 11), ((1, 2, 5), (1, 3, 5))),
+        ((2, 6, 7, 9), 3, 8, (1, 6, 11), (1, 5, 11), ((1, 2, 5), (1, 3, 5))),
         (None, 5, 0, (1, 9, 12), (1, 8, 12), None),
         (None, 3, 0, (1, 6, 11), (1, 7, 11), None)],
 }
@@ -65,11 +65,11 @@ SOLVE_PINS = {
 
 # sha256 of the repr of the list of (a, b) implications, in order
 CLAUSE_SEQUENCE_PINS = {
-    0: "aec8e26cce6f45d5e817fbd34e9c04f8f03f5bb316b0fc8d5af08b48a692b31d",
-    1: "01739896d5b35ddf5d519d4555c61f992d6c8d6aae946994a84f6ace4ed32e9f",
-    2: "bc2e7a445fa7136075f86178d0b003b82a08d00972e25ce92e5a8f7e230635a6",
-    3: "fb900ce42746044412fca51ef82c8093bb80339904186a3f54535eda7ffc0fe0",
-    4: "16b694f8422da3df81e122339fc921414c22d61585bb3befdf2cc53764564292",
+    0: "f154e812484fe89ed2cea2191b03512035831b375190413739e2f7496d9f80a9",
+    1: "1438fbb206c8b0caf5e40e89e7292d8288e79b44c082a69fc0ff25d111c49f71",
+    2: "7cb9b13d2f8a17f9ec7afb263d9b003af25646f4ed01ffe2a65b32368deb3f23",
+    3: "fca68ff7b1716eb0e6723ee9f19588bf2de394e5e593c90e59e9777520594ca7",
+    4: "dfb55501aca2a97a291531db4f30195e0646766e23d357078eefafdd297cb591",
 }
 
 
@@ -118,23 +118,23 @@ PSI_PINS = {
     "single_point_vs_run": (
         perm(3, 1, 2, 4), MP(((0,), (1, 2, 3)), ("inc", "inc")),
         perm(2, 1, 3), MP(((0,), (1, 2)), ("inc", "inc")), (0, 2, 3),
-        {"clauses": 10}),
+        {"clauses": 7}),
     "same_part_inc": (
         perm(1, 2, 3, 4, 5), MP(((0, 1, 2, 3, 4),), ("inc",)),
         perm(1, 2, 3), MP(((0, 1, 2),), ("inc",)), (1, 3, 4),
-        {"clauses": 39}),
+        {"clauses": 29}),
     "same_part_dec": (
         perm(5, 4, 3, 2, 1), MP(((0, 1, 2, 3, 4),), ("dec",)),
-        perm(2, 1), MP(((0, 1),), ("dec",)), (1, 4), {"clauses": 15}),
+        perm(2, 1), MP(((0, 1),), ("dec",)), (1, 4), {"clauses": 16}),
     "interleaved": (
         perm(1, 4, 2, 5, 3, 6), MP(((0, 2, 4), (1, 3, 5)), ("inc", "inc")),
         perm(1, 3, 2, 4), MP(((0, 2), (1, 3)), ("inc", "inc")),
-        (2, 3, 4, 5), {"clauses": 25}),
+        (2, 3, 4, 5), {"clauses": 17}),
     "dec_against_inc": (
         perm(7, 5, 2, 3, 4, 1, 6), MP(((0, 1, 3, 5), (2, 4, 6)),
                                       ("dec", "inc")),
         perm(3, 2, 1, 4), MP(((0, 1), (2, 3)), ("dec", "inc")), None,
-        {"clauses": 39}),
+        {"clauses": 25}),
 }
 
 
@@ -150,10 +150,10 @@ def test_psi_embedding_degenerate_staircases(name):
 # encoding refutes the pair before the solve
 RANDOM_PSI_PINS = [
     (False, None), (False, 8), (False, None), (False, None), (False, None),
-    (False, None), (False, 46), (False, None), (False, None), (False, None),
-    (False, 83), (False, 3), (False, None), (False, None), (False, None),
-    (False, 4), (False, 7), (True, 0), (True, 7), (True, 4), (False, None),
-    (False, 33), (False, None), (False, None), (False, None), (False, 16),
+    (False, None), (False, 22), (False, None), (False, None), (False, None),
+    (False, 35), (False, 4), (False, None), (False, None), (False, None),
+    (False, 4), (False, 8), (True, 0), (True, 8), (True, 4), (False, None),
+    (False, 18), (False, None), (False, None), (False, None), (False, 13),
     (False, None), (False, None), (False, None), (True, 2),
 ]
 
