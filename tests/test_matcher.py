@@ -207,6 +207,34 @@ def test_all_griddings_complete():
     assert gs == [Gridding((1, 1, 3), (1, 3)), Gridding((1, 2, 3), (1, 3))]
 
 
+@pytest.mark.parametrize("mi, n, k", [(2, 400, 32), (0, 120, 24),
+                                      (3, 120, 24), (4, 120, 24)])
+def test_psi_clauses_are_linear_in_the_domains(mi, n, k):
+    """Only neighbouring pattern pairs are encoded, so each pattern
+    point gives the rows of at most one x and one y staircase besides
+    its domain closure: at most 3 dom(p) clauses, where dom(p) is the
+    size of p's text part.  Encoding all pairs needs about k dom(p)."""
+    m = BATTERY[mi]
+    rng = random.Random(n + mi)
+    cells = m.nonempty_cells()
+    text, _ = sample_member(m, rng, {c: n // len(cells) for c in cells})
+    vals = [text[q] for q in sorted(rng.sample(range(len(text)), k))]
+    rank = {v: r for r, v in enumerate(sorted(vals), 1)}
+    pattern = Permutation(tuple(rank[v] for v in vals))
+    sigma = extract_partition(text, find_gridding(text, m), m)
+    checked = 0
+    for g in itertools.islice(all_griddings(pattern, m), 4):
+        pi = extract_partition(pattern, g, m)
+        st = {}
+        psi_embedding(pattern, pi, text, sigma, stats=st)
+        if "clauses" in st:
+            dom = sum(len(sigma.parts[i]) * len(part)
+                      for i, part in enumerate(pi.parts))
+            assert st["clauses"] <= 3 * dom, (st["clauses"], dom)
+            checked += 1
+    assert checked
+
+
 @pytest.mark.parametrize("mi", range(len(BATTERY)))
 def test_solve_cppm_agrees_with_brute_force(mi):
     m = BATTERY[mi]
