@@ -33,7 +33,11 @@ class Permutation:
 
     def __post_init__(self) -> None:
         n = len(self.ranks)
-        if sorted(self.ranks) != list(range(1, n + 1)):
+        # n distinct ranks with none outside 1..n, checked in O(n)
+        outside = set(self.ranks)
+        distinct = len(outside) == n
+        outside.difference_update(range(1, n + 1))
+        if not distinct or outside:
             raise ValueError(f"not a permutation of 1..{n}: {self.ranks}")
 
     def __len__(self) -> int:

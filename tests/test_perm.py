@@ -45,6 +45,29 @@ def all_perms(n):
         yield Permutation(p)
 
 
+# -- construction -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("ranks", [(2, 1, 2), (0, 1, 2), (1, 2, 4),
+                                   (1, 3, 5)])
+def test_permutation_rejects_ranks_that_are_not_1_to_n(ranks):
+    # a duplicate, a 0, an n+1 and a missing rank (2)
+    with pytest.raises(ValueError, match="not a permutation of 1..3"):
+        Permutation(ranks)
+
+
+def test_permutation_check_agrees_with_sorting():
+    for n in range(5):
+        for ranks in itertools.product(range(n + 2), repeat=n):
+            ok = sorted(ranks) == list(range(1, n + 1))
+            try:
+                Permutation(ranks)
+            except ValueError:
+                assert not ok, ranks
+            else:
+                assert ok, ranks
+
+
 # -- standardize -------------------------------------------------------------
 
 
