@@ -33,12 +33,12 @@ class Permutation:
 
     def __post_init__(self) -> None:
         n = len(self.ranks)
-        # n distinct ranks with none outside 1..n, checked in O(n)
-        outside = set(self.ranks)
-        distinct = len(outside) == n
-        outside.difference_update(range(1, n + 1))
-        if not distinct or outside:
-            raise ValueError(f"not a permutation of 1..{n}: {self.ranks}")
+        # each rank in 1..n and none twice, in O(n) time and n bytes
+        seen = bytearray(n + 1)
+        for r in self.ranks:
+            if not 0 < r <= n or seen[r]:
+                raise ValueError(f"not a permutation of 1..{n}: {self.ranks}")
+            seen[r] = 1
 
     def __len__(self) -> int:
         return len(self.ranks)
