@@ -248,9 +248,11 @@ def psi_embedding(pattern: Permutation, pi: MonotonePartition,
 
     def staircase(ip: int, iq: int, kind: str) -> Tuple[bool, List[int], bool]:
         """The relation between image index a in text part ip and b in
-        text part iq: 'x' is "a left of b" and 'up' is "a below b".  For
-        every a the allowed b are a suffix or a prefix of part iq,
-        counted by bisection.
+        text part iq: 'x' is "a left of b" and 'up' is "a below b".
+        Only neighbouring pattern pairs ask for one, so ip is the part
+        of the left point of two adjacent positions ('x') or of the
+        lower of two adjacent values ('up').  For every a the allowed b
+        are a suffix or a prefix of part iq, counted by bisection.
 
         Returns (suffix, thr, nondec): thr[a] is the least allowed b of
         a suffix (len(iq) if none) or the greatest of a prefix (-1 if
