@@ -8,7 +8,7 @@ Library layout:
 - ``grid``      gridding matrices, cell graphs, orientations, assembly,
                 refinements, staircases and rich-path construction
 - ``matcher``   the polynomial C-PPM solver for monotone gridding matrices
-- ``sat``       DIMACS parsing and a small DPLL oracle
+- ``sat``       CNF formulas, DIMACS parsing and a small DPLL oracle
 - ``reduction`` the 3-SAT -> C-PPM instance generator and its verifiers
 - ``cli``       batch command-line front end
 """

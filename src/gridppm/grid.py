@@ -96,7 +96,10 @@ def matrix_from_rows_top_down(rows: Sequence[Sequence[ClassEntry]]) -> GriddingM
 def parse_matrix_json(text: str) -> GriddingMatrix:
     """The matrix {"cols": k, "rows": l, "entries": rows top to bottom}.
     Every malformed input raises ValueError."""
-    obj = json.loads(text)
+    try:
+        obj = json.loads(text)
+    except RecursionError:   # the C decoder's answer to deep nesting
+        raise ValueError("matrix JSON nests too deeply") from None
     if not (isinstance(obj, dict)
             and {"cols", "rows", "entries"} <= obj.keys()):
         raise ValueError('matrix must be an object with "cols", "rows" '

@@ -3,8 +3,8 @@ instances on proper-turning paths with recurring rich entries."""
 
 from .builder import (ReductionError, EmptyClause, ClauseTooWide,
                       PathTooShort, TooManyVariables, NotAPath,
-                      UnusableMatrix, Formula3CNF, normalize_3cnf,
-                      PathSpec, make_path_spec, ReductionInstance,
+                      UnusableMatrix, normalize_3cnf, PathSpec,
+                      make_path_spec, LayerPlan, ReductionInstance,
                       plan_layers, reduce_formula, default_matrix,
                       rich_path_matrix, bucket_rehearsal)
 from .checks import (validate_instance, simulate_grid_preserving,
@@ -14,8 +14,8 @@ from .io import write_instance, read_instance_summary, rebuild_instance
 __all__ = [
     "ReductionError", "EmptyClause", "ClauseTooWide", "PathTooShort",
     "TooManyVariables", "NotAPath", "UnusableMatrix",
-    "Formula3CNF", "normalize_3cnf", "PathSpec", "make_path_spec",
-    "ReductionInstance", "plan_layers", "reduce_formula",
+    "normalize_3cnf", "PathSpec", "make_path_spec",
+    "LayerPlan", "ReductionInstance", "plan_layers", "reduce_formula",
     "default_matrix", "rich_path_matrix", "bucket_rehearsal",
     "validate_instance", "simulate_grid_preserving",
     "embedding_from_assignment", "write_instance",

@@ -27,11 +27,12 @@ Every layer runs one code path in both of the builder's modes: it decides
 the gadgets, the output channels with their tags and lineage, freezing,
 the clause layouts and the new live order the same way.  The modes differ
 only inside the emission helpers.  ``geometry`` mode computes exact
-points, places them in their tiles and records the gadget trace;
+points, places them in their tiles and records the gadget trace, and
+``reduce_formula`` assembles them into a ``ReductionInstance``;
 ``counting`` mode creates no coordinates and no trace, bumps each tile's
 point count once per gadget or chain, and lets a plain copy or a flip
-keep its channel ids, so instance sizes and the layer schedule stay cheap
-to compute for large formulas.
+keep its channel ids, so ``plan_layers`` computes a ``LayerPlan`` (exact
+sizes and the layer schedule) cheaply even for large formulas.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from ..grid import (Gridding, GriddingMatrix, Orientation, Tile, TileFamily,
                     cell_graph, classify, matrix_from_rows_top_down,
                     path_order)
 from ..perm import Permutation, perm
+from ..sat import CNFFormula
 from . import gadgets as G
 
 Cell = Tuple[int, int]
@@ -56,8 +58,8 @@ Cell = Tuple[int, int]
 __all__ = [
     "ReductionError", "EmptyClause", "ClauseTooWide", "PathTooShort",
     "TooManyVariables", "NotAPath", "UnusableMatrix",
-    "Formula3CNF", "normalize_3cnf", "PathSpec", "make_path_spec",
-    "ReductionInstance", "plan_layers", "reduce_formula",
+    "normalize_3cnf", "PathSpec", "make_path_spec",
+    "LayerPlan", "ReductionInstance", "plan_layers", "reduce_formula",
     "default_matrix", "rich_path_matrix", "bucket_rehearsal",
 ]
 
@@ -99,21 +101,10 @@ class UnusableMatrix(ReductionError):
 # --- formulas ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Formula3CNF:
-    nvars: int
-    clauses: Tuple[Tuple[int, int, int], ...]
-
-    def evaluates(self, assignment: Sequence[bool]) -> bool:
-        for cl in self.clauses:
-            if not any((lit > 0) == assignment[abs(lit) - 1] for lit in cl):
-                return False
-        return True
-
-
-def normalize_3cnf(nvars: int, clauses: Sequence[Sequence[int]]) -> Formula3CNF:
-    """Pad narrow clauses by repeating their last literal; reject wide or
-    empty ones."""
+def normalize_3cnf(nvars: int, clauses: Sequence[Sequence[int]]) -> CNFFormula:
+    """A formula of three-literal clauses, the builder's input: pad narrow
+    clauses by repeating their last literal; reject wide or empty ones,
+    and literals out of range."""
     out = []
     for idx, cl in enumerate(clauses):
         lits = list(cl)
@@ -121,13 +112,13 @@ def normalize_3cnf(nvars: int, clauses: Sequence[Sequence[int]]) -> Formula3CNF:
             raise EmptyClause(f"clause {idx + 1} is empty")
         if len(lits) > 3:
             raise ClauseTooWide(f"clause {idx + 1} has {len(lits)} literals")
-        for lit in lits:
-            if lit == 0 or abs(lit) > nvars:
-                raise ReductionError(f"literal {lit} out of range")
         while len(lits) < 3:
             lits.append(lits[-1])
         out.append(tuple(lits))
-    return Formula3CNF(nvars, tuple(out))
+    try:
+        return CNFFormula(nvars, tuple(out))
+    except ValueError as exc:
+        raise ReductionError(str(exc)) from None
 
 
 # --- path preparation --------------------------------------------------------
@@ -207,7 +198,6 @@ class PairRec:
 class GadgetRec:
     kind: str
     family: str
-    layer: int
     inputs: Tuple[int, ...]
     outputs: Tuple[int, ...]
     slots: Dict[str, Tuple[PointRef, ...]]
@@ -215,29 +205,34 @@ class GadgetRec:
 
 
 @dataclass
-class ReductionInstance:
-    formula: Formula3CNF
-    mode: str
-    path: PathSpec
-    box_bound: Fraction
+class LayerPlan:
+    """What a counting-mode dry run of the construction yields."""
     sizes: Dict[str, int]
     layers: List[Tuple[str, int]]          # (kind, tile reached)
     d_used: int
-    counting_only: bool
-    bucket_entry: Optional[E.ClassEntry] = None
-    # geometry-mode artifacts (None in counting mode)
-    pairs: Optional[Dict[Tuple[str, int], PairRec]] = None
-    trace: Optional[List[GadgetRec]] = None
-    consumer: Optional[Dict[Tuple[str, int], GadgetRec]] = None
-    init_map: Optional[List[Tuple[int, int]]] = None
-    clause_layouts: Optional[List[Dict[str, int]]] = None
-    final_positions: Optional[Dict[int, int]] = None   # text pid -> live slot
-    tiles: Optional[Dict[str, Dict[int, List[PlanePoint]]]] = None
-    families: Optional[Dict[str, TileFamily]] = None
-    pattern: Optional[Permutation] = None
-    text: Optional[Permutation] = None
-    prov: Optional[Dict[str, Dict[Tuple[Cell, int], int]]] = None
-    griddings: Optional[Dict[str, Gridding]] = None
+
+
+@dataclass
+class ReductionInstance:
+    """A built instance: the plan's figures, the gadget trace and the
+    assembled pattern and text.  ``prov`` maps (cell, index in tile) to
+    each point's 1-based position, per family ("P"/"T")."""
+    formula: CNFFormula
+    mode: str
+    path: PathSpec
+    box_bound: Fraction
+    bucket_entry: E.ClassEntry
+    sizes: Dict[str, int]
+    layers: List[Tuple[str, int]]          # (kind, tile reached)
+    d_used: int
+    trace: List[GadgetRec]
+    clause_layouts: List[Dict[str, int]]
+    final_positions: Dict[int, int]        # text pid -> live slot
+    families: Dict[str, TileFamily]
+    pattern: Permutation
+    text: Permutation
+    prov: Dict[str, Dict[Tuple[Cell, int], int]]
+    griddings: Dict[str, Gridding]
 
 
 # --- the builder -------------------------------------------------------------
@@ -275,7 +270,7 @@ _GADGETS = {"initial": G.gadget_initial, "copy": G.gadget_copy,
 
 
 class _Builder:
-    def __init__(self, formula: Formula3CNF, path: PathSpec, mode: str,
+    def __init__(self, formula: CNFFormula, path: PathSpec, mode: str,
                  geometry: bool, bucket_entry: Optional[E.ClassEntry] = None):
         if mode not in ("gadgets", "juxtaposition"):
             raise ReductionError(f"unknown mode {mode!r}")
@@ -291,14 +286,11 @@ class _Builder:
         self.tiles = {f: {} for f in _FAMS}    # tile -> [PlanePoint]
         self.pairs: Dict[Tuple[str, int], PairRec] = {}
         self.trace: List[GadgetRec] = []
-        self.consumer: Dict[Tuple[str, int], GadgetRec] = {}
         self.live = {f: [] for f in _FAMS}     # pair ids in value order
         self.tag = {f: {} for f in _FAMS}      # pid -> tag tuple
         self.lineage = {}                      # text pid -> "Y"/"Z"/""
         self.cursor = 0
-        self.layer_no = 0
         self.layers: List[Tuple[str, int]] = []
-        self.init_map: List[Tuple[int, int]] = []
         self.clause_layouts: List[Dict[str, int]] = []
         self._next_pid = {f: 0 for f in _FAMS}
         self._dptr = 0
@@ -312,8 +304,8 @@ class _Builder:
 
     # -- emission ---------------------------------------------------------
     #
-    # Only ``_gadget``, ``_copy``, ``_flip_chains``, ``_take_d`` and
-    # ``finish`` look at the mode.  Geometry mode places exact points and
+    # Only ``_gadget``, ``_copy``, ``_flip_chains`` and ``_take_d`` look
+    # at the mode.  Geometry mode places exact points and
     # traces every gadget; counting mode only bumps the tiles' point
     # counts, once per tile.
 
@@ -347,11 +339,8 @@ class _Builder:
     def _rec(self, kind: str, fam: str, inputs: Tuple[int, ...],
              outputs: Sequence[int], slots: Dict[str, Tuple[PointRef, ...]],
              meta: Tuple = ()) -> None:
-        rec = GadgetRec(kind, fam, self.layer_no, inputs, tuple(outputs),
-                        slots, meta)
-        self.trace.append(rec)
-        for pid in inputs:
-            self.consumer[(fam, pid)] = rec
+        self.trace.append(GadgetRec(kind, fam, inputs, tuple(outputs),
+                                    slots, meta))
 
     def _gadget(self, kind: str, fam: str, t: int, inputs: Tuple[int, ...],
                 outs: Optional[Sequence[Tuple[Tuple, str]]] = None,
@@ -576,7 +565,6 @@ class _Builder:
         self.cursor = d
 
     def _mark_layer(self, kind: str) -> None:
-        self.layer_no += 1
         self.layers.append((kind, self.cursor))
 
     # -- phases ------------------------------------------------------------
@@ -592,7 +580,6 @@ class _Builder:
             self.live[fam] = [
                 self._gadget("initial", fam, 0, (), [(tg, "")], args=v)[0]
                 for tg, v in zip(tags, values)]
-        self.init_map = list(zip(self.live["P"], self.live["T"]))
         self._mark_layer("initial")
 
     def build_phase_assignment(self) -> None:
@@ -999,7 +986,9 @@ class _Builder:
 
     # -- finishing ----------------------------------------------------------
 
-    def finish(self) -> ReductionInstance:
+    def plan(self) -> LayerPlan:
+        """The layer schedule, the D entries used and the exact sizes of
+        the construction built so far."""
         text_pre = sum(self.counts["T"].values())
         pat_pre = sum(self.counts["P"].values())
         run = text_pre + 1           # length of each anchor run
@@ -1015,23 +1004,12 @@ class _Builder:
             raise ReductionError(
                 f"pattern ({sizes['pattern']} points) larger than text "
                 f"({sizes['text']})")
+        return LayerPlan(sizes, self.layers, self._d_needed)
 
-        inst = ReductionInstance(
-            formula=self.formula, mode=self.mode, path=self.path,
-            box_bound=self.bound, sizes=sizes, layers=self.layers,
-            d_used=self._d_needed, counting_only=not self.geometry,
-            bucket_entry=self.bucket_entry)
-        if not self.geometry:
-            return inst
-
-        inst.pairs = self.pairs
-        inst.trace = self.trace
-        inst.consumer = self.consumer
-        inst.init_map = self.init_map
-        inst.clause_layouts = self.clause_layouts
-        inst.final_positions = {pid: i for i, pid in
-                                enumerate(self.live["T"])}
-        inst.tiles = self.tiles
+    def finish(self) -> ReductionInstance:
+        """Assemble the geometry-mode tiles into the instance."""
+        plan = self.plan()
+        run = plan.sizes["anchor_run"]
         fams = {}
         provs = {}
         grids = {}
@@ -1053,19 +1031,22 @@ class _Builder:
             provs[fam] = prov
             grids[fam] = grd
             perms[fam] = p
-        inst.families = fams
-        inst.prov = provs
-        inst.griddings = grids
-        inst.pattern = perms["P"]
-        inst.text = perms["T"]
-        for name, p in (("pattern", inst.pattern), ("text", inst.text)):
-            if len(p) != sizes[name]:
+        for name, fam in (("pattern", "P"), ("text", "T")):
+            if len(perms[fam]) != plan.sizes[name]:
                 raise ReductionError(
-                    f"assembled {name} has {len(p)} points, "
-                    f"{sizes[name]} counted")
-        return inst
+                    f"assembled {name} has {len(perms[fam])} points, "
+                    f"{plan.sizes[name]} counted")
+        return ReductionInstance(
+            formula=self.formula, mode=self.mode, path=self.path,
+            box_bound=self.bound, bucket_entry=self.bucket_entry,
+            sizes=plan.sizes, layers=plan.layers, d_used=plan.d_used,
+            trace=self.trace, clause_layouts=self.clause_layouts,
+            final_positions={pid: i for i, pid in enumerate(self.live["T"])},
+            families=fams, pattern=perms["P"], text=perms["T"], prov=provs,
+            griddings=grids)
 
-    def build(self) -> ReductionInstance:
+    def build(self) -> None:
+        """Run every phase the formula needs."""
         self.build_phase_initial()
         if self.formula.clauses:
             self.build_phase_assignment()
@@ -1075,7 +1056,6 @@ class _Builder:
             else:
                 self.build_phase_sorting_juxtaposition()
             self.build_phase_evaluation()
-        return self.finish()
 
 
 def bucket_rehearsal(keys: Sequence[int], matrix: GriddingMatrix,
@@ -1092,7 +1072,7 @@ def bucket_rehearsal(keys: Sequence[int], matrix: GriddingMatrix,
     if sorted(keys) != list(range(len(keys))):
         raise ReductionError("keys must be a permutation of 0..m-1")
     path = make_path_spec(matrix)
-    formula = Formula3CNF(len(keys), ())
+    formula = CNFFormula(len(keys), ())
     b = _Builder(formula, path, "juxtaposition", geometry=True,
                  bucket_entry=_default_bucket_entry(matrix, bucket_entry))
     b.build_phase_initial()
@@ -1106,8 +1086,7 @@ def bucket_rehearsal(keys: Sequence[int], matrix: GriddingMatrix,
     b.occ_key = list(keys)
     b._refresh_occ_order()
     b.build_phase_sorting_juxtaposition()
-    final = list(b.occ_order)
-    return b.finish(), final
+    return b.finish(), list(b.occ_order)
 
 
 # --- public entry points -------------------------------------------------
@@ -1156,28 +1135,27 @@ def _capability_check(matrix: GriddingMatrix, mode: str,
                     f"{p.ranks}")
 
 
-def plan_layers(formula: Formula3CNF, path: PathSpec, mode: str,
-                bucket_entry: Optional[E.ClassEntry] = None
-                ) -> ReductionInstance:
+def plan_layers(formula: CNFFormula, path: PathSpec, mode: str,
+                bucket_entry: Optional[E.ClassEntry] = None) -> LayerPlan:
     """Dry-run the construction in counting mode.
 
-    Returns the counting instance (layer schedule, D usage and exact
-    sizes).  Raises PathTooShort when the path does not provide enough D
-    entries, reporting how many the formula needs."""
+    Returns the layer schedule, D usage and exact sizes.  Raises
+    PathTooShort when the path does not provide enough D entries,
+    reporting how many the formula needs."""
     b = _Builder(formula, path, mode, geometry=False,
                  bucket_entry=_default_bucket_entry(path.matrix,
                                                     bucket_entry))
-    inst = b.build()
+    b.build()
     if b._virtual:
         period = (path.d_tiles[1] - path.d_tiles[0]
                   if len(path.d_tiles) > 1 else 4)
         first = path.d_tiles[0] if path.d_tiles else 1
         raise PathTooShort(b._d_needed, len(path.d_tiles),
                            first + period * b._d_needed + 1)
-    return inst
+    return b.plan()
 
 
-def reduce_formula(formula: Formula3CNF, mode: str = "gadgets",
+def reduce_formula(formula: CNFFormula, mode: str = "gadgets",
                    matrix: Optional[GriddingMatrix] = None,
                    bucket_entry: Optional[E.ClassEntry] = None
                    ) -> ReductionInstance:
@@ -1190,20 +1168,19 @@ def reduce_formula(formula: Formula3CNF, mode: str = "gadgets",
         be = _default_bucket_entry(matrix, bucket_entry)
         _capability_check(matrix, mode, be)
         plan_layers(formula, path, mode, be)   # raises PathTooShort if unfit
-        return _Builder(formula, path, mode, geometry=True,
-                        bucket_entry=be).build()
-
-    length = 8
-    for _ in range(12):
-        m = rich_path_matrix(mode, length)
-        path = make_path_spec(m)
-        be = _default_bucket_entry(m, bucket_entry)
-        try:
-            plan = plan_layers(formula, path, mode, be)
-        except PathTooShort as exc:
-            length = max(length * 2, exc.required_d + 2)
-            continue
-        _capability_check(m, mode, be)
-        return _Builder(formula, path, mode, geometry=True,
-                        bucket_entry=be).build()
-    raise ReductionError("could not size a rich path for the formula")
+    else:
+        length = 8
+        for _ in range(12):
+            path = make_path_spec(rich_path_matrix(mode, length))
+            be = _default_bucket_entry(path.matrix, bucket_entry)
+            try:
+                plan_layers(formula, path, mode, be)
+                break
+            except PathTooShort as exc:
+                length = max(length * 2, exc.required_d + 2)
+        else:
+            raise ReductionError("could not size a rich path for the formula")
+        _capability_check(path.matrix, mode, be)
+    b = _Builder(formula, path, mode, geometry=True, bucket_entry=be)
+    b.build()
+    return b.finish()

@@ -49,14 +49,21 @@ def _propagate(inst: ReductionInstance, rho: Sequence[bool],
                b_choices: Dict[int, int]):
     """Follow the gadget trace under ``rho`` and map every pattern point
     onto its forced text image."""
-    pairs = inst.pairs
-    cons = inst.consumer
+    cons = {}      # text pid -> the gadget that takes it as an input
+    initial = {"P": [], "T": []}
+    for rec in inst.trace:
+        if rec.family == "T":
+            for pid in rec.inputs:
+                cons[pid] = rec
+        if rec.kind == "initial":
+            initial[rec.family].append(rec)
     imap: Dict[int, int] = {}
     pmap = {}
 
-    for ppid, tpid in inst.init_map:
-        imap[ppid] = tpid
-        _map_refs(pmap, pairs[("P", ppid)].pts, pairs[("T", tpid)].pts)
+    # the i-th initial pattern pair starts on the i-th initial text pair
+    for prec, trec in zip(initial["P"], initial["T"]):
+        imap[prec.outputs[0]] = trec.outputs[0]
+        _map_refs(pmap, prec.slots["pts"], trec.slots["pts"])
     cell0 = inst.path.cells[0]
     _map_refs(pmap, _anchor_refs(inst.families["P"].tiles[cell0]),
               _anchor_refs(inst.families["T"].tiles[cell0]))
@@ -72,8 +79,8 @@ def _propagate(inst: ReductionInstance, rho: Sequence[bool],
 
         if rec.kind == "fliptext":
             # a committed duo must meet a text flip as a whole
-            t1 = cons.get(("T", images[0]))
-            t2 = cons.get(("T", images[1]))
+            t1 = cons.get(images[0])
+            t2 = cons.get(images[1])
             if t1 is None or t1 is not t2 or t1.kind != "fliptext" or \
                     (images[0], images[1]) != t1.inputs:
                 raise ReductionError(
@@ -85,7 +92,7 @@ def _propagate(inst: ReductionInstance, rho: Sequence[bool],
             continue
 
         (img,) = images
-        trec = cons.get(("T", img))
+        trec = cons.get(img)
         if trec is None:
             raise ReductionError("pattern advances past a frozen text pair")
 
@@ -161,8 +168,6 @@ def simulate_grid_preserving(inst: ReductionInstance
     admits an embedding exactly when every clause block leaves the three
     committed pattern pairs in increasing final positions.
     """
-    if inst.counting_only:
-        raise ReductionError("counting instances carry no final layout")
     n = inst.formula.nvars
     if n > 20:
         raise TooManyVariables(f"{n} variables exceed the 2^20 guard")
@@ -179,8 +184,6 @@ def embedding_from_assignment(inst: ReductionInstance,
                               rho: Sequence[bool]) -> Tuple[int, ...]:
     """An explicit grid-preserving embedding (0-based text positions,
     indexed by pattern position) from a satisfying assignment."""
-    if inst.counting_only:
-        raise ReductionError("counting instances carry no geometry")
     if not inst.formula.evaluates(rho):
         raise ReductionError("assignment does not satisfy the formula")
     b_choices = {c: (0 if _literal_true(cl[0], rho) else 1)
@@ -220,8 +223,6 @@ def validate_instance(inst: ReductionInstance) -> Dict[str, object]:
     general position), compares against the stored permutations, and
     checks both griddings against the pattern matrix.
     """
-    if inst.counting_only:
-        raise ReductionError("counting instances carry no geometry")
     violations: List[str] = []
     stored = {"P": inst.pattern, "T": inst.text}
     for fam in ("P", "T"):

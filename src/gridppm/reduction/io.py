@@ -20,8 +20,8 @@ from typing import Dict
 from ..entries import format_entry, parse_entry
 from ..grid import format_matrix_json, parse_matrix_json
 from ..perm import format_perm
-from .builder import (Formula3CNF, ReductionInstance, ReductionError,
-                      reduce_formula)
+from ..sat import CNFFormula
+from .builder import ReductionInstance, reduce_formula
 
 __all__ = ["write_instance", "read_instance_summary", "rebuild_instance"]
 
@@ -37,14 +37,11 @@ def _instance_payload(inst: ReductionInstance) -> Dict:
         "layers": [list(l) for l in inst.layers],
         "d_used": inst.d_used,
         "path_cells": [list(c) for c in inst.path.cells],
-        "bucket_entry": (format_entry(inst.bucket_entry)
-                         if inst.bucket_entry is not None else None),
+        "bucket_entry": format_entry(inst.bucket_entry),
     }
 
 
 def write_instance(inst: ReductionInstance, directory: str) -> None:
-    if inst.counting_only:
-        raise ReductionError("counting instances carry no geometry")
     os.makedirs(directory, exist_ok=True)
     # compact separators keep json on its C encoder; indentation would
     # force the pure-Python one over the whole path matrix
@@ -77,21 +74,24 @@ def read_instance_summary(directory: str) -> Dict:
     A malformed formula, mode, matrix or bucket entry raises
     ValueError."""
     with open(os.path.join(directory, "instance.json")) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:   # the C decoder's answer to deep nesting
+            raise ValueError("instance.json nests too deeply") from None
     nvars, clauses = data["formula"]["nvars"], data["formula"]["clauses"]
     if not (type(nvars) is int and nvars >= 0
             and isinstance(clauses, list)
             and all(isinstance(c, list) and len(c) == 3
-                    and all(type(x) is int and 0 < abs(x) <= nvars
-                            for x in c) for c in clauses)):
+                    and all(type(x) is int for x in c) for c in clauses)):
         raise ValueError('"formula" needs an int "nvars" and "clauses" of '
-                         'three non-zero literals within +-nvars')
+                         'three int literals')
+    # the constructor rejects a literal that is 0 or beyond +-nvars
+    data["formula_obj"] = CNFFormula(nvars, tuple(map(tuple, clauses)))
     if data["mode"] not in ("gadgets", "juxtaposition"):
         raise ValueError(f'unknown "mode" {data["mode"]!r}')
     be = data.get("bucket_entry")
     if not (be is None or isinstance(be, str)):
         raise ValueError('"bucket_entry" must be an entry string or null')
-    data["formula_obj"] = Formula3CNF(nvars, tuple(map(tuple, clauses)))
     data["matrix_obj"] = parse_matrix_json(json.dumps(data["matrix"]))
     data["bucket_entry_obj"] = parse_entry(be) if be else None
     return data
@@ -101,7 +101,7 @@ def rebuild_instance(summary: Dict) -> ReductionInstance:
     """Re-run the construction from a stored summary.
 
     The builder is deterministic, so the rebuilt instance carries the
-    full geometry (trace, provenance, tiles) the files do not."""
+    full geometry (trace, provenance, tile families) the files do not."""
     return reduce_formula(summary["formula_obj"], mode=summary["mode"],
                           matrix=summary["matrix_obj"],
                           bucket_entry=summary.get("bucket_entry_obj"))

@@ -1,13 +1,15 @@
-"""CNF ingestion and a desk-scale SAT oracle.
+"""CNF formulas, DIMACS ingestion and a desk-scale SAT oracle.
 
-Plain DPLL with unit propagation; every witness is re-checked by
-evaluation before being returned.
+``CNFFormula`` is the one formula type: the reduction builds on it too.
+The oracle is a plain DPLL with unit propagation, run on an explicit
+trail so no formula size can exhaust the interpreter stack; every
+witness is re-checked by evaluation before being returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 
 class ParseError(ValueError):
@@ -27,16 +29,18 @@ class CNFFormula:
                 if lit == 0 or abs(lit) > self.nvars:
                     raise ValueError(f"literal {lit} out of range")
 
+    def evaluates(self, assignment: Sequence[bool]) -> bool:
+        """Whether the truth values of variables 1..nvars, in order,
+        satisfy every clause."""
+        return all(any((lit > 0) == assignment[abs(lit) - 1] for lit in cl)
+                   for cl in self.clauses)
+
 
 class InvalidModel(RuntimeError):
     """The solver produced an assignment that falsifies the formula."""
 
 
 Assignment = Dict[int, bool]
-
-
-def evaluates(f: CNFFormula, rho: Assignment) -> bool:
-    return all(any(rho[abs(l)] == (l > 0) for l in cl) for cl in f.clauses)
 
 
 def parse_dimacs(text: str) -> CNFFormula:
@@ -91,10 +95,18 @@ def format_dimacs(f: CNFFormula) -> str:
 
 
 def solve_sat(f: CNFFormula) -> Optional[Assignment]:
-    """DPLL with unit propagation."""
+    """DPLL with unit propagation, on a trail instead of the call stack.
 
-    def propagate(assign: Dict[int, bool]) -> Optional[Dict[int, bool]]:
-        assign = dict(assign)
+    Before each decision, unit propagation runs to a fixpoint.  A
+    decision sets the lowest free variable, True before False; a
+    conflict undoes the trail back to the last decision still set to
+    True and sets that variable False.  Unassigned variables come out
+    False."""
+    assign: Dict[int, bool] = {}
+    trail: List[int] = []            # assigned variables, in order
+    decisions: List[Tuple[int, int]] = []   # (trail length before, var)
+
+    def propagate() -> bool:
         changed = True
         while changed:
             changed = False
@@ -111,31 +123,37 @@ def solve_sat(f: CNFFormula) -> Optional[Assignment]:
                 if satisfied:
                     continue
                 if not unassigned:
-                    return None
+                    return False
                 if len(unassigned) == 1:
                     lit = unassigned[0]
                     assign[abs(lit)] = lit > 0
+                    trail.append(abs(lit))
                     changed = True
-        return assign
+        return True
 
-    def search(assign: Dict[int, bool]) -> Optional[Dict[int, bool]]:
-        assign = propagate(assign)
-        if assign is None:
+    while True:
+        if propagate():
+            v = next((v for v in range(1, f.nvars + 1) if v not in assign),
+                     None)
+            if v is None:
+                break
+            decisions.append((len(trail), v))
+            assign[v] = True
+            trail.append(v)
+            continue
+        # conflict: flip the last decision that has not yet tried False
+        while decisions and not assign[decisions[-1][1]]:
+            decisions.pop()
+        if not decisions:
             return None
-        free = [v for v in range(1, f.nvars + 1) if v not in assign]
-        if not free:
-            return assign
-        v = free[0]
-        for val in (True, False):
-            out = search({**assign, v: val})
-            if out is not None:
-                return out
-        return None
+        mark, v = decisions[-1]
+        for u in trail[mark:]:
+            del assign[u]
+        del trail[mark:]
+        assign[v] = False
+        trail.append(v)
 
-    model = search({})
-    if model is None:
-        return None
-    rho = {v: model.get(v, False) for v in range(1, f.nvars + 1)}
-    if not evaluates(f, rho):
+    rho = [assign.get(v, False) for v in range(1, f.nvars + 1)]
+    if not f.evaluates(rho):
         raise InvalidModel("DPLL produced a non-satisfying witness")
-    return rho
+    return {v: val for v, val in enumerate(rho, start=1)}

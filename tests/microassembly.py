@@ -8,7 +8,8 @@ exhaustively.
 
 from gridppm.entries import FIBP, INC
 from gridppm.grid import Tile, TileFamily, assemble, cell_positions, staircase
-from gridppm.reduction.builder import Formula3CNF, _Builder, make_path_spec
+from gridppm.reduction.builder import _Builder, make_path_spec
+from gridppm.sat import CNFFormula
 
 
 def micro(channels):
@@ -16,7 +17,7 @@ def micro(channels):
     family ("P"/"T") to a list of (lo, hi) integer value pairs."""
     spec = make_path_spec(staircase(4, INC, FIBP))
     n = max(len(v) for v in channels.values())
-    b = _Builder(Formula3CNF(n, ()), spec, "gadgets", geometry=True)
+    b = _Builder(CNFFormula(n, ()), spec, "gadgets", geometry=True)
     for fam in "PT":
         ids = []
         for k, (lo, hi) in enumerate(channels[fam], 1):

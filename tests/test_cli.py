@@ -189,6 +189,16 @@ def test_sat_unsat(files, capsys):
     assert report(capsys)["satisfiable"] is False
 
 
+def test_sat_decides_deep_formulas(files, capsys):
+    """1200 free variables mean 1199 decisions in a row: the DPLL keeps
+    them on its trail, not on the interpreter's call stack."""
+    f = files("f.cnf", "p cnf 1200 1\n1 0\n")
+    assert run(["sat", "--cnf", f]) == 0
+    r = report(capsys)
+    assert r["satisfiable"] is True
+    assert len(r["assignment"]) == 1200 and r["assignment"]["1"] is True
+
+
 def test_reduce_verify_embed_pipeline(files, tmp_path, capsys):
     f = files("f.cnf", "p cnf 2 2\n1 2 0\n-1 2 0\n")
     out = str(tmp_path / "inst")
@@ -228,7 +238,8 @@ def test_malformed_instance_json_exits_one(command, files, tmp_path, capsys):
         {"bucket_entry": 5})]
     bad_matrices = [json.dumps(dict(json.loads(good), matrix=json.loads(t)))
                     for t in MALFORMED_MATRICES + UNUSABLE_MATRICES]
-    for broken in [good[: len(good) // 2], json.dumps(no_formula),
+    for broken in [good[: len(good) // 2], "[" * 100_000,
+                   json.dumps(no_formula),
                    json.dumps(bad_clauses)] + bad_matrices + [
                        json.dumps(b) for b in bad_fields]:
         meta.write_text(broken)

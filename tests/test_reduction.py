@@ -14,8 +14,7 @@ from gridppm.entries import DEC, FIBP, INC, av, juxth, juxtv, parse_entry
 from gridppm.grid import (check_gridding, matrix_from_rows_top_down,
                           staircase)
 from gridppm.perm import Permutation
-from gridppm.reduction import (ClauseTooWide, EmptyClause, Formula3CNF,
-                               ReductionError,
+from gridppm.reduction import (ClauseTooWide, EmptyClause, ReductionError,
                                NotAPath, PathTooShort, UnusableMatrix,
                                bucket_rehearsal, default_matrix,
                                embedding_from_assignment, make_path_spec,
@@ -23,6 +22,7 @@ from gridppm.reduction import (ClauseTooWide, EmptyClause, Formula3CNF,
                                read_instance_summary, rebuild_instance,
                                reduce_formula, simulate_grid_preserving,
                                validate_instance, write_instance)
+from gridppm.sat import CNFFormula
 
 # The gadget micro-lemmas live in test_acceptance.py, which also checks
 # each assembly's size; they are collected here too under their own names.
@@ -91,7 +91,7 @@ def test_normalize_preserves_satisfiability(arg):
     n, clauses = arg
     f = normalize_3cnf(n, clauses)
     assert all(len(c) == 3 for c in f.clauses)
-    wide = Formula3CNF.__new__(Formula3CNF)  # plain truth-table on raw input
+    wide = CNFFormula.__new__(CNFFormula)  # plain truth-table on raw input
     sat_raw = any(
         all(any((lit > 0) == bits[abs(lit) - 1] for lit in cl)
             for cl in clauses)
@@ -116,14 +116,14 @@ def test_cycle_matrix_is_not_a_path():
 def test_unusable_d_entry_is_rejected():
     # inc/dec horizontal juxtaposition cannot host the choose gadget
     m = staircase(30, INC, juxth("inc", "dec"))
-    f = Formula3CNF(1, ((1, 1, 1),))
+    f = CNFFormula(1, ((1, 1, 1),))
     with pytest.raises(UnusableMatrix):
         reduce_formula(f, mode="juxtaposition", matrix=m)
 
 
 def test_short_path_reports_requirement():
     m = staircase(3, INC, FIBP)
-    f = Formula3CNF(2, ((1, 2, 2), (-1, 2, 2)))
+    f = CNFFormula(2, ((1, 2, 2), (-1, 2, 2)))
     with pytest.raises(PathTooShort) as exc:
         reduce_formula(f, mode="gadgets", matrix=m)
     assert exc.value.required_d > exc.value.available_d == 3
@@ -137,10 +137,10 @@ def test_short_path_reports_requirement():
 
 
 FORMULAS = [
-    Formula3CNF(1, ((1, 1, 1),)),
-    Formula3CNF(1, ((1, 1, 1), (-1, -1, -1))),          # unsatisfiable
-    Formula3CNF(2, ((1, 2, 2), (-1, 2, 2))),
-    Formula3CNF(3, ((1, -2, 3), (-1, 2, -3), (2, 3, 3))),
+    CNFFormula(1, ((1, 1, 1),)),
+    CNFFormula(1, ((1, 1, 1), (-1, -1, -1))),          # unsatisfiable
+    CNFFormula(2, ((1, 2, 2), (-1, 2, 2))),
+    CNFFormula(3, ((1, -2, 3), (-1, 2, -3), (2, 3, 3))),
 ]
 
 
@@ -178,8 +178,7 @@ def test_reduction_invariants_survive_optimized_mode():
 
 def test_no_function_calls_itself():
     """No search recurses to a depth the input sets: no function in the
-    package calls itself by name.  ``solve_sat``'s DPLL ``search`` is
-    the one exception left."""
+    package calls itself by name."""
     pkg = pathlib.Path(gridppm.__file__).parent
     found = []
     for path in sorted(pkg.rglob("*.py")):
@@ -190,7 +189,7 @@ def test_no_function_calls_itself():
                     ast.unparse(c.func) in (fn.name, "self." + fn.name)
                     for c in ast.walk(fn)):
                 found.append((path.name, fn.name))
-    assert found == [("sat.py", "search")]
+    assert found == []
 
 
 @pytest.mark.parametrize("mode", ["gadgets", "juxtaposition"])
@@ -241,7 +240,7 @@ def test_tiles_are_direct_sums_of_gadget_blocks(mode):
                 blocks[rec.family][t][gi].append(i)
     for fam in "PT":
         for t, by_gadget in blocks[fam].items():
-            pts = inst.tiles[fam][t]
+            pts = inst.families[fam].tiles[inst.path.cells[t]].points
             spans = sorted(
                 (min(pts[i].x for i in idx), max(pts[i].x for i in idx))
                 for idx in by_gadget.values())

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from gridppm.sat import (CNFFormula, ParseError, evaluates, format_dimacs,
+from gridppm.sat import (CNFFormula, ParseError, format_dimacs,
                          parse_dimacs, solve_sat)
 
 from test_acceptance import _exhaustive_corpus, _random_formulas
@@ -14,9 +14,8 @@ from test_acceptance import _exhaustive_corpus, _random_formulas
 
 def truth_table_sat(f):
     for bits in itertools.product([False, True], repeat=f.nvars):
-        rho = {v: bits[v - 1] for v in range(1, f.nvars + 1)}
-        if evaluates(f, rho):
-            return rho
+        if f.evaluates(bits):
+            return bits
     return None
 
 
@@ -94,7 +93,7 @@ def test_solve_agrees_with_truth_tables():
         want = truth_table_sat(f)
         assert (got is None) == (want is None)
         if got is not None:
-            assert evaluates(f, got)
+            assert f.evaluates([got[v] for v in range(1, f.nvars + 1)])
 
 
 # The first 16 hex digits of the sha256 of each witness, as
