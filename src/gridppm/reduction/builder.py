@@ -305,9 +305,9 @@ class _Builder:
     # -- emission ---------------------------------------------------------
     #
     # Only ``_gadget``, ``_copy``, ``_flip_chains`` and ``_take_d`` look
-    # at the mode.  Geometry mode places exact points and
-    # traces every gadget; counting mode only bumps the tiles' point
-    # counts, once per tile.
+    # at the mode.  Geometry mode places exact points and traces every
+    # gadget; counting mode only bumps the tiles' point counts, once per
+    # tile.
 
     def _bump(self, fam: str, t: int, k: int) -> int:
         c = self.counts[fam].get(t, 0)

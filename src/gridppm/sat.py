@@ -1,9 +1,9 @@
 """CNF formulas, DIMACS ingestion and a desk-scale SAT oracle.
 
 ``CNFFormula`` is the one formula type: the reduction builds on it too.
-The oracle is a plain DPLL with unit propagation, run on an explicit
-trail so no formula size can exhaust the interpreter stack; every
-witness is re-checked by evaluation before being returned.
+The oracle is a plain DPLL with unit propagation, iterative so that no
+formula size can exhaust the interpreter stack; every witness is
+re-checked by evaluation before being returned.
 """
 
 from __future__ import annotations
@@ -95,16 +95,14 @@ def format_dimacs(f: CNFFormula) -> str:
 
 
 def solve_sat(f: CNFFormula) -> Optional[Assignment]:
-    """DPLL with unit propagation, on a trail instead of the call stack.
+    """DPLL with unit propagation, iterative rather than recursive.
 
     Before each decision, unit propagation runs to a fixpoint.  A
-    decision sets the lowest free variable, True before False; a
-    conflict undoes the trail back to the last decision still set to
-    True and sets that variable False.  Unassigned variables come out
-    False."""
-    assign: Dict[int, bool] = {}
-    trail: List[int] = []            # assigned variables, in order
-    decisions: List[Tuple[int, int]] = []   # (trail length before, var)
+    decision sets the lowest free variable, True before False.  On a
+    conflict the search backs up to the last decision still set to
+    True, undoes everything assigned from it on and sets it False."""
+    assign: Dict[int, bool] = {}   # insertion order is the trail
+    decisions: List[Tuple[int, int]] = []   # (assigned before it, var)
 
     def propagate() -> bool:
         changed = True
@@ -127,7 +125,6 @@ def solve_sat(f: CNFFormula) -> Optional[Assignment]:
                 if len(unassigned) == 1:
                     lit = unassigned[0]
                     assign[abs(lit)] = lit > 0
-                    trail.append(abs(lit))
                     changed = True
         return True
 
@@ -137,23 +134,19 @@ def solve_sat(f: CNFFormula) -> Optional[Assignment]:
                      None)
             if v is None:
                 break
-            decisions.append((len(trail), v))
+            decisions.append((len(assign), v))
             assign[v] = True
-            trail.append(v)
             continue
-        # conflict: flip the last decision that has not yet tried False
         while decisions and not assign[decisions[-1][1]]:
-            decisions.pop()
+            decisions.pop()      # both values of this decision failed
         if not decisions:
             return None
         mark, v = decisions[-1]
-        for u in trail[mark:]:
-            del assign[u]
-        del trail[mark:]
+        while len(assign) > mark:
+            assign.popitem()
         assign[v] = False
-        trail.append(v)
 
-    rho = [assign.get(v, False) for v in range(1, f.nvars + 1)]
+    rho = [assign[v] for v in range(1, f.nvars + 1)]
     if not f.evaluates(rho):
         raise InvalidModel("DPLL produced a non-satisfying witness")
     return {v: val for v, val in enumerate(rho, start=1)}
