@@ -1,8 +1,8 @@
 """Written instances are pinned byte for byte.
 
 The sha256 of ``instance.json``, ``pattern.perm``, ``text.perm`` and
-``provenance.json`` for the first three formulas of
-``test_reduction.FORMULAS`` in both modes.  A change to the coordinate
+``provenance.json`` for every formula of ``test_reduction.FORMULAS``
+in both modes.  A change to the coordinate
 arithmetic, the assembly order, the rich-path matrix or the writer that
 alters a single byte fails here.
 """
@@ -53,6 +53,18 @@ GOLDEN = {
         "provenance.json":
             "66a87cf1a50ee1f434af26e6adeade52fd14b20dd0a66062df561b88a7f43fb1",
     },
+    # three variables in three clauses: the first formula with a
+    # sorting phase
+    ("gadgets", 3): {
+        "instance.json":
+            "1f546a8ae6594ebc636731a057c1eddef5adc23ba36df845aeeb482f7e4da72f",
+        "pattern.perm":
+            "be0ee31a3f397e6524b77fdf3ef76cee782e9b172c622a71e5f1b01c1902afe1",
+        "text.perm":
+            "55051162b42a2d35cef0c89e6cb74ea60185e5c363d08bea5d9b6eaa03ee9c47",
+        "provenance.json":
+            "a5cc72c632cf96298e5e8988a8e481ffbe0179f8feefd9842108eeff39a88147",
+    },
     # one- and two-clause formulas on one variable need no sorting
     # phase, so both modes build the same instance; only the mode field
     # of instance.json differs
@@ -75,6 +87,16 @@ GOLDEN = {
             "691c428f3ed3edafbc1ff95c8e41ea95ea6d642f0e8f7575a77054d9db3ca944",
         "provenance.json":
             "a200d6789cd6a5281b7464f17ffb6258376090e14ef47f842e752046f0aca1ab",
+    },
+    ("juxtaposition", 3): {
+        "instance.json":
+            "07a03049656a6df349f523468f2e5308abe3b47bbc917dbcb5b1aae9954f2100",
+        "pattern.perm":
+            "7248ec34615cfed60dc45f607cecae63e09f0a3f594ce4c99cc915599fbf5618",
+        "text.perm":
+            "eed8308d0485d2e3409cc3b0bf7bee95efced24ee2b7b84fe9ba2ba5923e8733",
+        "provenance.json":
+            "64f808bfdc4438be524fe3dbb8ef2191a12acf2163beb537a20ed5a43aba5e68",
     },
 }
 
