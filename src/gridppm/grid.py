@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import entries as E
-from .coords import PlanePoint, coord
+from .coords import ExactCoord
 from .entries import ClassEntry
 from .perm import Permutation
 
@@ -586,14 +586,31 @@ class Tile:
     """A finite set of plane points in general position inside the open
     box (1/2, box_bound + 1/2)^2.  ``assemble`` checks both.
 
+    The points are stored as integer columns, one entry per point: point
+    k has x = (x_na[k] + x_nb[k]*eps) / x_den[k], and y likewise, in the
+    representation of ``coords.ExactCoord``.  Plain ints in lists keep
+    the cyclic garbage collector away from the 10^5 points of a reduction
+    instance.
+
     ``runs`` inflates some of the points.  An entry (k, r) stands for an
     increasing run of r more points just after point k, nearer to it on
     both axes than any other point of the plane.  The run points are
-    indexed after ``points``, run by run in the order listed.
+    indexed after the points of the columns, run by run in the order
+    listed.
     """
-    points: Tuple[PlanePoint, ...]
+    x_na: List[int]
+    x_nb: List[int]
+    x_den: List[int]
+    y_na: List[int]
+    y_nb: List[int]
+    y_den: List[int]
     box_bound: Fraction
     runs: Tuple[Tuple[int, int], ...] = ()
+
+    def __post_init__(self) -> None:
+        if len({len(self.x_na), len(self.x_nb), len(self.x_den),
+                len(self.y_na), len(self.y_nb), len(self.y_den)}) != 1:
+            raise ValueError("tile columns differ in length")
 
 
 @dataclass(frozen=True)
@@ -603,26 +620,26 @@ class TileFamily:
     tiles: Dict[Cell, Tile] = field(default_factory=dict)
     box_bound: Fraction = Fraction(1)
 
-    def tile(self, i: int, j: int) -> Tile:
-        return self.tiles.get((i, j), Tile((), self.box_bound))
 
-
-def _placed_keys(coords, mult: Dict[int, int], flip_at: int, off: int
-                 ) -> List[Tuple[int, int]]:
-    """Exact integer sort keys (a, b) of coordinates on the common
-    denominator (``mult`` maps each denominator to its multiplier),
-    translated by ``off`` and, when ``flip_at`` is non-zero, reflected
-    as v -> flip_at - v."""
+def _placed_keys(na: List[int], nb: List[int], den: List[int],
+                 mult: Dict[int, int], shift: int, flip_at: int, off: int
+                 ) -> List[int]:
+    """Exact integer sort keys of the coordinates (na + nb*eps)/den on
+    the common denominator (``mult`` maps each denominator to its
+    multiplier), translated by ``off`` and, when ``flip_at`` is
+    non-zero, reflected as v -> flip_at - v.  A key is a << shift plus
+    b for the scaled parts (a, b); every |b| is below 2**(shift - 1), so
+    keys compare as the pairs (a, b) do."""
+    ms = map(mult.__getitem__, den)
     if flip_at:
         base = flip_at + off
-        return [(base - c.na * m, -c.nb * m)
-                for c in coords for m in (mult[c.den],)]
-    return [(c.na * m + off, c.nb * m)
-            for c in coords for m in (mult[c.den],)]
+        return [((base - a * m) << shift) - b * m
+                for a, b, m in zip(na, nb, ms)]
+    return [((a * m + off) << shift) + b * m for a, b, m in zip(na, nb, ms)]
 
 
 def assemble(fam: TileFamily, f: Orientation
-             ) -> Tuple[Permutation, Dict[Tuple[Cell, int], int], Gridding]:
+             ) -> Tuple[Permutation, Dict[Cell, List[int]], Gridding]:
     """F-assembly: orient each tile, translate it onto the diagonal grid
     of boxes, and standardize the union.
 
@@ -639,9 +656,9 @@ def assemble(fam: TileFamily, f: Orientation
     r run points takes r + 1 consecutive positions and values, itself
     first on an axis its tile keeps and last on an axis it flips.
 
-    Returns the permutation, a provenance map (cell, point index within
-    its tile) -> permutation position (1-based), and the induced
-    gridding.
+    Returns the permutation, a provenance map from each non-empty cell to
+    the permutation positions (1-based) of its points, indexed as in the
+    tile (column points, then run points), and the induced gridding.
     """
     if len(f.f_c) != fam.cols or len(f.f_r) != fam.rows:
         raise DimensionMismatch("orientation does not match the family")
@@ -650,77 +667,93 @@ def assemble(fam: TileFamily, f: Orientation
     for cell, tile in fam.tiles.items():
         if tile.box_bound != mb:
             raise BoxOverflow("tile box bound differs from the family's")
-        if tile.points:
-            tiles.append((cell, tile.points, tile.runs,
-                          [p.x for p in tile.points],
-                          [p.y for p in tile.points]))
+        if tile.x_na:
+            tiles.append((cell, tile))
 
     # one pass of exact integer keys on a common denominator, with the
     # translations and orientation flips folded in: the box and
-    # general-position checks and the big sorts below compare plain int
-    # pairs, and no coordinate arithmetic happens per point.  A flip
-    # maps each box onto itself, so the box test needs no unflipping.
-    dens = {c.den for *_, cx, cy in tiles for c in itertools.chain(cx, cy)}
-    dens.update((2, mb.denominator))
+    # general-position checks and the big sorts below compare plain
+    # ints, and no coordinate arithmetic happens per point.  A flip maps
+    # each box onto itself, so the box test needs no unflipping.
+    dens = {2, mb.denominator}
+    nbmax = 0
+    for _, t in tiles:
+        dens.update(t.x_den)
+        dens.update(t.y_den)
+        nbmax = max(nbmax, max(t.x_nb), -min(t.x_nb),
+                    max(t.y_nb), -min(t.y_nb))
     common = math.lcm(*dens)
     mult = {d: common // d for d in dens}
+    shift = (nbmax * max(mult.values())).bit_length() + 1
     half = common // 2
     mbi = mb.numerator * (common // mb.denominator)
     flipi = mbi + common          # mb + 1, scaled
-    xs: List[Tuple[int, int]] = []
-    ys: List[Tuple[int, int]] = []
-    refs: List[Tuple[Cell, int]] = []
-    runs = []       # (index into refs of the inflated point, cell, first, r)
+    xs: List[int] = []
+    ys: List[int] = []
+    runs = []       # (index of the inflated point, cell, r)
+    spans = []      # (cell, first index, points, first run index, run points)
+    nrun = 0        # run points so far
     col_counts = [0] * (fam.cols + 1)
     row_counts = [0] * (fam.rows + 1)
-    for (i, j), pts, tile_runs, cx, cy in tiles:
+    for (i, j), t in tiles:
         offx = (i - 1) * mbi
         offy = (j - 1) * mbi
-        kx = _placed_keys(cx, mult, flipi if f.col(i) == -1 else 0, offx)
-        ky = _placed_keys(cy, mult, flipi if f.row(j) == -1 else 0, offy)
+        kx = _placed_keys(t.x_na, t.x_nb, t.x_den, mult, shift,
+                          flipi if f.col(i) == -1 else 0, offx)
+        ky = _placed_keys(t.y_na, t.y_nb, t.y_den, mult, shift,
+                          flipi if f.row(j) == -1 else 0, offy)
         for keys, off, axis in ((kx, offx, "x"), (ky, offy, "y")):
             if len(set(keys)) != len(keys):
                 raise ValueError(f"tile not in general position on {axis}")
-            lo, hi = (half + off, 0), (mbi + half + off, 0)
+            lo, hi = (half + off) << shift, (mbi + half + off) << shift
             if not (lo < min(keys) and max(keys) < hi):
-                bad = next(p for p, k in zip(pts, keys) if not lo < k < hi)
-                raise BoxOverflow(f"point {bad} outside the {mb}-box")
-        size = len(pts)
-        for k, r in tile_runs:
-            if not (0 <= k < len(pts) and r >= 0):
+                k = next(k for k, v in enumerate(keys) if not lo < v < hi)
+                x = ExactCoord(t.x_na[k], t.x_nb[k], t.x_den[k])
+                y = ExactCoord(t.y_na[k], t.y_nb[k], t.y_den[k])
+                raise BoxOverflow(f"point {k} ({x}, {y}) of tile {(i, j)} "
+                                  f"outside the {mb}-box")
+        core, extra = len(kx), 0
+        for k, r in t.runs:
+            if not (0 <= k < core and r >= 0):
                 raise ValueError(f"run {(k, r)} does not fit its tile")
-            runs.append((len(refs) + k, (i, j), size, r))
-            size += r
+            runs.append((len(xs) + k, (i, j), r))
+            extra += r
+        spans.append(((i, j), len(xs), core, nrun, extra))
+        nrun += extra
         xs += kx
         ys += ky
-        refs += zip(itertools.repeat((i, j)), range(len(pts)))
-        col_counts[i] += size
-        row_counts[j] += size
+        col_counts[i] += core + extra
+        row_counts[j] += core + extra
 
     # stable sorts, so points tied on both keys keep their tile order:
     # x ascending then y ascending; y ascending then x descending
-    n = len(refs)
+    n = len(xs)
     by_x = sorted(sorted(range(n), key=ys.__getitem__), key=xs.__getitem__)
     by_y = sorted(sorted(range(n), key=xs.__getitem__, reverse=True),
                   key=ys.__getitem__)
 
-    # an inflated point becomes the block of itself and its run points
-    blocks: Dict[int, List[int]] = {}
-    for k, cell, first, r in runs:
-        blocks.setdefault(k, [k]).extend(range(len(refs), len(refs) + r))
-        refs += zip(itertools.repeat(cell), range(first, first + r))
+    # an inflated point becomes the block of itself and its run points,
+    # which are indexed after all the column points
+    blocks = {}
+    nxt = n
+    for k, cell, r in runs:
+        blocks.setdefault(k, (cell, [k]))[1].extend(range(nxt, nxt + r))
+        nxt += r
     xblock, yblock = {}, {}
-    for k, block in blocks.items():
-        i, j = refs[k][0]
+    for k, ((i, j), block) in blocks.items():
         xblock[k], yblock[k] = block[::f.col(i)], block[::f.row(j)]
     order_x = [e for k in by_x for e in xblock.get(k, (k,))]
     order_y = [e for k in by_y for e in yblock.get(k, (k,))]
 
-    yrank = [0] * len(refs)
+    yrank = [0] * nxt
     for r, k in enumerate(order_y, 1):
         yrank[k] = r
     perm_out = Permutation(tuple([yrank[k] for k in order_x]))
-    prov = {refs[k]: pos for pos, k in enumerate(order_x, 1)}
+    pos = [0] * nxt
+    for p, k in enumerate(order_x, 1):
+        pos[k] = p
+    prov = {cell: pos[a:a + core] + pos[n + b:n + b + extra]
+            for cell, a, core, b, extra in spans}
 
     ccuts = [1]
     for i in range(1, fam.cols + 1):
@@ -771,9 +804,11 @@ def sample_member(m: GriddingMatrix, rng, sizes: Dict[Cell, int]
                     for v in rng.sample(range(span), s))
         ys = sorted(Fraction(1 + v, denom) + _HALF
                     for v in rng.sample(range(span), s))
-        pts = tuple(PlanePoint(coord(xs[t]), coord(ys[content[t] - 1]))
-                    for t in range(s))
-        tiles[cell] = Tile(pts, bound)
+        cy = [ys[v - 1] for v in content]
+        tiles[cell] = Tile([v.numerator for v in xs], [0] * s,
+                           [v.denominator for v in xs],
+                           [v.numerator for v in cy], [0] * s,
+                           [v.denominator for v in cy], bound)
     fam = TileFamily(m.cols, m.rows, tiles, bound)
     p, _, g = assemble(fam, identity_orientation(m.cols, m.rows))
     if not check_gridding(p, g, m):

@@ -1,26 +1,21 @@
 """Permutations as sequences and as point sets.
 
 A permutation of length n is a sequence of the ranks 1..n, each exactly
-once.  Its diagram is the point set {(i, p_i)}.  Containment, the eight
-symmetries, sums and inflation all operate on this diagram view.
+once.  Its diagram is the point set {(i, p_i)}.  Standardization,
+containment and the eight symmetries all operate on this diagram view.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .coords import PlanePoint, pt
+from .coords import PlanePoint
 
 
 class DuplicateCoordinate(ValueError):
     """Two points agree on x or on y; the set has no reduction."""
-
-
-class IndexOutOfRange(IndexError):
-    pass
 
 
 class InvalidWitness(RuntimeError):
@@ -211,35 +206,6 @@ def all_symmetries() -> Tuple[SymmetryOp, ...]:
     """Canonical coset words for the 8-element symmetry group."""
     return tuple(SymmetryOp(w) for w in
                  ("", "r", "c", "i", "rc", "ri", "ci", "rci"))
-
-
-# --- sums and inflation ---------------------------------------------------
-
-def direct_sum(p: Permutation, q: Permutation) -> Permutation:
-    return Permutation(p.ranks + tuple(v + len(p) for v in q.ranks))
-
-
-def skew_sum(p: Permutation, q: Permutation) -> Permutation:
-    return Permutation(tuple(v + len(q) for v in p.ranks) + q.ranks)
-
-
-def inflate(p: Permutation, index: int, q: Permutation) -> Permutation:
-    """Replace the point of p at position `index` (1-based) by a copy of
-    q shrunk into its cell: the point (x, y) becomes the set
-    {(x + qx/(m+1), y + qy/(m+1))}.
-    """
-    if not 1 <= index <= len(p):
-        raise IndexOutOfRange(f"index {index} not in 1..{len(p)}")
-    m = len(q)
-    pts: list[PlanePoint] = []
-    for x, y in p.points():
-        if x == index:
-            for qx, qy in q.points():
-                pts.append(pt(x + Fraction(qx, m + 1),
-                              y + Fraction(qy, m + 1)))
-        else:
-            pts.append(pt(x, y))
-    return standardize(pts)
 
 
 # --- small class predicates ----------------------------------------------

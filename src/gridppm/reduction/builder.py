@@ -27,8 +27,10 @@ Every layer runs one code path in both of the builder's modes: it decides
 the gadgets, the output channels with their tags and lineage, freezing,
 the clause layouts and the new live order the same way.  The modes differ
 only inside the emission helpers.  ``geometry`` mode computes exact
-points, places them in their tiles and records the gadget trace, and
-``reduce_formula`` assembles them into a ``ReductionInstance``;
+points with ``ExactCoord`` arithmetic, appends each point's six ints to
+its tile's columns (see ``grid.Tile``), keeps a pair's values only until
+a gadget consumes the pair, and records the gadget trace; then
+``reduce_formula`` assembles the tiles into a ``ReductionInstance``;
 ``counting`` mode creates no coordinates and no trace, bumps each tile's
 point count once per gadget or chain, and lets a plain copy or a flip
 keep its channel ids, so ``plan_layers`` computes a ``LayerPlan`` (exact
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..coords import ExactCoord, PlanePoint
+from ..coords import ExactCoord
 from .. import entries as E
 from ..grid import (Gridding, GriddingMatrix, Orientation, Tile, TileFamily,
                     _orient_by_propagation, assemble, build_rich_path,
@@ -189,12 +191,6 @@ PointRef = Tuple[int, int]  # (path tile index, index within the tile)
 
 
 @dataclass
-class PairRec:
-    vals: Tuple[ExactCoord, ExactCoord]   # value slot on the outgoing axis
-    pts: Tuple[PointRef, ...]
-
-
-@dataclass
 class GadgetRec:
     kind: str
     family: str
@@ -215,8 +211,9 @@ class LayerPlan:
 @dataclass
 class ReductionInstance:
     """A built instance: the plan's figures, the gadget trace and the
-    assembled pattern and text.  ``prov`` maps (cell, index in tile) to
-    each point's 1-based position, per family ("P"/"T")."""
+    assembled pattern and text.  ``prov[fam][cell][idx]`` is the 1-based
+    position of point ``idx`` of the cell's tile, per family ("P"/"T"),
+    as ``assemble`` returns it."""
     formula: CNFFormula
     mode: str
     path: PathSpec
@@ -231,7 +228,7 @@ class ReductionInstance:
     families: Dict[str, TileFamily]
     pattern: Permutation
     text: Permutation
-    prov: Dict[str, Dict[Tuple[Cell, int], int]]
+    prov: Dict[str, Dict[Cell, List[int]]]
     griddings: Dict[str, Gridding]
 
 
@@ -283,8 +280,10 @@ class _Builder:
         self.bound = Fraction(2 * self.n + 2)
 
         self.counts = {f: {} for f in _FAMS}   # tile -> point count
-        self.tiles = {f: {} for f in _FAMS}    # tile -> [PlanePoint]
-        self.pairs: Dict[Tuple[str, int], PairRec] = {}
+        # tile -> its six point columns, as in ``grid.Tile``
+        self.tiles = {f: {} for f in _FAMS}
+        # unconsumed pair -> its value slot on the outgoing axis
+        self.pairs: Dict[Tuple[str, int], Tuple[ExactCoord, ExactCoord]] = {}
         self.trace: List[GadgetRec] = []
         self.live = {f: [] for f in _FAMS}     # pair ids in value order
         self.tag = {f: {} for f in _FAMS}      # pid -> tag tuple
@@ -317,11 +316,17 @@ class _Builder:
     def _put_raw(self, fam: str, t: int, rp: G.RawPoint) -> PointRef:
         base = self._bump(fam, t, 1)
         oc = self.path.out_coord[t] if t < len(self.path.out_coord) else "x"
-        if oc == "x":
-            pt = PlanePoint(rp.out, rp.inn)
-        else:
-            pt = PlanePoint(rp.inn, rp.out)
-        self.tiles[fam].setdefault(t, []).append(pt)
+        x, y = (rp.out, rp.inn) if oc == "x" else (rp.inn, rp.out)
+        cols = self.tiles[fam].get(t)
+        if cols is None:
+            cols = self.tiles[fam][t] = ([], [], [], [], [], [])
+        xa, xb, xd, ya, yb, yd = cols
+        xa.append(x.na)
+        xb.append(x.nb)
+        xd.append(x.den)
+        ya.append(y.na)
+        yb.append(y.nb)
+        yd.append(y.den)
         return (t, base)
 
     def _pid(self, fam: str, tag: Tuple, lineage: str) -> int:
@@ -358,13 +363,13 @@ class _Builder:
             return pids
         vals = ()
         for pid in inputs:
-            vals += self.pairs[(fam, pid)].vals
+            vals += self.pairs.pop((fam, pid))
         slots = {}
         for name, pid, rp in zip(_SLOTS[len(pids)], pids,
                                  _GADGETS[kind](*vals, *args)):
-            pts = (self._put_raw(fam, t, rp[0]), self._put_raw(fam, t, rp[1]))
-            self.pairs[(fam, pid)] = PairRec(G.pair_values(rp), pts)
-            slots[name] = pts
+            slots[name] = (self._put_raw(fam, t, rp[0]),
+                           self._put_raw(fam, t, rp[1]))
+            self.pairs[(fam, pid)] = G.pair_values(rp)
         self._rec(kind, fam, inputs, pids, slots, meta)
         return pids
 
@@ -405,7 +410,7 @@ class _Builder:
                 continue
             pids = [self._successor(fam, pid) for pid in inputs]
             new += reversed(pids)
-            vals = [v for pid in inputs for v in self.pairs[(fam, pid)].vals]
+            vals = [v for pid in inputs for v in self.pairs.pop((fam, pid))]
             if kind == "fliptext":
                 if not vals[1] < vals[2]:
                     raise ReductionError(
@@ -421,7 +426,7 @@ class _Builder:
             for pid, ch, rs in zip(pids, ends, refs):
                 rs += (self._put_raw(fam, d2, ch.end[0]),
                        self._put_raw(fam, d2, ch.end[1]))
-                self.pairs[(fam, pid)] = PairRec(ch.values, tuple(rs[-2:]))
+                self.pairs[(fam, pid)] = ch.values
             self._rec(kind, fam, inputs, pids,
                       dict(zip(("a1", "a2") if kind == "fliptext"
                                else ("pts",), map(tuple, refs))))
@@ -1017,14 +1022,14 @@ class _Builder:
         for fam in _FAMS:
             # tile 0 inflates its lowest and its highest point into the
             # two anchor runs, low first
-            ys = [p.y for p in self.tiles[fam][0]]
+            ys = [ExactCoord(*c) for c in zip(*self.tiles[fam][0][3:])]
             runs = ((ys.index(min(ys)), run - 1),
                     (ys.index(max(ys)), run - 1))
             tf = TileFamily(
                 self.path.matrix.cols, self.path.matrix.rows,
-                {self.path.cells[t]: Tile(tuple(pts), self.bound,
+                {self.path.cells[t]: Tile(*cols, self.bound,
                                           runs if t == 0 else ())
-                 for t, pts in self.tiles[fam].items() if pts},
+                 for t, cols in self.tiles[fam].items()},
                 self.bound)
             p, prov, grd = assemble(tf, self.path.orientation)
             fams[fam] = tf

@@ -40,7 +40,7 @@ def _map_refs(pmap, a_refs, b_refs) -> None:
 
 def _anchor_refs(tile: Tile) -> List[Tuple[int, int]]:
     """Tile 0's inflated anchors, then all of their run points."""
-    n = len(tile.points)
+    n = len(tile.x_na)
     return [(0, k) for k, _ in tile.runs] + [
         (0, i) for i in range(n, n + sum(r for _, r in tile.runs))]
 
@@ -198,9 +198,7 @@ def embedding_from_assignment(inst: ReductionInstance,
     cells = inst.path.cells
     emb = [-1] * len(inst.pattern)
     for (t1, i1), (t2, i2) in pmap.items():
-        ppos = prov_p[(cells[t1], i1)]
-        tpos = prov_t[(cells[t2], i2)]
-        emb[ppos - 1] = tpos - 1
+        emb[prov_p[cells[t1]][i1] - 1] = prov_t[cells[t2]][i2] - 1
 
     if any(e < 0 for e in emb):
         raise ReductionError("embedding misses pattern positions")

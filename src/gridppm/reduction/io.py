@@ -59,12 +59,15 @@ def write_instance(inst: ReductionInstance, directory: str) -> None:
 def _provenance_json(inst: ReductionInstance) -> str:
     """The bytes ``json.dump(..., indent=1)`` plus a newline would write
     for {"pattern": {"i,j:idx": pos, ...}, "text": {...}}, without the
-    pure-Python encoder that indentation forces on ``json``.  Both maps
-    are non-empty: every family carries its anchor points."""
+    pure-Python encoder that indentation forces on ``json``.  Keys come
+    in the order of their cells, then of the point indices in each
+    cell's list.  Both maps are non-empty: every family carries its
+    anchor points."""
     parts = []
     for fam, name in (("P", "pattern"), ("T", "text")):
         lines = [f'  "{i},{j}:{idx}": {pos}'
-                 for ((i, j), idx), pos in sorted(inst.prov[fam].items())]
+                 for (i, j), poss in sorted(inst.prov[fam].items())
+                 for idx, pos in enumerate(poss)]
         parts.append(f' "{name}": {{\n' + ",\n".join(lines) + "\n }")
     return "{\n" + ",\n".join(parts) + "\n}\n"
 

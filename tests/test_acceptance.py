@@ -125,7 +125,7 @@ def test_choose_and_pick_admit_exactly_two_embeddings():
     assert len(embs) == 2
     rec = next(r for r in b.trace if r.kind == "choose")
     branches = {
-        tuple(sorted(tp[(b.path.cells[tt], i)] - 1
+        tuple(sorted(tp[b.path.cells[tt]][i] - 1
                      for (tt, i) in rec.slots[s]))
         for s in ("b1", "b2")}
     picked = pair_positions(b, pp, "P", b.live["P"][0])

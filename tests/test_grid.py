@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,8 @@ from gridppm.grid import (BoxOverflow, CellGraph, DimensionMismatch, Gridding,
                           matrix_from_rows_top_down, parse_gridding_json,
                           parse_matrix_json, path_order, refine,
                           sample_member, staircase, sum_closing_orientation)
-from gridppm.perm import Permutation, inflate, perm
+from gridppm.perm import Permutation, perm
+from microassembly import inflate, make_tile
 
 P321 = perm(3, 2, 1)
 P312 = perm(3, 1, 2)
@@ -415,16 +417,16 @@ def test_rich_path_members_stay_in_input_class(L):
 
 
 def test_assemble_single_tile_is_standardize():
-    tile = Tile((pt(1, 2), pt(2, 1), pt(3, 3)), Fraction(3))
+    tile = make_tile((pt(1, 2), pt(2, 1), pt(3, 3)), Fraction(3))
     fam = TileFamily(1, 1, {(1, 1): tile}, Fraction(3))
     p, prov, g = assemble(fam, identity_orientation(1, 1))
     assert p == perm(2, 1, 3)
-    assert prov == {((1, 1), 0): 1, ((1, 1), 1): 2, ((1, 1), 2): 3}
+    assert prov == {(1, 1): [1, 2, 3]}
     assert g == Gridding((1, 4), (1, 4))
 
 
 def test_assemble_orientation_reverses():
-    tile = Tile((pt(1, 1), pt(2, 2)), Fraction(2))
+    tile = make_tile((pt(1, 1), pt(2, 2)), Fraction(2))
     fam = TileFamily(1, 1, {(1, 1): tile}, Fraction(2))
     p, _, _ = assemble(fam, Orientation((-1,), (1,)))
     assert p == perm(2, 1)
@@ -437,8 +439,8 @@ def test_assemble_orientation_reverses():
 def test_assemble_rotation_tiebreak():
     # two tiles in one row whose points collide in y: the point with
     # larger x must end lower
-    t1 = Tile((pt(1, 1),), Fraction(1))
-    t2 = Tile((pt(1, 1),), Fraction(1))
+    t1 = make_tile((pt(1, 1),), Fraction(1))
+    t2 = make_tile((pt(1, 1),), Fraction(1))
     fam = TileFamily(2, 1, {(1, 1): t1, (2, 1): t2}, Fraction(1))
     p, _, _ = assemble(fam, identity_orientation(2, 1))
     assert p == perm(2, 1)
@@ -449,10 +451,19 @@ def test_assemble_rotation_tiebreak():
 
 
 def test_assemble_box_overflow():
-    tile = Tile((pt(5, 1),), Fraction(2))
+    tile = make_tile((pt(5, 1),), Fraction(2))
     fam = TileFamily(1, 1, {(1, 1): tile}, Fraction(2))
     with pytest.raises(BoxOverflow):
         assemble(fam, identity_orientation(1, 1))
+
+
+def test_tile_errors_name_the_point_and_the_columns():
+    tile = make_tile((pt(1, 1), pt(5, 2)), Fraction(2))
+    fam = TileFamily(1, 1, {(1, 1): tile}, Fraction(2))
+    with pytest.raises(BoxOverflow, match=r"point 1 \(5, 2\)"):
+        assemble(fam, identity_orientation(1, 1))
+    with pytest.raises(ValueError, match="columns differ"):
+        Tile([1], [0], [1], [1], [0], [], Fraction(2))
 
 
 def test_assemble_passes_induced_gridding():
@@ -468,7 +479,7 @@ def test_assemble_passes_induced_gridding():
         tiles = {}
         for cell, s in sizes.items():
             pts = tuple(pt(Fraction(t + 1), Fraction(t + 1)) for t in range(s))
-            tiles[cell] = Tile(pts, bound)
+            tiles[cell] = make_tile(pts, bound)
         fam = TileFamily(2, 2, tiles, bound)
         p, _, g = assemble(fam, f)
         assert check_gridding(p, g, m)
@@ -491,7 +502,7 @@ def families_with_runs(draw):
         pts = tuple(map(pt, draw(coords), draw(coords)))
         runs = draw(st.lists(st.tuples(st.integers(0, n - 1),
                                        st.integers(0, 3)), max_size=3))
-        tiles[cell] = Tile(pts, bound, tuple(runs))
+        tiles[cell] = make_tile(pts, bound, runs)
     signs = st.sampled_from((1, -1))
     f = Orientation(tuple(draw(signs) for _ in range(cols)),
                     tuple(draw(signs) for _ in range(rows)))
@@ -506,12 +517,14 @@ def test_assemble_runs_match_inflating_the_core(fam_f):
     when its tile flips both axes or neither, falling otherwise."""
     fam, f = fam_f
     core = TileFamily(fam.cols, fam.rows,
-                      {c: Tile(t.points, t.box_bound)
-                       for c, t in fam.tiles.items()}, fam.box_bound)
-    p, prov, g = assemble(core, f)
+                      {c: replace(t, runs=()) for c, t in fam.tiles.items()},
+                      fam.box_bound)
+    p, core_prov, g = assemble(core, f)
+    prov = {(cell, k): pos for cell, ps in core_prov.items()
+            for k, pos in enumerate(ps)}
     grown = {}          # (cell, k) -> run point indices, in order
     for cell, tile in fam.tiles.items():
-        nxt = len(tile.points)
+        nxt = len(tile.x_na)
         for k, r in tile.runs:
             grown.setdefault((cell, k), []).extend(range(nxt, nxt + r))
             nxt += r
@@ -548,4 +561,7 @@ def test_assemble_runs_match_inflating_the_core(fam_f):
         tuple(c + sum(colx[:a + 1]) for a, c in enumerate(g.col_cuts)),
         tuple(c + sum(rowx[:b + 1]) for b, c in enumerate(g.row_cuts)))
 
-    assert assemble(fam, f) == (p, want, want_g)
+    want_prov = {}
+    for (cell, _), pos in sorted(want.items()):
+        want_prov.setdefault(cell, []).append(pos)
+    assert assemble(fam, f) == (p, want_prov, want_g)

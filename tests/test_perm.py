@@ -9,13 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridppm.coords import EPS, ExactCoord, coord, pt
-from gridppm.perm import (EMPTY, DuplicateCoordinate, IndexOutOfRange,
-                          Permutation, SymmetryOp, all_symmetries,
-                          apply_symmetry, avoids, contains, direct_sum,
-                          embeddings,
-                          format_perm, inflate, is_fibonacci,
-                          is_order_isomorphic, parse_perm, perm, skew_sum,
-                          standardize)
+from gridppm.perm import (EMPTY, DuplicateCoordinate, Permutation,
+                          SymmetryOp, all_symmetries, apply_symmetry, avoids,
+                          contains, embeddings, format_perm, is_fibonacci,
+                          is_order_isomorphic, parse_perm, perm, standardize)
+from microassembly import IndexOutOfRange, direct_sum, inflate, skew_sum
 
 # -- independent oracles -----------------------------------------------------
 

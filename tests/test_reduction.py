@@ -23,6 +23,7 @@ from gridppm.reduction import (ClauseTooWide, EmptyClause, ReductionError,
                                reduce_formula, simulate_grid_preserving,
                                validate_instance, write_instance)
 from gridppm.sat import CNFFormula
+from microassembly import tile_points
 
 # The gadget micro-lemmas live in test_acceptance.py, which also checks
 # each assembly's size; they are collected here too under their own names.
@@ -215,17 +216,37 @@ def test_anchor_runs_are_contiguous_inflations(mode, f):
     cell0 = inst.path.cells[0]
     for fam, p in (("P", inst.pattern), ("T", inst.text)):
         prov = inst.prov[fam]
-        at = {pos: key for key, pos in prov.items()}
-        c = sum(1 for cell, _ in prov if cell == cell0) - 2 * extra
+        at = {pos: (cell, idx) for cell, ps in prov.items()
+              for idx, pos in enumerate(ps)}
+        c = len(prov[cell0]) - 2 * extra
         assert c > 0
         for first in (c, c + extra):
-            q = [prov[(cell0, first + i)] for i in range(extra)]
+            q = [prov[cell0][first + i] for i in range(extra)]
             assert q == list(range(q[0], q[0] + extra))
             assert [p[k - 1] for k in q] == list(range(p[q[0] - 1],
                                                        p[q[0] - 1] + extra))
             cell, idx = at[q[0] - 1]
             assert cell == cell0 and idx < c
             assert p[q[0] - 2] == p[q[0] - 1] - 1
+
+
+@pytest.mark.parametrize("mode", ["gadgets", "juxtaposition"])
+@pytest.mark.parametrize("f", FORMULAS)
+def test_tiles_and_provenance_hold_plain_ints(mode, f):
+    """Every tile column and provenance list holds only ints; a cell's
+    list has one position per column point and run point; and each
+    family's positions are exactly 1..n."""
+    inst = reduce_formula(f, mode=mode)
+    for fam, p in (("P", inst.pattern), ("T", inst.text)):
+        tiles, prov = inst.families[fam].tiles, inst.prov[fam]
+        assert prov.keys() == tiles.keys()
+        for cell, t in tiles.items():
+            cols = (t.x_na, t.x_nb, t.x_den, t.y_na, t.y_nb, t.y_den)
+            assert all(type(v) is int for col in cols for v in col)
+            assert all(type(v) is int for v in prov[cell])
+            assert len(prov[cell]) == len(t.x_na) + sum(r for _, r in t.runs)
+        assert sorted(pos for ps in prov.values() for pos in ps) == \
+            list(range(1, len(p) + 1))
 
 
 @pytest.mark.parametrize("mode", ["gadgets", "juxtaposition"])
@@ -240,7 +261,7 @@ def test_tiles_are_direct_sums_of_gadget_blocks(mode):
                 blocks[rec.family][t][gi].append(i)
     for fam in "PT":
         for t, by_gadget in blocks[fam].items():
-            pts = inst.families[fam].tiles[inst.path.cells[t]].points
+            pts = tile_points(inst.families[fam].tiles[inst.path.cells[t]])
             spans = sorted(
                 (min(pts[i].x for i in idx), max(pts[i].x for i in idx))
                 for idx in by_gadget.values())
