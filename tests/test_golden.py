@@ -2,7 +2,8 @@
 
 The sha256 of ``instance.json``, ``pattern.perm``, ``text.perm`` and
 ``provenance.json`` for every formula of ``test_reduction.FORMULAS``
-in both modes.  A change to the coordinate
+in both modes, and for ``bucket_rehearsal`` on each of the four
+juxtaposition shapes of ``test_reduction.BUCKET_SHAPES``.  A change to the coordinate
 arithmetic, the assembly order, the rich-path matrix or the writer that
 alters a single byte fails here.
 """
@@ -11,9 +12,11 @@ import hashlib
 
 import pytest
 
-from gridppm.reduction import reduce_formula, write_instance
+from gridppm.entries import INC, format_entry
+from gridppm.grid import staircase
+from gridppm.reduction import bucket_rehearsal, reduce_formula, write_instance
 
-from test_reduction import FORMULAS
+from test_reduction import BUCKET_SHAPES, FORMULAS
 
 _F0 = {
     "pattern.perm":
@@ -107,3 +110,64 @@ def test_written_instance_bytes(mode, k, tmp_path):
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in GOLDEN[(mode, k)]}
     assert got == GOLDEN[(mode, k)]
+
+
+# the rehearsal sorts channels alone, with no formula, so pattern and
+# text are the same permutation; the two increasing shapes write the
+# same provenance, and so do the two with a decreasing part
+BUCKET_GOLDEN = {
+    "juxth:inc,inc": {
+        "instance.json":
+            "b5f4d4ee11c6d5f21589a85de6a2f49a7eaf09972009f02e11f4ff4ade67069a",
+        "pattern.perm":
+            "17976516758d34423790c4af71976cb5a9d97f5e3ecd6b5e8b0d9dd114bcc100",
+        "text.perm":
+            "17976516758d34423790c4af71976cb5a9d97f5e3ecd6b5e8b0d9dd114bcc100",
+        "provenance.json":
+            "12069d82dd7416ecd5293f17739f6bfdbdb90e39fe284bac201bc8b312fd15ac",
+    },
+    "juxth:inc,dec": {
+        "instance.json":
+            "35d84359a5248166de6d4424d6a7d2655998b0cc86da1652105c1b959121afdc",
+        "pattern.perm":
+            "948a4cb7fc890e9109f068d1343da5d1ec36de0f096a2585df9f60ff280114c7",
+        "text.perm":
+            "948a4cb7fc890e9109f068d1343da5d1ec36de0f096a2585df9f60ff280114c7",
+        "provenance.json":
+            "1eabfbed65ef94853c78c4199f30f287a5cb9f96ad050f14ea3759b4382eebf3",
+    },
+    "juxtv:inc,inc": {
+        "instance.json":
+            "ec495a63aa0ee5061b05dc7b703ed4d661727a8ffbe59df77a8bca8002cffd6f",
+        "pattern.perm":
+            "2049b5925e754f91a1aac3b46a06778e28dbeee7cff5c828d3b270af1bc5bde5",
+        "text.perm":
+            "2049b5925e754f91a1aac3b46a06778e28dbeee7cff5c828d3b270af1bc5bde5",
+        "provenance.json":
+            "12069d82dd7416ecd5293f17739f6bfdbdb90e39fe284bac201bc8b312fd15ac",
+    },
+    "juxtv:inc,dec": {
+        "instance.json":
+            "020ee33a660b1110d55f038b0ca4c51b94b110f41f7bc09ae2e8a7c862e002fc",
+        "pattern.perm":
+            "5a7a7106c3670bb42e273f44072c0c8b442f63b65f5d28438398b5853256bc35",
+        "text.perm":
+            "5a7a7106c3670bb42e273f44072c0c8b442f63b65f5d28438398b5853256bc35",
+        "provenance.json":
+            "1eabfbed65ef94853c78c4199f30f287a5cb9f96ad050f14ea3759b4382eebf3",
+    },
+}
+
+
+@pytest.mark.parametrize("entry", BUCKET_SHAPES,
+                         ids=[str(e) for e in BUCKET_SHAPES])
+def test_bucket_rehearsal_bytes(entry, tmp_path):
+    """The rehearsal of ``test_bucket_rehearsal_sorts_and_respects_entries``
+    on the staircase whose D entry is ``entry``."""
+    inst, _ = bucket_rehearsal([5, 2, 7, 0, 3, 6, 1, 4],
+                               staircase(30, INC, entry))
+    write_instance(inst, str(tmp_path))
+    want = BUCKET_GOLDEN[format_entry(entry)]
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in want}
+    assert got == want
