@@ -584,7 +584,8 @@ _HALF = Fraction(1, 2)
 @dataclass(frozen=True)
 class Tile:
     """A finite set of plane points in general position inside the open
-    box (1/2, box_bound + 1/2)^2.  ``assemble`` checks both.
+    box (1/2, b + 1/2)^2, where b is the ``box_bound`` of the tile's
+    ``TileFamily``.  ``assemble`` checks both.
 
     The points are stored as integer columns, one entry per point: point
     k has x = (x_na[k] + x_nb[k]*eps) / x_den[k], and y likewise, in the
@@ -604,7 +605,6 @@ class Tile:
     y_na: List[int]
     y_nb: List[int]
     y_den: List[int]
-    box_bound: Fraction
     runs: Tuple[Tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
@@ -615,6 +615,9 @@ class Tile:
 
 @dataclass(frozen=True)
 class TileFamily:
+    """One tile per non-empty cell of a cols x rows grid.  Every tile
+    lies in the box (1/2, box_bound + 1/2)^2; the family holds the one
+    bound they all share."""
     cols: int
     rows: int
     tiles: Dict[Cell, Tile] = field(default_factory=dict)
@@ -644,8 +647,8 @@ def assemble(fam: TileFamily, f: Orientation
     of boxes, and standardize the union.
 
     Every tile is checked on the way: its points must lie in the open
-    box (1/2, box_bound + 1/2)^2 (else BoxOverflow) and share no x and
-    no y (else ValueError).
+    box (1/2, fam.box_bound + 1/2)^2 (else BoxOverflow) and share no x
+    and no y (else ValueError).
 
     Coordinate ties between different tiles are resolved as if the whole
     picture were rotated clockwise by a tiny angle: on equal x the point
@@ -663,12 +666,7 @@ def assemble(fam: TileFamily, f: Orientation
     if len(f.f_c) != fam.cols or len(f.f_r) != fam.rows:
         raise DimensionMismatch("orientation does not match the family")
     mb = fam.box_bound
-    tiles = []
-    for cell, tile in fam.tiles.items():
-        if tile.box_bound != mb:
-            raise BoxOverflow("tile box bound differs from the family's")
-        if tile.x_na:
-            tiles.append((cell, tile))
+    tiles = [(cell, tile) for cell, tile in fam.tiles.items() if tile.x_na]
 
     # one pass of exact integer keys on a common denominator, with the
     # translations and orientation flips folded in: the box and
@@ -808,7 +806,7 @@ def sample_member(m: GriddingMatrix, rng, sizes: Dict[Cell, int]
         tiles[cell] = Tile([v.numerator for v in xs], [0] * s,
                            [v.denominator for v in xs],
                            [v.numerator for v in cy], [0] * s,
-                           [v.denominator for v in cy], bound)
+                           [v.denominator for v in cy])
     fam = TileFamily(m.cols, m.rows, tiles, bound)
     p, _, g = assemble(fam, identity_orientation(m.cols, m.rows))
     if not check_gridding(p, g, m):

@@ -31,15 +31,21 @@ points with ``ExactCoord`` arithmetic, appends each point's six ints to
 its tile's columns (see ``grid.Tile``), keeps a pair's values only until
 a gadget consumes the pair, and records the gadget trace; then
 ``reduce_formula`` assembles the tiles into a ``ReductionInstance``;
-``counting`` mode creates no coordinates and no trace, bumps each tile's
-point count once per gadget or chain, and lets a plain copy or a flip
-keep its channel ids, so ``plan_layers`` computes a ``LayerPlan`` (exact
-sizes and the layer schedule) cheaply even for large formulas.
+``counting`` mode creates no coordinates and no trace, and lets a plain
+copy or a flip keep its channel ids, so ``plan_layers`` computes a
+``LayerPlan`` (exact sizes and the layer schedule) cheaply even for
+large formulas.  Both modes keep one point total per family and raise
+it in the code they share: once per gadget, per counting-mode copy and
+per flip layer.
+
+Every fact is recorded once: the tiles' box bound lives on their
+``TileFamily``, a point's index within its tile is the length of the
+tile's columns, and the juxtaposition the bucket passes use follows
+from the path matrix (``bucket_entry_of``).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -79,13 +85,14 @@ class ClauseTooWide(ReductionError):
 
 
 class PathTooShort(ReductionError):
-    def __init__(self, required_d: int, available_d: int, required_len: int):
+    """The path has fewer D entries than the construction needs."""
+
+    def __init__(self, required_d: int, available_d: int):
         super().__init__(
             f"path provides {available_d} usable D entries, "
-            f"construction needs {required_d} (path length >= {required_len})")
+            f"construction needs {required_d}")
         self.required_d = required_d
         self.available_d = available_d
-        self.required_len = required_len
 
 
 class TooManyVariables(ReductionError):
@@ -217,7 +224,6 @@ class ReductionInstance:
     formula: CNFFormula
     mode: str
     path: PathSpec
-    box_bound: Fraction
     bucket_entry: E.ClassEntry
     sizes: Dict[str, int]
     layers: List[Tuple[str, int]]          # (kind, tile reached)
@@ -268,18 +274,18 @@ _GADGETS = {"initial": G.gadget_initial, "copy": G.gadget_copy,
 
 class _Builder:
     def __init__(self, formula: CNFFormula, path: PathSpec, mode: str,
-                 geometry: bool, bucket_entry: Optional[E.ClassEntry] = None):
+                 geometry: bool):
         if mode not in ("gadgets", "juxtaposition"):
             raise ReductionError(f"unknown mode {mode!r}")
         self.formula = formula
         self.path = path
         self.mode = mode
         self.geometry = geometry
-        self.bucket_entry = bucket_entry
+        self.bucket_entry = bucket_entry_of(path.matrix)
         self.n = formula.nvars
         self.bound = Fraction(2 * self.n + 2)
 
-        self.counts = {f: {} for f in _FAMS}   # tile -> point count
+        self.points = {f: 0 for f in _FAMS}   # points placed so far
         # tile -> its six point columns, as in ``grid.Tile``
         self.tiles = {f: {} for f in _FAMS}
         # unconsumed pair -> its value slot on the outgoing axis
@@ -296,7 +302,6 @@ class _Builder:
         self._d_needed = 0
         self._virtual = False
         # occurrence metadata, fixed after the multiplication phase
-        self.occ_var: List[int] = []
         self.occ_lit: List[int] = []
         self.occ_key: List[int] = []
         self.occ_order: List[int] = []
@@ -305,29 +310,23 @@ class _Builder:
     #
     # Only ``_gadget``, ``_copy``, ``_flip_chains`` and ``_take_d`` look
     # at the mode.  Geometry mode places exact points and traces every
-    # gadget; counting mode only bumps the tiles' point counts, once per
-    # tile.
-
-    def _bump(self, fam: str, t: int, k: int) -> int:
-        c = self.counts[fam].get(t, 0)
-        self.counts[fam][t] = c + k
-        return c
+    # gadget; counting mode only raises the families' point totals.
 
     def _put_raw(self, fam: str, t: int, rp: G.RawPoint) -> PointRef:
-        base = self._bump(fam, t, 1)
         oc = self.path.out_coord[t] if t < len(self.path.out_coord) else "x"
         x, y = (rp.out, rp.inn) if oc == "x" else (rp.inn, rp.out)
         cols = self.tiles[fam].get(t)
         if cols is None:
             cols = self.tiles[fam][t] = ([], [], [], [], [], [])
         xa, xb, xd, ya, yb, yd = cols
+        idx = len(xa)
         xa.append(x.na)
         xb.append(x.nb)
         xd.append(x.den)
         ya.append(y.na)
         yb.append(y.nb)
         yd.append(y.den)
-        return (t, base)
+        return (t, idx)
 
     def _pid(self, fam: str, tag: Tuple, lineage: str) -> int:
         pid = self._next_pid[fam]
@@ -358,8 +357,8 @@ class _Builder:
             pids = [self._successor(fam, inputs[0])]
         else:
             pids = [self._pid(fam, tg, lin) for tg, lin in outs]
+        self.points[fam] += 2 * len(pids)
         if not self.geometry:
-            self._bump(fam, t, 2 * len(pids))
             return pids
         vals = ()
         for pid in inputs:
@@ -378,7 +377,7 @@ class _Builder:
         Counting mode keeps the old pids: a copy inherits tag and lineage
         unchanged."""
         if not self.geometry:
-            self._bump(fam, t, 2 * len(pids))
+            self.points[fam] += 2 * len(pids)
             return list(pids)
         return [self._gadget("copy", fam, t, (pid,))[0] for pid in pids]
 
@@ -393,8 +392,8 @@ class _Builder:
         "fliptext" an adjacent duo, exchanging its two slots: each input
         gets a head point in d1, a middle pair in every interior tile and
         an end pair in d2, which becomes its successor's pair.  Counting
-        mode bumps each tile once for all the flip chains and keeps the
-        input pids, since a flip changes no tag and no lineage.
+        mode keeps the input pids, since a flip changes no tag and no
+        lineage.
         """
         new, width = [], 0
         for kind, inputs in chains:
@@ -404,9 +403,9 @@ class _Builder:
                     (pid,) = self._copy(fam, t, (pid,))
                 new.append(pid)
                 continue
+            width += len(inputs)
             if not self.geometry:
                 new += reversed(inputs)
-                width += len(inputs)
                 continue
             pids = [self._successor(fam, pid) for pid in inputs]
             new += reversed(pids)
@@ -430,10 +429,8 @@ class _Builder:
             self._rec(kind, fam, inputs, pids,
                       dict(zip(("a1", "a2") if kind == "fliptext"
                                else ("pts",), map(tuple, refs))))
-        if width:
-            self._bump(fam, d1, width)
-            for t in range(d1 + 1, d2 + 1):
-                self._bump(fam, t, 2 * width)
+        # per flipped input: a head point, then two in each later tile
+        self.points[fam] += width * (1 + 2 * (d2 - d1))
         return new
 
     # -- D-entry supply ----------------------------------------------------
@@ -451,9 +448,7 @@ class _Builder:
                 self._dptr += 1
             else:
                 if self.geometry:
-                    raise PathTooShort(
-                        self._d_needed + k, len(ds),
-                        floor + 2 * k)   # rough; plan_layers reports exactly
+                    raise PathTooShort(self._d_needed + k, len(ds))
                 self._virtual = True
                 period = ds[1] - ds[0] if len(ds) > 1 else 4
                 floor = max(floor, ds[-1] if ds else 0) + period
@@ -662,10 +657,9 @@ class _Builder:
                 lits.append(lit)
                 occ_of_var[abs(lit)].append(tpos)
                 tpos += 1
-        self.occ_var, self.occ_lit, self.occ_key = [], [], []
+        self.occ_lit, self.occ_key = [], []
         for k in range(1, self.n + 1):
             for t in occ_of_var[k]:
-                self.occ_var.append(k)
                 self.occ_lit.append(lits[t])
                 self.occ_key.append(t)
 
@@ -810,8 +804,6 @@ class _Builder:
             self._mark_layer("sorted")
             return
         entry = self.bucket_entry
-        if entry is None:
-            raise ReductionError("juxtaposition sorting needs a bucket entry")
         d1_dec, d2_dec = entry.d1 == "dec", entry.d2 == "dec"
         has_dec = d1_dec or d2_dec
 
@@ -994,8 +986,8 @@ class _Builder:
     def plan(self) -> LayerPlan:
         """The layer schedule, the D entries used and the exact sizes of
         the construction built so far."""
-        text_pre = sum(self.counts["T"].values())
-        pat_pre = sum(self.counts["P"].values())
+        text_pre = self.points["T"]
+        pat_pre = self.points["P"]
         run = text_pre + 1           # length of each anchor run
         sizes = {
             "pattern": pat_pre + 2 * (run - 1),
@@ -1027,8 +1019,7 @@ class _Builder:
                     (ys.index(max(ys)), run - 1))
             tf = TileFamily(
                 self.path.matrix.cols, self.path.matrix.rows,
-                {self.path.cells[t]: Tile(*cols, self.bound,
-                                          runs if t == 0 else ())
+                {self.path.cells[t]: Tile(*cols, runs if t == 0 else ())
                  for t, cols in self.tiles[fam].items()},
                 self.bound)
             p, prov, grd = assemble(tf, self.path.orientation)
@@ -1043,7 +1034,7 @@ class _Builder:
                     f"{plan.sizes[name]} counted")
         return ReductionInstance(
             formula=self.formula, mode=self.mode, path=self.path,
-            box_bound=self.bound, bucket_entry=self.bucket_entry,
+            bucket_entry=self.bucket_entry,
             sizes=plan.sizes, layers=plan.layers, d_used=plan.d_used,
             trace=self.trace, clause_layouts=self.clause_layouts,
             final_positions={pid: i for i, pid in enumerate(self.live["T"])},
@@ -1063,14 +1054,14 @@ class _Builder:
             self.build_phase_evaluation()
 
 
-def bucket_rehearsal(keys: Sequence[int], matrix: GriddingMatrix,
-                     bucket_entry: Optional[E.ClassEntry] = None
+def bucket_rehearsal(keys: Sequence[int], matrix: GriddingMatrix
                      ) -> Tuple[ReductionInstance, List[int]]:
     """Sort standalone channels by juxtaposition bucket passes alone.
 
     ``keys`` must be a permutation of 0..len(keys)-1; channel i carries
     key ``keys[i]``.  Builds the initial layer on the given path matrix,
-    runs the bucket sorting phase, and assembles.  Returns the instance
+    runs the bucket sorting phase with the matrix's bucket entry (see
+    ``bucket_entry_of``), and assembles.  Returns the instance
     and the final channel order.  This isolates the bucket machinery so
     every juxtaposition shape can be exercised on small staircases.
     """
@@ -1078,16 +1069,13 @@ def bucket_rehearsal(keys: Sequence[int], matrix: GriddingMatrix,
         raise ReductionError("keys must be a permutation of 0..m-1")
     path = make_path_spec(matrix)
     formula = CNFFormula(len(keys), ())
-    b = _Builder(formula, path, "juxtaposition", geometry=True,
-                 bucket_entry=_default_bucket_entry(matrix, bucket_entry))
+    b = _Builder(formula, path, "juxtaposition", geometry=True)
     b.build_phase_initial()
     for fam in _FAMS:
         for pid in list(b.live[fam]):
             tg = b.tag[fam][pid]
             if tg[0] == "var":
                 b.tag[fam][pid] = ("occ", tg[1] - 1)
-    b.occ_var = list(range(1, len(keys) + 1))
-    b.occ_lit = [k for k in b.occ_var]
     b.occ_key = list(keys)
     b._refresh_occ_order()
     b.build_phase_sorting_juxtaposition()
@@ -1109,60 +1097,61 @@ def rich_path_matrix(mode: str, length: int) -> GriddingMatrix:
     return m
 
 
-def _default_bucket_entry(matrix: GriddingMatrix,
-                          override: Optional[E.ClassEntry]
-                          ) -> Optional[E.ClassEntry]:
-    if override is not None:
-        return override
+def bucket_entry_of(matrix: GriddingMatrix) -> E.ClassEntry:
+    """The monotone juxtaposition the bucket passes sort through: the
+    matrix's first D entry in cell order when that entry is one, else
+    ``juxth:inc,inc``."""
     ds = [e for _, e in sorted(matrix.filled.items())
           if not E.is_monotone(e)]
     if ds and ds[0].kind in ("juxth", "juxtv"):
         return ds[0]
-    return E.parse_entry("juxth:inc,inc")
+    return E.juxth("inc", "inc")
 
 
-def _capability_check(matrix: GriddingMatrix, mode: str,
-                      bucket_entry: Optional[E.ClassEntry]) -> None:
+def _capability_check(matrix: GriddingMatrix, mode: str) -> None:
+    """Every D entry must contain every gadget the mode places in it.
+
+    Every gadget is a direct sum of 1s and 21s, so a D entry must
+    contain the whole Fibonacci class fib+; in juxtaposition mode it
+    must also contain the bucket class.  av:sigma contains a class
+    exactly when sigma is not in it.  fib- is fib+ again (reverse-
+    complement maps fib+ onto itself), which holds no juxtaposition
+    class, and no juxtaposition class holds 214365.
+    """
     ds = {e for e in matrix.filled.values() if not E.is_monotone(e)}
     if not ds:
         raise UnusableMatrix("matrix has no non-monotone entry")
-    probes = [perm(2, 1), perm(2, 1, 4, 3), perm(2, 1, 4, 3, 6, 5)]
+    wanted = [E.FIBP]
     if mode == "juxtaposition":
-        small = [Permutation(ranks) for n in range(1, 5)
-                 for ranks in itertools.permutations(range(1, n + 1))
-                 if E.entry_contains(bucket_entry, Permutation(ranks))]
-        probes = probes + small
+        wanted.append(bucket_entry_of(matrix))
     for d in ds:
-        for p in probes:
-            if not E.entry_contains(d, p):
+        for c in wanted:
+            if d.kind == "av":
+                ok = not E.entry_contains(c, d.sigma)
+            else:
+                ok = d.kind in ("fib+", "fib-") and c == E.FIBP
+            if not ok:
                 raise UnusableMatrix(
-                    f"D entry {E.format_entry(d)} lacks required content "
-                    f"{p.ranks}")
+                    f"D entry {E.format_entry(d)} does not contain "
+                    f"{E.format_entry(c)}")
 
 
-def plan_layers(formula: CNFFormula, path: PathSpec, mode: str,
-                bucket_entry: Optional[E.ClassEntry] = None) -> LayerPlan:
+def plan_layers(formula: CNFFormula, path: PathSpec, mode: str
+                ) -> LayerPlan:
     """Dry-run the construction in counting mode.
 
     Returns the layer schedule, D usage and exact sizes.  Raises
     PathTooShort when the path does not provide enough D entries,
     reporting how many the formula needs."""
-    b = _Builder(formula, path, mode, geometry=False,
-                 bucket_entry=_default_bucket_entry(path.matrix,
-                                                    bucket_entry))
+    b = _Builder(formula, path, mode, geometry=False)
     b.build()
     if b._virtual:
-        period = (path.d_tiles[1] - path.d_tiles[0]
-                  if len(path.d_tiles) > 1 else 4)
-        first = path.d_tiles[0] if path.d_tiles else 1
-        raise PathTooShort(b._d_needed, len(path.d_tiles),
-                           first + period * b._d_needed + 1)
+        raise PathTooShort(b._d_needed, len(path.d_tiles))
     return b.plan()
 
 
 def reduce_formula(formula: CNFFormula, mode: str = "gadgets",
-                   matrix: Optional[GriddingMatrix] = None,
-                   bucket_entry: Optional[E.ClassEntry] = None
+                   matrix: Optional[GriddingMatrix] = None
                    ) -> ReductionInstance:
     """Build the full geometric instance for a formula.
 
@@ -1170,22 +1159,20 @@ def reduce_formula(formula: CNFFormula, mode: str = "gadgets",
     from the default 2x2 cycle for the requested mode."""
     if matrix is not None:
         path = make_path_spec(matrix)
-        be = _default_bucket_entry(matrix, bucket_entry)
-        _capability_check(matrix, mode, be)
-        plan_layers(formula, path, mode, be)   # raises PathTooShort if unfit
+        _capability_check(matrix, mode)
+        plan_layers(formula, path, mode)   # raises PathTooShort if unfit
     else:
         length = 8
         for _ in range(12):
             path = make_path_spec(rich_path_matrix(mode, length))
-            be = _default_bucket_entry(path.matrix, bucket_entry)
             try:
-                plan_layers(formula, path, mode, be)
+                plan_layers(formula, path, mode)
                 break
             except PathTooShort as exc:
                 length = max(length * 2, exc.required_d + 2)
         else:
             raise ReductionError("could not size a rich path for the formula")
-        _capability_check(path.matrix, mode, be)
-    b = _Builder(formula, path, mode, geometry=True, bucket_entry=be)
+        _capability_check(path.matrix, mode)
+    b = _Builder(formula, path, mode, geometry=True)
     b.build()
     return b.finish()

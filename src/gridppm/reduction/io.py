@@ -17,22 +17,23 @@ import json
 import os
 from typing import Dict
 
-from ..entries import format_entry, parse_entry
+from ..entries import format_entry
 from ..grid import format_matrix_json, parse_matrix_json
 from ..perm import format_perm
 from ..sat import CNFFormula
-from .builder import ReductionInstance, reduce_formula
+from .builder import ReductionInstance, bucket_entry_of, reduce_formula
 
 __all__ = ["write_instance", "read_instance_summary", "rebuild_instance"]
 
 
 def _instance_payload(inst: ReductionInstance) -> Dict:
+    bound = inst.families["P"].box_bound
     return {
         "formula": {"nvars": inst.formula.nvars,
                     "clauses": [list(c) for c in inst.formula.clauses]},
         "mode": inst.mode,
         "matrix": json.loads(format_matrix_json(inst.path.matrix)),
-        "box_bound": [inst.box_bound.numerator, inst.box_bound.denominator],
+        "box_bound": [bound.numerator, bound.denominator],
         "sizes": inst.sizes,
         "layers": [list(l) for l in inst.layers],
         "d_used": inst.d_used,
@@ -53,29 +54,34 @@ def write_instance(inst: ReductionInstance, directory: str) -> None:
     with open(os.path.join(directory, "text.perm"), "w") as fh:
         fh.write(format_perm(inst.text) + "\n")
     with open(os.path.join(directory, "provenance.json"), "w") as fh:
-        fh.write(_provenance_json(inst))
+        _write_provenance(inst, fh)
 
 
-def _provenance_json(inst: ReductionInstance) -> str:
-    """The bytes ``json.dump(..., indent=1)`` plus a newline would write
-    for {"pattern": {"i,j:idx": pos, ...}, "text": {...}}, without the
-    pure-Python encoder that indentation forces on ``json``.  Keys come
-    in the order of their cells, then of the point indices in each
-    cell's list.  Both maps are non-empty: every family carries its
-    anchor points."""
-    parts = []
+def _write_provenance(inst: ReductionInstance, fh) -> None:
+    """Write the bytes ``json.dump(..., indent=1)`` plus a newline would
+    write for {"pattern": {"i,j:idx": pos, ...}, "text": {...}}, without
+    the pure-Python encoder that indentation forces on ``json``.  Keys
+    come in the order of their cells, then of the point indices in each
+    cell's list.  Each cell's lines are written as they are made, so the
+    file is never held whole.  Every cell of ``prov`` holds points, and
+    both maps are non-empty: every family carries its anchor points."""
+    head = "{\n"
     for fam, name in (("P", "pattern"), ("T", "text")):
-        lines = [f'  "{i},{j}:{idx}": {pos}'
-                 for (i, j), poss in sorted(inst.prov[fam].items())
-                 for idx, pos in enumerate(poss)]
-        parts.append(f' "{name}": {{\n' + ",\n".join(lines) + "\n }")
-    return "{\n" + ",\n".join(parts) + "\n}\n"
+        fh.write(f'{head} "{name}": {{\n')
+        sep = ""
+        for (i, j), poss in sorted(inst.prov[fam].items()):
+            fh.write(sep + ",\n".join([f'  "{i},{j}:{idx}": {pos}'
+                                       for idx, pos in enumerate(poss)]))
+            sep = ",\n"
+        fh.write("\n }")
+        head = ",\n"
+    fh.write("\n}\n")
 
 
 def read_instance_summary(directory: str) -> Dict:
     """The instance.json payload, with the formula and matrix parsed.
-    A malformed formula, mode, matrix or bucket entry raises
-    ValueError."""
+    A malformed formula, mode or matrix raises ValueError, and so does a
+    bucket entry other than the one the matrix implies."""
     with open(os.path.join(directory, "instance.json")) as fh:
         try:
             data = json.load(fh)
@@ -96,7 +102,10 @@ def read_instance_summary(directory: str) -> Dict:
     if not (be is None or isinstance(be, str)):
         raise ValueError('"bucket_entry" must be an entry string or null')
     data["matrix_obj"] = parse_matrix_json(json.dumps(data["matrix"]))
-    data["bucket_entry_obj"] = parse_entry(be) if be else None
+    implied = format_entry(bucket_entry_of(data["matrix_obj"]))
+    if be != implied:
+        raise ValueError(f'"bucket_entry" {be!r} is not the matrix\'s '
+                         f'{implied!r}')
     return data
 
 
@@ -106,5 +115,4 @@ def rebuild_instance(summary: Dict) -> ReductionInstance:
     The builder is deterministic, so the rebuilt instance carries the
     full geometry (trace, provenance, tile families) the files do not."""
     return reduce_formula(summary["formula_obj"], mode=summary["mode"],
-                          matrix=summary["matrix_obj"],
-                          bucket_entry=summary.get("bucket_entry_obj"))
+                          matrix=summary["matrix_obj"])

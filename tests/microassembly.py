@@ -24,13 +24,13 @@ from gridppm.sat import CNFFormula
 # --- tiles -------------------------------------------------------------------
 
 
-def make_tile(points, bound, runs=()):
+def make_tile(points, runs=()):
     """A tile holding the given ``PlanePoint``s, in order."""
     xs = [p.x for p in points]
     ys = [p.y for p in points]
     cols = [[c.na for c in xs], [c.nb for c in xs], [c.den for c in xs],
             [c.na for c in ys], [c.nb for c in ys], [c.den for c in ys]]
-    return Tile(*cols, bound, tuple(runs))
+    return Tile(*cols, tuple(runs))
 
 
 def tile_points(tile):
@@ -64,7 +64,7 @@ def finish_micro(b):
     out = {}
     for fam in "PT":
         tf = TileFamily(b.path.matrix.cols, b.path.matrix.rows,
-                        {b.path.cells[t]: Tile(*cols, b.bound)
+                        {b.path.cells[t]: Tile(*cols)
                          for t, cols in b.tiles[fam].items()},
                         b.bound)
         out[fam] = assemble(tf, b.path.orientation)

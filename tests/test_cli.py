@@ -235,7 +235,8 @@ def test_malformed_instance_json_exits_one(command, files, tmp_path, capsys):
         {"formula": {"nvars": "1", "clauses": [[1, 1, 1]]}},
         {"formula": {"nvars": 1, "clauses": [[1, 1]]}},
         {"mode": "sideways"},
-        {"bucket_entry": 5})]
+        {"bucket_entry": 5},
+        {"bucket_entry": "juxtv:inc,inc"})]   # not the matrix's entry
     bad_matrices = [json.dumps(dict(json.loads(good), matrix=json.loads(t)))
                     for t in MALFORMED_MATRICES + UNUSABLE_MATRICES]
     for broken in [good[: len(good) // 2], "[" * 100_000,

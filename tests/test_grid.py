@@ -417,7 +417,7 @@ def test_rich_path_members_stay_in_input_class(L):
 
 
 def test_assemble_single_tile_is_standardize():
-    tile = make_tile((pt(1, 2), pt(2, 1), pt(3, 3)), Fraction(3))
+    tile = make_tile((pt(1, 2), pt(2, 1), pt(3, 3)))
     fam = TileFamily(1, 1, {(1, 1): tile}, Fraction(3))
     p, prov, g = assemble(fam, identity_orientation(1, 1))
     assert p == perm(2, 1, 3)
@@ -426,7 +426,7 @@ def test_assemble_single_tile_is_standardize():
 
 
 def test_assemble_orientation_reverses():
-    tile = make_tile((pt(1, 1), pt(2, 2)), Fraction(2))
+    tile = make_tile((pt(1, 1), pt(2, 2)))
     fam = TileFamily(1, 1, {(1, 1): tile}, Fraction(2))
     p, _, _ = assemble(fam, Orientation((-1,), (1,)))
     assert p == perm(2, 1)
@@ -439,8 +439,8 @@ def test_assemble_orientation_reverses():
 def test_assemble_rotation_tiebreak():
     # two tiles in one row whose points collide in y: the point with
     # larger x must end lower
-    t1 = make_tile((pt(1, 1),), Fraction(1))
-    t2 = make_tile((pt(1, 1),), Fraction(1))
+    t1 = make_tile((pt(1, 1),))
+    t2 = make_tile((pt(1, 1),))
     fam = TileFamily(2, 1, {(1, 1): t1, (2, 1): t2}, Fraction(1))
     p, _, _ = assemble(fam, identity_orientation(2, 1))
     assert p == perm(2, 1)
@@ -451,19 +451,19 @@ def test_assemble_rotation_tiebreak():
 
 
 def test_assemble_box_overflow():
-    tile = make_tile((pt(5, 1),), Fraction(2))
+    tile = make_tile((pt(5, 1),))
     fam = TileFamily(1, 1, {(1, 1): tile}, Fraction(2))
     with pytest.raises(BoxOverflow):
         assemble(fam, identity_orientation(1, 1))
 
 
 def test_tile_errors_name_the_point_and_the_columns():
-    tile = make_tile((pt(1, 1), pt(5, 2)), Fraction(2))
+    tile = make_tile((pt(1, 1), pt(5, 2)))
     fam = TileFamily(1, 1, {(1, 1): tile}, Fraction(2))
     with pytest.raises(BoxOverflow, match=r"point 1 \(5, 2\)"):
         assemble(fam, identity_orientation(1, 1))
     with pytest.raises(ValueError, match="columns differ"):
-        Tile([1], [0], [1], [1], [0], [], Fraction(2))
+        Tile([1], [0], [1], [1], [0], [])
 
 
 def test_assemble_passes_induced_gridding():
@@ -479,7 +479,7 @@ def test_assemble_passes_induced_gridding():
         tiles = {}
         for cell, s in sizes.items():
             pts = tuple(pt(Fraction(t + 1), Fraction(t + 1)) for t in range(s))
-            tiles[cell] = make_tile(pts, bound)
+            tiles[cell] = make_tile(pts)
         fam = TileFamily(2, 2, tiles, bound)
         p, _, g = assemble(fam, f)
         assert check_gridding(p, g, m)
@@ -502,7 +502,7 @@ def families_with_runs(draw):
         pts = tuple(map(pt, draw(coords), draw(coords)))
         runs = draw(st.lists(st.tuples(st.integers(0, n - 1),
                                        st.integers(0, 3)), max_size=3))
-        tiles[cell] = make_tile(pts, bound, runs)
+        tiles[cell] = make_tile(pts, runs)
     signs = st.sampled_from((1, -1))
     f = Orientation(tuple(draw(signs) for _ in range(cols)),
                     tuple(draw(signs) for _ in range(rows)))

@@ -4,6 +4,7 @@ import ast
 import itertools
 import pathlib
 from collections import defaultdict
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 
 import gridppm.reduction
 from gridppm.entries import DEC, FIBP, INC, av, juxth, juxtv, parse_entry
-from gridppm.grid import (check_gridding, matrix_from_rows_top_down,
-                          staircase)
+from gridppm.grid import (GriddingMatrix, build_rich_path, check_gridding,
+                          matrix_from_rows_top_down, staircase)
 from gridppm.perm import Permutation
 from gridppm.reduction import (ClauseTooWide, EmptyClause, ReductionError,
                                NotAPath, PathTooShort, UnusableMatrix,
@@ -122,6 +123,36 @@ def test_unusable_d_entry_is_rejected():
         reduce_formula(f, mode="juxtaposition", matrix=m)
 
 
+def _cycle_path(d):
+    """The 2x2 cycle with D entry ``d``, refined into a rich path."""
+    m, _, _ = build_rich_path(mat([DEC, INC], [d, DEC]), 60)
+    return m
+
+
+# av:sigma classes that are sum- or skew-closed, so they refine into a
+# rich path, but lack a gadget (sigma is a direct sum of 1s and 21s) or,
+# in juxtaposition mode, the bucket class juxth:inc,inc (sigma is one
+# increasing run followed by another)
+@pytest.mark.parametrize("mode,sigma", [
+    ("gadgets", "1234"), ("gadgets", "12345"), ("gadgets", "12354"),
+    ("gadgets", "12435"), ("gadgets", "13245"), ("gadgets", "21345"),
+    ("juxtaposition", "12453"), ("juxtaposition", "23451"),
+    ("juxtaposition", "34512"), ("juxtaposition", "51234")])
+def test_d_entry_must_contain_every_gadget(mode, sigma):
+    with pytest.raises(UnusableMatrix):
+        reduce_formula(FORMULAS[3], mode=mode,
+                       matrix=_cycle_path(parse_entry("av:" + sigma)))
+
+
+@pytest.mark.parametrize("mode,entry", [
+    ("gadgets", "av:321"), ("juxtaposition", "av:321"),
+    ("gadgets", "av:34512"), ("gadgets", "fib+")])
+def test_accepted_d_entry_builds_a_valid_instance(mode, entry):
+    inst = reduce_formula(FORMULAS[3], mode=mode,
+                          matrix=_cycle_path(parse_entry(entry)))
+    assert validate_instance(inst)["violations"] == []
+
+
 def test_short_path_reports_requirement():
     m = staircase(3, INC, FIBP)
     f = CNFFormula(2, ((1, 2, 2), (-1, 2, 2)))
@@ -155,6 +186,25 @@ def test_end_to_end(mode, f):
     if found:
         emb = embedding_from_assignment(inst, rho)
         assert len(emb) == inst.sizes["pattern"]
+
+
+def test_validate_reports_tampered_instances():
+    inst = reduce_formula(FORMULAS[0])
+    assert validate_instance(inst)["violations"] == []
+
+    def violations(**changes):
+        return validate_instance(replace(inst, **changes))["violations"]
+
+    r = inst.text.ranks
+    assert violations(text=Permutation((r[1], r[0]) + r[2:])) == [
+        "T: stored permutation does not match its tiles"]
+    d_cell = inst.path.cells[inst.path.d_tiles[0]]
+    m = inst.path.matrix
+    inc_d = GriddingMatrix(m.cols, m.rows, {**m.filled, d_cell: INC})
+    assert violations(path=replace(inst.path, matrix=inc_d)) == [
+        "P: gridding violates the matrix", "T: gridding violates the matrix"]
+    assert violations(sizes=dict(inst.sizes, text=inst.sizes["text"] + 1)) \
+        == ["recorded sizes disagree with the permutations"]
 
 
 @pytest.mark.parametrize("mode", ["gadgets", "juxtaposition"])
@@ -280,7 +330,7 @@ BUCKET_SHAPES = [juxth("inc", "inc"), juxth("inc", "dec"),
 def test_bucket_rehearsal_sorts_and_respects_entries(entry):
     keys = [5, 2, 7, 0, 3, 6, 1, 4]
     matrix = staircase(30, INC, entry)
-    inst, final = bucket_rehearsal(keys, matrix, entry)
+    inst, final = bucket_rehearsal(keys, matrix)
     assert final == sorted(range(len(keys)), key=lambda t: keys[t])
     assert validate_instance(inst)["violations"] == []
 
