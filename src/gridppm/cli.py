@@ -15,14 +15,15 @@ import time
 # check_gridding is unused here, but the benchmark's tracer expects every
 # module that imports a layer function to keep binding it
 from .grid import (build_rich_path, check_gridding, classify, cell_graph,
-                   find_gridding, format_gridding_json, format_matrix_json,
+                   find_gridding, gridding_to_obj, matrix_to_obj,
                    parse_matrix_json, staircase)
 from .entries import parse_entry
 from .matcher import InvalidGridding, NoTextGridding, solve_cppm
 from .perm import contains, parse_perm
 from .sat import parse_dimacs, solve_sat
 from .reduction import (NotAPath, PathTooShort, ReductionError,
-                        UnusableMatrix, embedding_from_assignment,
+                        UnusableMatrix, check_stored,
+                        embedding_from_assignment,
                         normalize_3cnf, read_instance_summary,
                         rebuild_instance, reduce_formula,
                         simulate_grid_preserving, validate_instance,
@@ -41,39 +42,22 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _read(path):
+def _load(path, parse):
+    """``parse`` of the text of a file; an unreadable or malformed file is
+    a usage error that names it."""
     try:
         with open(path) as fh:
-            return fh.read()
+            return parse(fh.read())
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc.strerror}")
-
-
-def _load_perm(path):
-    try:
-        return parse_perm(_read(path))
-    except ValueError as exc:
-        raise _UsageError(f"{path}: {exc}")
-
-
-def _load_matrix(path):
-    try:
-        return parse_matrix_json(_read(path))
-    except ValueError as exc:
-        raise _UsageError(f"{path}: {exc}")
-
-
-def _load_dimacs(path):
-    try:
-        return parse_dimacs(_read(path))
-    except ValueError as exc:   # a ParseError too
+    except ValueError as exc:   # undecodable text and a ParseError too
         raise _UsageError(f"{path}: {exc}")
 
 
 def _load_cnf(path):
     """A DIMACS file as a 3-CNF formula; an empty or a wider clause is a
     usage error."""
-    cnf = _load_dimacs(path)
+    cnf = _load(path, parse_dimacs)
     try:
         return normalize_3cnf(cnf.nvars, cnf.clauses)
     except ReductionError as exc:
@@ -81,7 +65,7 @@ def _load_cnf(path):
 
 
 def _gridding_payload(g):
-    return json.loads(format_gridding_json(g)) if g is not None else None
+    return gridding_to_obj(g) if g is not None else None
 
 
 def _emit(report, out_path):
@@ -94,8 +78,8 @@ def _emit(report, out_path):
 
 
 def _cmd_brute(args):
-    pattern = _load_perm(args.pattern)
-    text = _load_perm(args.text)
+    pattern = _load(args.pattern, parse_perm)
+    text = _load(args.text, parse_perm)
     t0 = time.perf_counter()
     emb = contains(text, pattern)
     return {"command": "brute", "found": emb is not None,
@@ -104,9 +88,9 @@ def _cmd_brute(args):
 
 
 def _cmd_match(args):
-    matrix = _load_matrix(args.matrix)
-    pattern = _load_perm(args.pattern)
-    text = _load_perm(args.text)
+    matrix = _load(args.matrix, parse_matrix_json)
+    pattern = _load(args.pattern, parse_perm)
+    text = _load(args.text, parse_perm)
     stats = {}
     t0 = time.perf_counter()
     try:
@@ -127,8 +111,8 @@ def _cmd_match(args):
 
 
 def _cmd_gridcheck(args):
-    matrix = _load_matrix(args.matrix)
-    p = _load_perm(args.perm)
+    matrix = _load(args.matrix, parse_matrix_json)
+    p = _load(args.perm, parse_perm)
     t0 = time.perf_counter()
     g = find_gridding(p, matrix)
     return {"command": "gridcheck", "found": g is not None,
@@ -137,7 +121,7 @@ def _cmd_gridcheck(args):
 
 
 def _cmd_richpath(args):
-    matrix = _load_matrix(args.matrix)
+    matrix = _load(args.matrix, parse_matrix_json)
     if args.length is None:
         raise _UsageError("richpath requires --length")
     try:
@@ -145,7 +129,7 @@ def _cmd_richpath(args):
     except ValueError as exc:
         raise _UsageError(str(exc))
     return {"command": "richpath",
-            "matrix": json.loads(format_matrix_json(refined)),
+            "matrix": matrix_to_obj(refined),
             "shape": classify(cell_graph(refined)),
             "order": [list(c) for c in order],
             "d_positions": list(d_positions),
@@ -163,14 +147,14 @@ def _cmd_staircase(args):
     except ValueError as exc:
         raise _UsageError(str(exc))
     return {"command": "staircase",
-            "matrix": json.loads(format_matrix_json(m)),
+            "matrix": matrix_to_obj(m),
             "shape": classify(cell_graph(m)),
             "stats": {}}
 
 
 def _cmd_reduce(args):
     formula = _load_cnf(args.cnf)
-    matrix = _load_matrix(args.matrix) if args.matrix else None
+    matrix = _load(args.matrix, parse_matrix_json) if args.matrix else None
     t0 = time.perf_counter()
     try:
         inst = reduce_formula(formula, mode=args.mode, matrix=matrix)
@@ -194,13 +178,14 @@ def _rebuild(directory):
         raise _UsageError(f"{directory}: malformed instance.json: {exc}")
     try:
         inst = rebuild_instance(summary)
-    except _MATRIX_ERRORS as exc:
+    except (ValueError,) + _MATRIX_ERRORS as exc:
         raise _UsageError(f"{directory}: malformed instance.json: {exc}")
-    stored_pattern = _load_perm(f"{directory}/pattern.perm")
-    stored_text = _load_perm(f"{directory}/text.perm")
-    if stored_pattern != inst.pattern or stored_text != inst.text:
-        raise ReductionError(
-            "stored permutations do not match a deterministic rebuild")
+    try:
+        check_stored(inst, directory)
+    except OSError as exc:
+        raise _UsageError(f"cannot read {exc.filename}: {exc.strerror}")
+    except ValueError as exc:   # an unparsable .perm file, named in exc
+        raise _UsageError(str(exc))
     return inst
 
 
@@ -236,7 +221,7 @@ def _cmd_embed(args):
 
 
 def _cmd_sat(args):
-    formula = _load_dimacs(args.cnf)
+    formula = _load(args.cnf, parse_dimacs)
     t0 = time.perf_counter()
     witness = solve_sat(formula)
     payload = {"command": "sat", "satisfiable": witness is not None,

@@ -93,13 +93,9 @@ def matrix_from_rows_top_down(rows: Sequence[Sequence[ClassEntry]]) -> GriddingM
                                  if not E.is_empty(e)})
 
 
-def parse_matrix_json(text: str) -> GriddingMatrix:
-    """The matrix {"cols": k, "rows": l, "entries": rows top to bottom}.
-    Every malformed input raises ValueError."""
-    try:
-        obj = json.loads(text)
-    except RecursionError:   # the C decoder's answer to deep nesting
-        raise ValueError("matrix JSON nests too deeply") from None
+def matrix_from_obj(obj) -> GriddingMatrix:
+    """The matrix {"cols": k, "rows": l, "entries": rows top to bottom},
+    as ``json.load`` gives it.  Every malformed input raises ValueError."""
     if not (isinstance(obj, dict)
             and {"cols", "rows", "entries"} <= obj.keys()):
         raise ValueError('matrix must be an object with "cols", "rows" '
@@ -118,12 +114,21 @@ def parse_matrix_json(text: str) -> GriddingMatrix:
     return m
 
 
-def format_matrix_json(m: GriddingMatrix) -> str:
+def parse_matrix_json(text: str) -> GriddingMatrix:
+    """``matrix_from_obj`` of a JSON text."""
+    try:
+        obj = json.loads(text)
+    except RecursionError:   # the C decoder's answer to deep nesting
+        raise ValueError("matrix JSON nests too deeply") from None
+    return matrix_from_obj(obj)
+
+
+def matrix_to_obj(m: GriddingMatrix) -> Dict:
     """The dense file form: every cell, rows top to bottom."""
     rows = [[E.format_entry(E.EMPTY_E)] * m.cols for _ in range(m.rows)]
     for (i, j), e in m.filled.items():
         rows[m.rows - j][i - 1] = E.format_entry(e)
-    return json.dumps({"cols": m.cols, "rows": m.rows, "entries": rows})
+    return {"cols": m.cols, "rows": m.rows, "entries": rows}
 
 
 # --- cell graph -----------------------------------------------------------
@@ -229,14 +234,8 @@ class Gridding:
                 raise ValueError("cuts must be weakly increasing")
 
 
-def parse_gridding_json(text: str) -> Gridding:
-    obj = json.loads(text)
-    return Gridding(tuple(obj["col_cuts"]), tuple(obj["row_cuts"]))
-
-
-def format_gridding_json(g: Gridding) -> str:
-    return json.dumps({"col_cuts": list(g.col_cuts),
-                       "row_cuts": list(g.row_cuts)})
+def gridding_to_obj(g: Gridding) -> Dict:
+    return {"col_cuts": list(g.col_cuts), "row_cuts": list(g.row_cuts)}
 
 
 def cell_positions(p: Permutation, g: Gridding) -> Dict[Cell, List[int]]:

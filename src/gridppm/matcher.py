@@ -77,16 +77,15 @@ def _require_monotone(m: GriddingMatrix) -> None:
 
 def extract_partition(p: Permutation, g: Gridding,
                       m: GriddingMatrix) -> MonotonePartition:
-    """One part per non-empty (monotone) matrix cell, in cell order."""
+    """One part per non-empty (monotone) matrix cell, in cell order.  No
+    part needs re-checking: ``check_gridding`` proved each cell's run."""
     _require_monotone(m)
     if not check_gridding(p, g, m):
         raise InvalidGridding("not a valid gridding of the permutation")
     cells = cell_positions(p, g)
     nonempty = m.nonempty_cells()
-    out = MonotonePartition(tuple(tuple(cells.get(c, ())) for c in nonempty),
-                            tuple(m.entry(*c).kind for c in nonempty))
-    out.validate(p)
-    return out
+    return MonotonePartition(tuple(tuple(cells.get(c, ())) for c in nonempty),
+                             tuple(m.entry(*c).kind for c in nonempty))
 
 
 # --- 2-SAT ------------------------------------------------------------------
@@ -353,21 +352,20 @@ def solve_cppm(pattern: Permutation, text: Permutation, m: GriddingMatrix,
     if g_text is None:
         raise NoTextGridding("text admits no gridding (broken promise)")
     sigma = extract_partition(text, g_text, m)
-    tried = 0
+    if stats is not None:
+        stats["gridding_text"] = g_text
+    tried, emb = 0, None
     for g_pat in all_griddings(pattern, m):
         tried += 1
         pi = extract_partition(pattern, g_pat, m)
         sub = {} if stats is not None else None
         emb = psi_embedding(pattern, pi, text, sigma, stats=sub)
         if stats is not None:
-            stats["griddings_tried"] = tried
             stats["clauses"] = stats.get("clauses", 0) + sub.get("clauses", 0)
-            stats["gridding_text"] = g_text
             if emb is not None:
                 stats["gridding_pattern"] = g_pat
         if emb is not None:
-            return emb
+            break
     if stats is not None:
         stats["griddings_tried"] = tried
-        stats["gridding_text"] = g_text
-    return None
+    return emb

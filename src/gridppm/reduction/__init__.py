@@ -9,7 +9,8 @@ from .builder import (ReductionError, EmptyClause, ClauseTooWide,
                       rich_path_matrix, bucket_rehearsal)
 from .checks import (validate_instance, simulate_grid_preserving,
                      embedding_from_assignment)
-from .io import write_instance, read_instance_summary, rebuild_instance
+from .io import (write_instance, read_instance_summary, rebuild_instance,
+                 check_stored)
 
 __all__ = [
     "ReductionError", "EmptyClause", "ClauseTooWide", "PathTooShort",
@@ -19,5 +20,5 @@ __all__ = [
     "default_matrix", "rich_path_matrix", "bucket_rehearsal",
     "validate_instance", "simulate_grid_preserving",
     "embedding_from_assignment", "write_instance",
-    "read_instance_summary", "rebuild_instance",
+    "read_instance_summary", "rebuild_instance", "check_stored",
 ]

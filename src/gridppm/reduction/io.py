@@ -7,23 +7,28 @@ A written instance directory holds:
 * ``provenance.json`` -- per-family map from (cell, point index in tile)
   to permutation position (1-based).
 
-The geometry itself is reproducible: rebuilding from the formula and mode
-is deterministic, so verification reconstructs and compares byte-wise.
+The geometry itself is reproducible: rebuilding from the formula, mode
+and matrix is deterministic, so verification trusts only those three.
+``rebuild_instance`` compares every field of ``instance.json`` with the
+payload the writer builds for the rebuild, as parsed JSON values, so the
+file's layout does not matter; ``check_stored`` compares the two
+permutations as permutations and ``provenance.json`` byte for byte.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Dict
+from typing import Dict, Iterator
 
 from ..entries import format_entry
-from ..grid import format_matrix_json, parse_matrix_json
-from ..perm import format_perm
+from ..grid import matrix_from_obj, matrix_to_obj
+from ..perm import format_perm, parse_perm
 from ..sat import CNFFormula
-from .builder import ReductionInstance, bucket_entry_of, reduce_formula
+from .builder import ReductionError, ReductionInstance, reduce_formula
 
-__all__ = ["write_instance", "read_instance_summary", "rebuild_instance"]
+__all__ = ["write_instance", "read_instance_summary", "rebuild_instance",
+           "check_stored"]
 
 
 def _instance_payload(inst: ReductionInstance) -> Dict:
@@ -32,7 +37,7 @@ def _instance_payload(inst: ReductionInstance) -> Dict:
         "formula": {"nvars": inst.formula.nvars,
                     "clauses": [list(c) for c in inst.formula.clauses]},
         "mode": inst.mode,
-        "matrix": json.loads(format_matrix_json(inst.path.matrix)),
+        "matrix": matrix_to_obj(inst.path.matrix),
         "box_bound": [bound.numerator, bound.denominator],
         "sizes": inst.sizes,
         "layers": [list(l) for l in inst.layers],
@@ -54,34 +59,61 @@ def write_instance(inst: ReductionInstance, directory: str) -> None:
     with open(os.path.join(directory, "text.perm"), "w") as fh:
         fh.write(format_perm(inst.text) + "\n")
     with open(os.path.join(directory, "provenance.json"), "w") as fh:
-        _write_provenance(inst, fh)
+        fh.writelines(_provenance_chunks(inst))
 
 
-def _write_provenance(inst: ReductionInstance, fh) -> None:
-    """Write the bytes ``json.dump(..., indent=1)`` plus a newline would
-    write for {"pattern": {"i,j:idx": pos, ...}, "text": {...}}, without
-    the pure-Python encoder that indentation forces on ``json``.  Keys
-    come in the order of their cells, then of the point indices in each
-    cell's list.  Each cell's lines are written as they are made, so the
-    file is never held whole.  Every cell of ``prov`` holds points, and
-    both maps are non-empty: every family carries its anchor points."""
+def _provenance_chunks(inst: ReductionInstance) -> Iterator[str]:
+    """The bytes ``json.dump(..., indent=1)`` plus a newline would write
+    for {"pattern": {"i,j:idx": pos, ...}, "text": {...}}, without the
+    pure-Python encoder that indentation forces on ``json``.  Keys come
+    in the order of their cells, then of the point indices in each
+    cell's list.  Each cell's lines come as one chunk, made when asked
+    for, so the file is never held whole.  Every cell of ``prov`` holds
+    points, and both maps are non-empty: every family carries its anchor
+    points."""
     head = "{\n"
     for fam, name in (("P", "pattern"), ("T", "text")):
-        fh.write(f'{head} "{name}": {{\n')
+        yield f'{head} "{name}": {{\n'
         sep = ""
         for (i, j), poss in sorted(inst.prov[fam].items()):
-            fh.write(sep + ",\n".join([f'  "{i},{j}:{idx}": {pos}'
-                                       for idx, pos in enumerate(poss)]))
+            yield sep + ",\n".join([f'  "{i},{j}:{idx}": {pos}'
+                                    for idx, pos in enumerate(poss)])
             sep = ",\n"
-        fh.write("\n }")
+        yield "\n }"
         head = ",\n"
-    fh.write("\n}\n")
+    yield "\n}\n"
+
+
+def check_stored(inst: ReductionInstance, directory: str) -> None:
+    """Check the stored permutations and provenance against ``inst``, the
+    rebuild of the directory's ``instance.json``.  An unparsable ``.perm``
+    file raises ValueError naming it, and a stored file that differs from
+    the rebuild raises ReductionError.  The permutations are compared as
+    permutations, the provenance byte for byte, streamed."""
+    stored = []
+    for name in ("pattern.perm", "text.perm"):
+        path = os.path.join(directory, name)
+        with open(path) as fh:
+            try:
+                stored.append(parse_perm(fh.read()))
+            except ValueError as exc:   # undecodable text too
+                raise ValueError(f"{path}: {exc}") from None
+    if stored != [inst.pattern, inst.text]:
+        raise ReductionError(
+            "stored permutations do not match a deterministic rebuild")
+    with open(os.path.join(directory, "provenance.json"), "rb") as fh:
+        same = all(fh.read(len(chunk)) == chunk for chunk
+                   in map(str.encode, _provenance_chunks(inst)))
+        if not same or fh.read(1):
+            raise ReductionError(
+                "stored provenance.json does not match a deterministic "
+                "rebuild")
 
 
 def read_instance_summary(directory: str) -> Dict:
-    """The instance.json payload, with the formula and matrix parsed.
-    A malformed formula, mode or matrix raises ValueError, and so does a
-    bucket entry other than the one the matrix implies."""
+    """The instance.json payload, with the formula and matrix parsed into
+    "formula_obj" and "matrix_obj".  A malformed formula, mode or matrix
+    raises ValueError; ``rebuild_instance`` checks the other fields."""
     with open(os.path.join(directory, "instance.json")) as fh:
         try:
             data = json.load(fh)
@@ -98,14 +130,7 @@ def read_instance_summary(directory: str) -> Dict:
     data["formula_obj"] = CNFFormula(nvars, tuple(map(tuple, clauses)))
     if data["mode"] not in ("gadgets", "juxtaposition"):
         raise ValueError(f'unknown "mode" {data["mode"]!r}')
-    be = data.get("bucket_entry")
-    if not (be is None or isinstance(be, str)):
-        raise ValueError('"bucket_entry" must be an entry string or null')
-    data["matrix_obj"] = parse_matrix_json(json.dumps(data["matrix"]))
-    implied = format_entry(bucket_entry_of(data["matrix_obj"]))
-    if be != implied:
-        raise ValueError(f'"bucket_entry" {be!r} is not the matrix\'s '
-                         f'{implied!r}')
+    data["matrix_obj"] = matrix_from_obj(data["matrix"])
     return data
 
 
@@ -113,6 +138,17 @@ def rebuild_instance(summary: Dict) -> ReductionInstance:
     """Re-run the construction from a stored summary.
 
     The builder is deterministic, so the rebuilt instance carries the
-    full geometry (trace, provenance, tile families) the files do not."""
-    return reduce_formula(summary["formula_obj"], mode=summary["mode"],
+    full geometry (trace, provenance, tile families) the files do not.
+    Every stored field must equal the one the writer gives the rebuild,
+    compared as Python compares JSON values (so 1, 1.0 and true are one
+    value); otherwise ValueError names the fields that differ."""
+    inst = reduce_formula(summary["formula_obj"], mode=summary["mode"],
                           matrix=summary["matrix_obj"])
+    stored = {k: v for k, v in summary.items()
+              if k not in ("formula_obj", "matrix_obj")}
+    want = _instance_payload(inst)
+    differ = [k for k in sorted(stored.keys() | want.keys())
+              if k not in stored or k not in want or stored[k] != want[k]]
+    if differ:
+        raise ValueError(f"fields differ from a rebuild: {', '.join(differ)}")
+    return inst

@@ -1,6 +1,7 @@
 """The command-line surface: exit codes, report shapes, determinism."""
 
 import json
+import re
 
 import pytest
 
@@ -227,6 +228,7 @@ def test_malformed_instance_json_exits_one(command, files, tmp_path, capsys):
     capsys.readouterr()
     meta = out / "instance.json"
     good = meta.read_text()
+    stored = json.loads(good)
     no_formula = {k: v for k, v in json.loads(good).items() if k != "formula"}
     bad_clauses = dict(no_formula, formula={"nvars": 1, "clauses": [1]})
     bad_fields = [dict(json.loads(good), **kv) for kv in (
@@ -236,7 +238,13 @@ def test_malformed_instance_json_exits_one(command, files, tmp_path, capsys):
         {"formula": {"nvars": 1, "clauses": [[1, 1]]}},
         {"mode": "sideways"},
         {"bucket_entry": 5},
-        {"bucket_entry": "juxtv:inc,inc"})]   # not the matrix's entry
+        {"bucket_entry": "juxtv:inc,inc"},   # not the matrix's entry
+        # derived fields that differ from the rebuild's
+        {"sizes": dict(stored["sizes"], text=stored["sizes"]["text"] + 1)},
+        {"layers": stored["layers"][:-1]},
+        {"d_used": stored["d_used"] + 1},
+        {"path_cells": stored["path_cells"][::-1]},
+        {"box_bound": [stored["box_bound"][0] + 1, 1]})]
     bad_matrices = [json.dumps(dict(json.loads(good), matrix=json.loads(t)))
                     for t in MALFORMED_MATRICES + UNUSABLE_MATRICES]
     for broken in [good[: len(good) // 2], "[" * 100_000,
@@ -258,6 +266,38 @@ def test_malformed_instance_json_exits_one(command, files, tmp_path, capsys):
         assert err.startswith(f"gridppm: {perm_file}: ")
         assert err.count("\n") == 1
         perm_file.write_text(kept)
+    prov = out / "provenance.json"
+    prov.rename(out / "kept.json")
+    assert run([command, str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"gridppm: cannot read {prov}: No such file or directory\n")
+
+
+@pytest.mark.parametrize("command", ["verify", "embed"])
+@pytest.mark.parametrize("name", ["pattern.perm", "provenance.json"])
+def test_tampered_stored_file_exits_two(command, name, files, tmp_path,
+                                        capsys):
+    """A stored file that parses but is not the rebuild's: two ranks
+    swapped in pattern.perm, one position changed in provenance.json."""
+    f = files("f.cnf", "p cnf 1 1\n1 0\n")
+    out = tmp_path / "inst"
+    assert run(["reduce", "--cnf", f, "--mode", "juxtaposition",
+                "--out", str(out)]) == 0
+    capsys.readouterr()
+    path = out / name
+    text = path.read_text()
+    if name == "pattern.perm":
+        ranks = text.split()
+        ranks[:2] = ranks[1::-1]
+        path.write_text(" ".join(ranks) + "\n")
+    else:
+        path.write_text(re.sub(r'": (\d+)', lambda g: f'": {int(g[1]) + 1}',
+                               text, count=1))
+    assert path.read_text() != text
+    assert run([command, str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gridppm: validation failure: stored ")
+    assert err.count("\n") == 1
 
 
 def test_embed_unsat_instance(files, tmp_path, capsys):

@@ -1,16 +1,20 @@
 """Fuzzed text inputs reach the CLI's exit codes, never a traceback.
 
 Each input runs in-process through ``cli.run``: DIMACS through ``sat``,
-``.perm`` text through ``brute`` and matrix JSON through ``gridcheck``.
-Every run must return 0, 1 or 2 and raise nothing.  The inputs stay
-small, at most 12 variables and at most 8 points, so the searches
-behind the commands stay cheap.
+``.perm`` text through ``brute``, matrix JSON through ``gridcheck`` and
+a tampered ``instance.json`` through ``verify``.  Every run must return
+0, 1 or 2 and raise nothing.  The inputs stay small, at most 12
+variables and at most 8 points, and the written instance comes from a
+one-clause formula, so the searches behind the commands stay cheap.
 """
 
+import contextlib
+import io
 import json
 import os
 import tempfile
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -85,3 +89,40 @@ def test_brute_never_raises(pattern, text):
 @example("[" * 100_000, "1\n")   # json's decoder raised RecursionError
 def test_gridcheck_never_raises(matrix, perm_text):
     assert _run("gridcheck", matrix=matrix, perm=perm_text) in (0, 1, 2)
+
+
+@pytest.fixture(scope="module")
+def written(tmp_path_factory):
+    """A written juxtaposition instance of the formula (1 1 1), and its
+    instance.json fields."""
+    d = tmp_path_factory.mktemp("fuzz")
+    (d / "f.cnf").write_text("p cnf 1 1\n1 0\n")
+    out = d / "inst"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(["reduce", "--cnf", str(d / "f.cnf"), "--mode",
+                    "juxtaposition", "--out", str(out)]) == 0
+    return out, json.loads((out / "instance.json").read_text())
+
+
+JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=8),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.text(max_size=8), kids, max_size=4),
+    max_leaves=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), JSON_VALUE)
+def test_verify_never_raises_on_a_tampered_field(written, data, value):
+    """One top-level field of instance.json replaced by arbitrary JSON:
+    verify exits 0, 1 or 2, with one line on stderr when it fails."""
+    out, fields = written
+    field = data.draw(st.sampled_from(sorted(fields)))
+    (out / "instance.json").write_text(
+        json.dumps(dict(fields, **{field: value})))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(["verify", str(out), "--out", str(out / "report.json")])
+    assert code in (0, 1, 2)
+    assert err.getvalue().count("\n") == (code != 0)

@@ -14,7 +14,9 @@ import pytest
 
 from gridppm.entries import INC, format_entry
 from gridppm.grid import staircase
-from gridppm.reduction import bucket_rehearsal, reduce_formula, write_instance
+from gridppm.reduction import (bucket_rehearsal, check_stored,
+                               read_instance_summary, rebuild_instance,
+                               reduce_formula, write_instance)
 
 from test_reduction import BUCKET_SHAPES, FORMULAS
 
@@ -106,10 +108,13 @@ GOLDEN = {
 
 @pytest.mark.parametrize("mode,k", sorted(GOLDEN))
 def test_written_instance_bytes(mode, k, tmp_path):
+    """The pinned files, and the reader's acceptance of them."""
     write_instance(reduce_formula(FORMULAS[k], mode=mode), str(tmp_path))
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in GOLDEN[(mode, k)]}
     assert got == GOLDEN[(mode, k)]
+    inst = rebuild_instance(read_instance_summary(str(tmp_path)))
+    check_stored(inst, str(tmp_path))
 
 
 # the rehearsal sorts channels alone, with no formula, so pattern and

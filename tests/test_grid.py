@@ -19,10 +19,9 @@ from gridppm.grid import (BoxOverflow, CellGraph, DimensionMismatch, Gridding,
                           apply_orientation_gridded, apply_orientation_matrix,
                           assemble, build_rich_path, cell_graph,
                           check_gridding, classify, consistent_orientation,
-                          find_gridding, format_gridding_json,
-                          format_matrix_json, identity_orientation,
-                          matrix_from_rows_top_down, parse_gridding_json,
-                          parse_matrix_json, path_order, refine,
+                          find_gridding, gridding_to_obj, identity_orientation,
+                          matrix_from_obj, matrix_from_rows_top_down,
+                          matrix_to_obj, parse_matrix_json, path_order, refine,
                           sample_member, staircase, sum_closing_orientation)
 from gridppm.perm import Permutation, perm
 from microassembly import inflate, make_tile
@@ -96,7 +95,7 @@ def test_matrix_rows_top_down():
 
 def test_matrix_json_roundtrip():
     m = mat([DEC, av(P321)], [FIBP, EMPTY_E])
-    assert parse_matrix_json(format_matrix_json(m)) == m
+    assert matrix_from_obj(matrix_to_obj(m)) == m
     text = ('{"cols":2,"rows":1,"entries":[["inc","dec"]]}')
     m2 = parse_matrix_json(text)
     assert m2.entry(1, 1) == INC and m2.entry(2, 1) == DEC
@@ -119,8 +118,8 @@ def test_sparse_matrix_agrees_with_its_rows(rows):
     assert all(m.entry(*cc) == e for cc, e in dense.items())
     assert m.nonempty_cells() == [cc for cc in sorted(dense)
                                   if dense[cc] != EMPTY_E]
-    text = format_matrix_json(m)
-    assert format_matrix_json(parse_matrix_json(text)) == text
+    obj = matrix_to_obj(m)
+    assert matrix_to_obj(matrix_from_obj(obj)) == obj
     for outside in ((0, 1), (k + 1, 1), (1, 0), (1, l + 1)):
         with pytest.raises(DimensionMismatch):
             GriddingMatrix(k, l, {**m.filled, outside: INC})
@@ -128,9 +127,10 @@ def test_sparse_matrix_agrees_with_its_rows(rows):
         GriddingMatrix(k, l, {**m.filled, (1, 1): EMPTY_E})
 
 
-def test_gridding_json_roundtrip():
+def test_gridding_json_form():
     g = Gridding((1, 3, 6), (1, 2, 6))
-    assert parse_gridding_json(format_gridding_json(g)) == g
+    assert gridding_to_obj(g) == {"col_cuts": [1, 3, 6],
+                                  "row_cuts": [1, 2, 6]}
 
 
 # -- cell graph ----------------------------------------------------------------
