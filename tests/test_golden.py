@@ -6,15 +6,22 @@ in both modes, and for ``bucket_rehearsal`` on each of the four
 juxtaposition shapes of ``test_reduction.BUCKET_SHAPES``.  A change to the coordinate
 arithmetic, the assembly order, the rich-path matrix or the writer that
 alters a single byte fails here.
+
+The embedding ``embedding_from_assignment`` gives for every satisfying
+assignment of each satisfiable formula of ``FORMULAS``, in both modes,
+is pinned the same way, so a change to the trace or its replay that
+moves a single pattern point's image fails here too.
 """
 
 import hashlib
+import itertools
 
 import pytest
 
 from gridppm.entries import INC, format_entry
 from gridppm.grid import staircase
 from gridppm.reduction import (bucket_rehearsal, check_stored,
+                               embedding_from_assignment,
                                read_instance_summary, rebuild_instance,
                                reduce_formula, write_instance)
 
@@ -176,3 +183,65 @@ def test_bucket_rehearsal_bytes(entry, tmp_path):
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in want}
     assert got == want
+
+
+# (mode, formula index) -> assignment as 0/1 digits, variable 1 first ->
+# sha256 of the embedding's text positions, space-separated
+EMBEDDING_GOLDEN = {
+    ("gadgets", 0): {
+        "1":
+            "e88966d5d1c483e0ac2532975a9618f4a5dd2f6f78d4a40c26a4ac41b9218103",
+    },
+    ("gadgets", 2): {
+        "01":
+            "cde825c6fff325c47f63085835d152f21c14c10f43f38df5c236dabac2c55b34",
+        "11":
+            "9eebf315308772cd45b3a4e1fc65f3a6db87fc7f4de961a242bfa6a9a3cf5143",
+    },
+    ("gadgets", 3): {
+        "001":
+            "93260da837c1cec02f3c3c9a4d24f037fc5d6c9b937527b8add4163ba5ed13c0",
+        "011":
+            "515cade7679e36c44c2e99633324acea3b19b8f466b53cce66b98b362be72591",
+        "110":
+            "ddeb515cf86c7d5ca111a905860c204a465e8f3fb17c9f246a5d5f523d3daf69",
+        "111":
+            "879ff03312b9376c461bce573430c62ec1acf28d1a19163b6dd995a3ba2c3dfe",
+    },
+    ("juxtaposition", 0): {
+        "1":
+            "e88966d5d1c483e0ac2532975a9618f4a5dd2f6f78d4a40c26a4ac41b9218103",
+    },
+    ("juxtaposition", 2): {
+        "01":
+            "d239285c2d804416001c58551cccd8a3ed2263ec6e77fde92a4be07dc8ca5a1e",
+        "11":
+            "57824b81add3014b7887019de42451cfbd6b9a03d6affe14a3ae13c7da9f4fc9",
+    },
+    ("juxtaposition", 3): {
+        "001":
+            "cd2dedb39ee64511d5a9f20ecbf78a0bd2b75d0e51f32989927c8b26c22318ac",
+        "011":
+            "66fa583fa82b4a6e59b93894a47ec05663d06bf48343aba54f478427a8aa18aa",
+        "110":
+            "a84b7c6a597864f047f701d3b8853b8e0ba9705d6bd90d1a18754749b3ed527a",
+        "111":
+            "1b48ac5099d75c52e8886a60ec428a60d59b4c5ad20e5901f624538343250956",
+    },
+}
+
+
+@pytest.mark.parametrize("mode", ["gadgets", "juxtaposition"])
+@pytest.mark.parametrize("k", range(len(FORMULAS)))
+def test_embedding_bytes(mode, k):
+    """Every satisfying assignment's embedding; an unsatisfiable formula
+    pins none."""
+    f = FORMULAS[k]
+    inst = reduce_formula(f, mode=mode)
+    got = {}
+    for rho in itertools.product((False, True), repeat=f.nvars):
+        if f.evaluates(rho):
+            emb = embedding_from_assignment(inst, rho)
+            got["".join("01"[b] for b in rho)] = hashlib.sha256(
+                " ".join(map(str, emb)).encode()).hexdigest()
+    assert got == EMBEDDING_GOLDEN.get((mode, k), {})
