@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import NamedTuple, Union
+from typing import Union
 
 Rat = Union[int, Fraction]
 
@@ -129,17 +129,3 @@ def coord(a: Rat, b: Rat = 0) -> ExactCoord:
 
 
 EPS = coord(0, 1)
-
-
-class PlanePoint(NamedTuple):
-    """A point (x, y); immutable, ordered on x, then y."""
-    x: ExactCoord
-    y: ExactCoord
-
-
-def pt(x: Union[Rat, ExactCoord], y: Union[Rat, ExactCoord]) -> PlanePoint:
-    if not isinstance(x, ExactCoord):
-        x = coord(x)
-    if not isinstance(y, ExactCoord):
-        y = coord(y)
-    return PlanePoint(x, y)

@@ -15,6 +15,7 @@ import bisect
 import itertools
 import math
 import json
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -641,7 +642,7 @@ def _placed_keys(na: List[int], nb: List[int], den: List[int],
 
 
 def assemble(fam: TileFamily, f: Orientation
-             ) -> Tuple[Permutation, Dict[Cell, List[int]], Gridding]:
+             ) -> Tuple[Permutation, Dict[Cell, array], Gridding]:
     """F-assembly: orient each tile, translate it onto the diagonal grid
     of boxes, and standardize the union.
 
@@ -659,8 +660,9 @@ def assemble(fam: TileFamily, f: Orientation
     first on an axis its tile keeps and last on an axis it flips.
 
     Returns the permutation, a provenance map from each non-empty cell to
-    the permutation positions (1-based) of its points, indexed as in the
-    tile (column points, then run points), and the induced gridding.
+    an ``array('i')`` of the permutation positions (1-based) of its
+    points, indexed as in the tile (column points, then run points), and
+    the induced gridding.
     """
     if len(f.f_c) != fam.cols or len(f.f_r) != fam.rows:
         raise DimensionMismatch("orientation does not match the family")
@@ -746,7 +748,7 @@ def assemble(fam: TileFamily, f: Orientation
     for r, k in enumerate(order_y, 1):
         yrank[k] = r
     perm_out = Permutation(tuple([yrank[k] for k in order_x]))
-    pos = [0] * nxt
+    pos = array("i", [0]) * nxt
     for p, k in enumerate(order_x, 1):
         pos[k] = p
     prov = {cell: pos[a:a + core] + pos[n + b:n + b + extra]

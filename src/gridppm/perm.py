@@ -1,21 +1,15 @@
 """Permutations as sequences and as point sets.
 
 A permutation of length n is a sequence of the ranks 1..n, each exactly
-once.  Its diagram is the point set {(i, p_i)}.  Standardization,
-containment and the eight symmetries all operate on this diagram view.
+once.  Its diagram is the point set {(i, p_i)}.  Containment and the
+eight symmetries operate on this diagram view.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
-
-from .coords import PlanePoint
-
-
-class DuplicateCoordinate(ValueError):
-    """Two points agree on x or on y; the set has no reduction."""
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 
 class InvalidWitness(RuntimeError):
@@ -59,26 +53,6 @@ def perm(*ranks: int) -> Permutation:
 
 
 EMPTY = Permutation(())
-
-
-def standardize(points: Iterable[PlanePoint]) -> Permutation:
-    """The reduction of a finite point set: sort by x, rank by y.
-
-    Raises DuplicateCoordinate when two points tie on x or on y under
-    the full lexicographic comparison.
-    """
-    pts = list(points)
-    xs = sorted(p.x for p in pts)
-    ys = sorted(p.y for p in pts)
-    for u, v in zip(xs, xs[1:]):
-        if u == v:
-            raise DuplicateCoordinate(f"duplicate x coordinate {u}")
-    for u, v in zip(ys, ys[1:]):
-        if u == v:
-            raise DuplicateCoordinate(f"duplicate y coordinate {u}")
-    by_x = sorted(pts, key=lambda p: p.x)
-    rank = {p.y: i + 1 for i, p in enumerate(sorted(pts, key=lambda p: p.y))}
-    return Permutation(tuple(rank[p.y] for p in by_x))
 
 
 def is_order_isomorphic(text: Permutation, pattern: Permutation,

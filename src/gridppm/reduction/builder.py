@@ -29,7 +29,8 @@ the clause layouts and the new live order the same way.  The modes differ
 only inside the emission helpers.  ``geometry`` mode computes exact
 points with ``ExactCoord`` arithmetic, appends each point's six ints to
 its tile's columns (see ``grid.Tile``), keeps a pair's values only until
-a gadget consumes the pair, and records the gadget trace; then
+a gadget consumes the pair, and records the gadget trace as int columns
+(see ``Trace``); then
 ``reduce_formula`` assembles the tiles into a ``ReductionInstance``;
 ``counting`` mode creates no coordinates and no trace, and lets a plain
 copy or a flip keep its channel ids, so ``plan_layers`` computes a
@@ -47,6 +48,7 @@ from the path matrix (``bucket_entry_of``).
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -67,7 +69,8 @@ __all__ = [
     "ReductionError", "EmptyClause", "ClauseTooWide", "PathTooShort",
     "TooManyVariables", "NotAPath", "UnusableMatrix",
     "normalize_3cnf", "PathSpec", "make_path_spec",
-    "LayerPlan", "ReductionInstance", "plan_layers", "reduce_formula",
+    "Trace", "KINDS", "LayerPlan", "ReductionInstance", "plan_layers",
+    "reduce_formula",
     "default_matrix", "rich_path_matrix", "bucket_rehearsal",
 ]
 
@@ -192,19 +195,71 @@ def make_path_spec(matrix: GriddingMatrix) -> PathSpec:
     return PathSpec(matrix, tuple(cells), f, tuple(out_coord), d_tiles)
 
 
-# --- channel bookkeeping -----------------------------------------------------
+# --- the gadget trace ---------------------------------------------------------
 
-PointRef = Tuple[int, int]  # (path tile index, index within the tile)
+# trace kind codes
+KINDS = ("initial", "copy", "pick", "follow", "choose", "multiply", "merge",
+         "bucket", "flippat", "fliptext")
+(INITIAL, COPY, PICK, FOLLOW, CHOOSE, MULTIPLY, MERGE, BUCKET, FLIPPAT,
+ FLIPTEXT) = range(len(KINDS))
+_KIND = {k: code for code, k in enumerate(KINDS)}
+# trace family codes
+_FAM = {"P": 0, "T": 1}
 
 
-@dataclass
-class GadgetRec:
-    kind: str
-    family: str
-    inputs: Tuple[int, ...]
-    outputs: Tuple[int, ...]
-    slots: Dict[str, Tuple[PointRef, ...]]
-    meta: Tuple = ()
+class Trace:
+    """Every gadget the builder emitted, in emission order, as int
+    columns; ``len`` is the gadget count.
+
+    Gadget g has kind ``KINDS[kind[g]]``, family "PT"[fam[g]], input
+    pair ids ``ins[in_off[g]:in_off[g + 1]]`` and output pair ids
+    ``outs[out_off[g]:out_off[g + 1]]``.  Output j (an index into
+    ``outs``) owns one slot: the points the gadget placed for that pair.
+    A single-tile gadget places each output pair's two points in tile
+    ``slot_tile[j]`` (a path index), at indices ``slot_idx[j]`` and
+    ``slot_idx[j] + 1``.  A flip gadget places a chain per output:
+    ``slot_tile[j]`` is -1 and ``slot_idx[j]`` is its chain c, whose
+    points are (``chain_tile[k]``, ``chain_idx[k]``) for k in
+    ``chain_off[c]`` .. ``chain_off[c + 1] - 1``.  ``meta`` maps a pick
+    gadget to the rule that picks its branch.
+    """
+
+    def __init__(self) -> None:
+        self.kind = bytearray()
+        self.fam = bytearray()
+        self.in_off = array("i", [0])
+        self.ins = array("i")
+        self.out_off = array("i", [0])
+        self.outs = array("i")
+        self.slot_tile = array("i")
+        self.slot_idx = array("i")
+        self.chain_off = array("i", [0])
+        self.chain_tile = array("i")
+        self.chain_idx = array("i")
+        self.meta: Dict[int, Tuple] = {}
+
+    def __len__(self) -> int:
+        return len(self.kind)
+
+    def add(self, kind: str, fam: str, inputs: Sequence[int],
+            outputs: Sequence[int], meta: Tuple = ()) -> None:
+        """Close gadget ``kind``; its slots were appended before."""
+        if meta:
+            self.meta[len(self.kind)] = meta
+        self.kind.append(_KIND[kind])
+        self.fam.append(_FAM[fam])
+        self.ins.extend(inputs)
+        self.in_off.append(len(self.ins))
+        self.outs.extend(outputs)
+        self.out_off.append(len(self.outs))
+
+    def add_chain(self, tiles: Sequence[int], idxs: Sequence[int]) -> None:
+        """Append the next output's slot as a chain of points."""
+        self.slot_tile.append(-1)
+        self.slot_idx.append(len(self.chain_off) - 1)
+        self.chain_tile.extend(tiles)
+        self.chain_idx.extend(idxs)
+        self.chain_off.append(len(self.chain_idx))
 
 
 @dataclass
@@ -217,10 +272,11 @@ class LayerPlan:
 
 @dataclass
 class ReductionInstance:
-    """A built instance: the plan's figures, the gadget trace and the
-    assembled pattern and text.  ``prov[fam][cell][idx]`` is the 1-based
-    position of point ``idx`` of the cell's tile, per family ("P"/"T"),
-    as ``assemble`` returns it."""
+    """A built instance: the plan's figures, the gadget trace (a
+    ``Trace`` of int columns) and the assembled pattern and text.
+    ``prov[fam][cell]`` is an ``array('i')`` whose entry ``idx`` is the
+    1-based position of point ``idx`` of the cell's tile, per family
+    ("P"/"T"), as ``assemble`` returns it."""
     formula: CNFFormula
     mode: str
     path: PathSpec
@@ -228,13 +284,13 @@ class ReductionInstance:
     sizes: Dict[str, int]
     layers: List[Tuple[str, int]]          # (kind, tile reached)
     d_used: int
-    trace: List[GadgetRec]
+    trace: Trace
     clause_layouts: List[Dict[str, int]]
     final_positions: Dict[int, int]        # text pid -> live slot
     families: Dict[str, TileFamily]
     pattern: Permutation
     text: Permutation
-    prov: Dict[str, Dict[Cell, List[int]]]
+    prov: Dict[str, Dict[Cell, array]]
     griddings: Dict[str, Gridding]
 
 
@@ -262,9 +318,6 @@ _EVAL_STAGES = [
 ]
 
 
-# trace slot names of a single-tile gadget's output pairs, by their number
-_SLOTS = {1: ("pts",), 2: ("b1", "b2")}
-
 # single-tile gadget emitters by trace kind
 _GADGETS = {"initial": G.gadget_initial, "copy": G.gadget_copy,
             "pick": G.gadget_pick, "follow": G.gadget_follow,
@@ -290,7 +343,7 @@ class _Builder:
         self.tiles = {f: {} for f in _FAMS}
         # unconsumed pair -> its value slot on the outgoing axis
         self.pairs: Dict[Tuple[str, int], Tuple[ExactCoord, ExactCoord]] = {}
-        self.trace: List[GadgetRec] = []
+        self.trace = Trace()
         self.live = {f: [] for f in _FAMS}     # pair ids in value order
         self.tag = {f: {} for f in _FAMS}      # pid -> tag tuple
         self.lineage = {}                      # text pid -> "Y"/"Z"/""
@@ -312,7 +365,8 @@ class _Builder:
     # at the mode.  Geometry mode places exact points and traces every
     # gadget; counting mode only raises the families' point totals.
 
-    def _put_raw(self, fam: str, t: int, rp: G.RawPoint) -> PointRef:
+    def _put_raw(self, fam: str, t: int, rp: G.RawPoint) -> int:
+        """Append a point to tile t; returns its index there."""
         oc = self.path.out_coord[t] if t < len(self.path.out_coord) else "x"
         x, y = (rp.out, rp.inn) if oc == "x" else (rp.inn, rp.out)
         cols = self.tiles[fam].get(t)
@@ -326,7 +380,7 @@ class _Builder:
         ya.append(y.na)
         yb.append(y.nb)
         yd.append(y.den)
-        return (t, idx)
+        return idx
 
     def _pid(self, fam: str, tag: Tuple, lineage: str) -> int:
         pid = self._next_pid[fam]
@@ -339,12 +393,6 @@ class _Builder:
     def _successor(self, fam: str, pid: int) -> int:
         """A new pid continuing channel ``pid``, with its tag and lineage."""
         return self._pid(fam, self.tag[fam][pid], self.lineage.get(pid, ""))
-
-    def _rec(self, kind: str, fam: str, inputs: Tuple[int, ...],
-             outputs: Sequence[int], slots: Dict[str, Tuple[PointRef, ...]],
-             meta: Tuple = ()) -> None:
-        self.trace.append(GadgetRec(kind, fam, inputs, tuple(outputs),
-                                    slots, meta))
 
     def _gadget(self, kind: str, fam: str, t: int, inputs: Tuple[int, ...],
                 outs: Optional[Sequence[Tuple[Tuple, str]]] = None,
@@ -363,13 +411,13 @@ class _Builder:
         vals = ()
         for pid in inputs:
             vals += self.pairs.pop((fam, pid))
-        slots = {}
-        for name, pid, rp in zip(_SLOTS[len(pids)], pids,
-                                 _GADGETS[kind](*vals, *args)):
-            slots[name] = (self._put_raw(fam, t, rp[0]),
-                           self._put_raw(fam, t, rp[1]))
+        tr = self.trace
+        for pid, rp in zip(pids, _GADGETS[kind](*vals, *args)):
+            tr.slot_tile.append(t)
+            tr.slot_idx.append(self._put_raw(fam, t, rp[0]))
+            self._put_raw(fam, t, rp[1])
             self.pairs[(fam, pid)] = G.pair_values(rp)
-        self._rec(kind, fam, inputs, pids, slots, meta)
+        tr.add(kind, fam, inputs, pids, meta)
         return pids
 
     def _copy(self, fam: str, t: int, pids: Sequence[int]) -> List[int]:
@@ -396,6 +444,8 @@ class _Builder:
         lineage.
         """
         new, width = [], 0
+        # the tile of each chain point: a head, then two per later tile
+        tiles = [d1] + [t for t in range(d1 + 1, d2 + 1) for _ in (0, 1)]
         for kind, inputs in chains:
             if kind == "copy":
                 (pid,) = inputs
@@ -417,18 +467,17 @@ class _Builder:
                 ends = G.flip_text_chains(*vals)
             else:
                 ends = (G.flip_pattern_chain(*vals),)
-            refs = [[self._put_raw(fam, d1, ch.head)] for ch in ends]
+            idxs = [[self._put_raw(fam, d1, ch.head)] for ch in ends]
             for t in range(d1 + 1, d2):
-                for ch, rs in zip(ends, refs):
-                    rs += (self._put_raw(fam, t, ch.middle[0]),
+                for ch, ix in zip(ends, idxs):
+                    ix += (self._put_raw(fam, t, ch.middle[0]),
                            self._put_raw(fam, t, ch.middle[1]))
-            for pid, ch, rs in zip(pids, ends, refs):
-                rs += (self._put_raw(fam, d2, ch.end[0]),
+            for pid, ch, ix in zip(pids, ends, idxs):
+                ix += (self._put_raw(fam, d2, ch.end[0]),
                        self._put_raw(fam, d2, ch.end[1]))
                 self.pairs[(fam, pid)] = ch.values
-            self._rec(kind, fam, inputs, pids,
-                      dict(zip(("a1", "a2") if kind == "fliptext"
-                               else ("pts",), map(tuple, refs))))
+                self.trace.add_chain(tiles, ix)
+            self.trace.add(kind, fam, inputs, pids)
         # per flipped input: a head point, then two in each later tile
         self.points[fam] += width * (1 + 2 * (d2 - d1))
         return new

@@ -5,7 +5,10 @@ assignments, whether the pattern admits a grid-preserving embedding into
 the text; on a correct construction this agrees with satisfiability of
 the source formula.  ``embedding_from_assignment`` turns a satisfying
 assignment into an explicit embedding by propagating the pair
-correspondence through the recorded gadget trace.
+correspondence through the gadget trace's int columns: each pattern
+point's image goes straight into the embedding through the provenance
+arrays, with no per-point map, and the value order is checked along
+the pattern's inverse, with no sort.
 ``validate_instance`` re-checks the geometric invariants of an instance
 from its raw tiles.
 """
@@ -13,10 +16,13 @@ from its raw tiles.
 from __future__ import annotations
 
 import itertools
+from array import array
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..grid import BoxOverflow, Tile, TileFamily, assemble, check_gridding
-from .builder import (ReductionError, ReductionInstance, TooManyVariables)
+from ..grid import BoxOverflow, Tile, assemble, check_gridding
+from .builder import (BUCKET, CHOOSE, COPY, FLIPPAT, FLIPTEXT, FOLLOW,
+                      INITIAL, KINDS, MERGE, MULTIPLY, PICK, ReductionError,
+                      ReductionInstance, TooManyVariables)
 
 __all__ = ["validate_instance", "simulate_grid_preserving",
            "embedding_from_assignment"]
@@ -28,119 +34,139 @@ def _literal_true(lit: int, rho: Sequence[bool]) -> bool:
 
 # --- trace propagation -------------------------------------------------------
 
-
-def _map_refs(pmap, a_refs, b_refs) -> None:
-    if len(a_refs) != len(b_refs):
-        raise ReductionError("gadget chains of unequal length")
-    for a, b in zip(a_refs, b_refs):
-        if a[0] != b[0]:
-            raise ReductionError("cross-tile point image")
-        pmap[a] = b
+# (pattern kind, text kind) pairs that map slot j onto slot j
+_SAME_SLOTS = {(COPY, COPY), (BUCKET, BUCKET), (FLIPPAT, FLIPPAT),
+               (FOLLOW, MERGE), (PICK, PICK)}
 
 
-def _anchor_refs(tile: Tile) -> List[Tuple[int, int]]:
-    """Tile 0's inflated anchors, then all of their run points."""
+def _anchor_idxs(tile: Tile):
+    """How many points tile 0's anchor runs hold, and their indices:
+    the inflated anchors, then all of their run points."""
     n = len(tile.x_na)
-    return [(0, k) for k, _ in tile.runs] + [
-        (0, i) for i in range(n, n + sum(r for _, r in tile.runs))]
+    extra = sum(r for _, r in tile.runs)
+    return len(tile.runs) + extra, itertools.chain(
+        (k for k, _ in tile.runs), range(n, n + extra))
 
 
 def _propagate(inst: ReductionInstance, rho: Sequence[bool],
-               b_choices: Dict[int, int]):
-    """Follow the gadget trace under ``rho`` and map every pattern point
-    onto its forced text image."""
-    cons = {}      # text pid -> the gadget that takes it as an input
-    initial = {"P": [], "T": []}
-    for rec in inst.trace:
-        if rec.family == "T":
-            for pid in rec.inputs:
-                cons[pid] = rec
-        if rec.kind == "initial":
-            initial[rec.family].append(rec)
-    imap: Dict[int, int] = {}
-    pmap = {}
+               b_choices: Dict[int, int], emb: List[int]) -> None:
+    """Follow the gadget trace under ``rho`` and write every pattern
+    point's forced text image into ``emb`` (0-based positions, indexed
+    by pattern position)."""
+    tr = inst.trace
+    kind, fam, ins, in_off = tr.kind, tr.fam, tr.ins, tr.in_off
+    outs, out_off, s_tile, s_idx = tr.outs, tr.out_off, tr.slot_tile, \
+        tr.slot_idx
+    c_off, c_tile, c_idx = tr.chain_off, tr.chain_tile, tr.chain_idx
+    prov_p = [inst.prov["P"].get(c) for c in inst.path.cells]
+    prov_t = [inst.prov["T"].get(c) for c in inst.path.cells]
+
+    def map_slot(j: int, k: int) -> None:
+        """Map the points of pattern slot j onto those of text slot k."""
+        t = s_tile[j]
+        if t >= 0 and s_tile[k] >= 0:
+            if t != s_tile[k]:
+                raise ReductionError("cross-tile point image")
+            pp, pt, a, b = prov_p[t], prov_t[t], s_idx[j], s_idx[k]
+            emb[pp[a] - 1] = pt[b] - 1
+            emb[pp[a + 1] - 1] = pt[b + 1] - 1
+            return
+        if t >= 0 or s_tile[k] >= 0:
+            raise ReductionError("gadget chains of unequal length")
+        a0, a1 = c_off[s_idx[j]], c_off[s_idx[j] + 1]
+        b0 = c_off[s_idx[k]]
+        if a1 - a0 != c_off[s_idx[k] + 1] - b0:
+            raise ReductionError("gadget chains of unequal length")
+        for a in range(a0, a1):
+            b = b0 + a - a0
+            t = c_tile[a]
+            if t != c_tile[b]:
+                raise ReductionError("cross-tile point image")
+            emb[prov_p[t][c_idx[a]] - 1] = prov_t[t][c_idx[b]] - 1
+
+    # every pair id is some gadget's output, so len(outs) bounds them
+    cons = array("i", [-1]) * len(outs)   # text pair -> gadget taking it
+    imap = array("i", [-1]) * len(outs)   # pattern pair -> text image
+    initial = ([], [])
+    for g in range(len(tr)):
+        if fam[g]:
+            for i in range(in_off[g], in_off[g + 1]):
+                cons[ins[i]] = g
+        if kind[g] == INITIAL:
+            initial[fam[g]].append(g)
 
     # the i-th initial pattern pair starts on the i-th initial text pair
-    for prec, trec in zip(initial["P"], initial["T"]):
-        imap[prec.outputs[0]] = trec.outputs[0]
-        _map_refs(pmap, prec.slots["pts"], trec.slots["pts"])
-    cell0 = inst.path.cells[0]
-    _map_refs(pmap, _anchor_refs(inst.families["P"].tiles[cell0]),
-              _anchor_refs(inst.families["T"].tiles[cell0]))
+    for gp, gt in zip(*initial):
+        j, k = out_off[gp], out_off[gt]
+        imap[outs[j]] = outs[k]
+        map_slot(j, k)
+    (na, ia), (nb, ib) = (
+        _anchor_idxs(inst.families[f].tiles[inst.path.cells[0]])
+        for f in ("P", "T"))
+    if na != nb:
+        raise ReductionError("gadget chains of unequal length")
+    for a, b in zip(ia, ib):
+        emb[prov_p[0][a] - 1] = prov_t[0][b] - 1
 
-    for rec in inst.trace:
-        if rec.family != "P" or rec.kind == "initial":
+    for g in range(len(tr)):
+        kd = kind[g]
+        if fam[g] or kd == INITIAL:
             continue
         images = []
-        for pid in rec.inputs:
-            if pid not in imap:
+        for i in range(in_off[g], in_off[g + 1]):
+            img = imap[ins[i]]
+            if img < 0:
                 raise ReductionError("pattern pair consumed before mapped")
-            images.append(imap[pid])
+            images.append(img)
+        j, width = out_off[g], 1
 
-        if rec.kind == "fliptext":
+        if kd == FLIPTEXT:
             # a committed duo must meet a text flip as a whole
-            t1 = cons.get(images[0])
-            t2 = cons.get(images[1])
-            if t1 is None or t1 is not t2 or t1.kind != "fliptext" or \
-                    (images[0], images[1]) != t1.inputs:
+            t1, t2 = cons[images[0]], cons[images[1]]
+            if t1 < 0 or t1 != t2 or kind[t1] != FLIPTEXT or \
+                    ins[in_off[t1]] != images[0] or \
+                    ins[in_off[t1] + 1] != images[1]:
                 raise ReductionError(
                     "swap commitments do not meet a text flip duo")
-            _map_refs(pmap, rec.slots["a1"], t1.slots["a1"])
-            _map_refs(pmap, rec.slots["a2"], t1.slots["a2"])
-            imap[rec.outputs[0]] = t1.outputs[0]
-            imap[rec.outputs[1]] = t1.outputs[1]
-            continue
-
-        (img,) = images
-        trec = cons.get(img)
-        if trec is None:
-            raise ReductionError("pattern advances past a frozen text pair")
-
-        if (rec.kind, trec.kind) in (("copy", "copy"), ("bucket", "bucket"),
-                                     ("flippat", "flippat"),
-                                     ("follow", "merge"), ("pick", "pick")):
-            _map_refs(pmap, rec.slots["pts"], trec.slots["pts"])
-            imap[rec.outputs[0]] = trec.outputs[0]
-            continue
-
-        if rec.kind == "pick" and trec.kind == "choose":
-            meta = rec.meta
-            if meta and meta[0] == "assign":
-                beta = 0 if rho[meta[1] - 1] else 1
-            elif meta and meta[0] == "swap":
-                _, idx, t_ids, partner = meta
-                pimg = imap.get(partner)
-                if pimg is None:
-                    raise ReductionError("swap partner not yet mapped")
-                first = pimg == (t_ids[2] if idx == 0 else t_ids[0])
-                beta = 0 if first else 1
-            elif meta and meta[0] == "eval":
-                beta = b_choices[meta[1]]
+            k, width = out_off[t1], 2
+        else:
+            (img,) = images
+            tg = cons[img]
+            if tg < 0:
+                raise ReductionError(
+                    "pattern advances past a frozen text pair")
+            tk, k = kind[tg], out_off[tg]
+            if (kd, tk) in _SAME_SLOTS:
+                pass
+            elif kd == PICK and tk == CHOOSE:
+                meta = tr.meta.get(g, ())
+                if meta and meta[0] == "assign":
+                    beta = 0 if rho[meta[1] - 1] else 1
+                elif meta and meta[0] == "swap":
+                    _, idx, t_ids, partner = meta
+                    pimg = imap[partner]
+                    if pimg < 0:
+                        raise ReductionError("swap partner not yet mapped")
+                    first = pimg == (t_ids[2] if idx == 0 else t_ids[0])
+                    beta = 0 if first else 1
+                elif meta and meta[0] == "eval":
+                    beta = b_choices[meta[1]]
+                else:
+                    raise ReductionError(
+                        "pick meets a choose without a rule")
+                k += beta
+            elif kd == FLIPPAT and tk == FLIPTEXT:
+                k += 0 if img == ins[in_off[tg]] else 1
+            elif kd == MULTIPLY and tk == MULTIPLY:
+                width = 2
             else:
-                raise ReductionError("pick meets a choose without a rule")
-            slot = "b1" if beta == 0 else "b2"
-            _map_refs(pmap, rec.slots["pts"], trec.slots[slot])
-            imap[rec.outputs[0]] = trec.outputs[beta]
-            continue
+                raise ReductionError(f"pattern {KINDS[kd]} gadget cannot "
+                                     f"map onto text {KINDS[tk]}")
 
-        if rec.kind == "flippat" and trec.kind == "fliptext":
-            side = 0 if img == trec.inputs[0] else 1
-            key = "a1" if side == 0 else "a2"
-            _map_refs(pmap, rec.slots["pts"], trec.slots[key])
-            imap[rec.outputs[0]] = trec.outputs[side]
-            continue
-
-        if rec.kind == "multiply" and trec.kind == "multiply":
-            _map_refs(pmap, rec.slots["b1"], trec.slots["b1"])
-            _map_refs(pmap, rec.slots["b2"], trec.slots["b2"])
-            imap[rec.outputs[0]] = trec.outputs[0]
-            imap[rec.outputs[1]] = trec.outputs[1]
-            continue
-
-        raise ReductionError(
-            f"pattern {rec.kind} gadget cannot map onto text {trec.kind}")
-
-    return pmap
+        # output j + d follows text output k + d
+        for d in range(width):
+            map_slot(j + d, k + d)
+            imap[outs[j + d]] = outs[k + d]
 
 
 # --- decision and witness ----------------------------------------------------
@@ -188,26 +214,29 @@ def embedding_from_assignment(inst: ReductionInstance,
         raise ReductionError("assignment does not satisfy the formula")
     b_choices = {c: (0 if _literal_true(cl[0], rho) else 1)
                  for c, cl in enumerate(inst.formula.clauses)}
-    pmap = _propagate(inst, rho, b_choices)
-    if len(pmap) != inst.sizes["pattern"]:
-        raise ReductionError(
-            f"propagation covered {len(pmap)} of "
-            f"{inst.sizes['pattern']} pattern points")
-
-    prov_p, prov_t = inst.prov["P"], inst.prov["T"]
-    cells = inst.path.cells
     emb = [-1] * len(inst.pattern)
-    for (t1, i1), (t2, i2) in pmap.items():
-        emb[prov_p[cells[t1]][i1] - 1] = prov_t[cells[t2]][i2] - 1
-
-    if any(e < 0 for e in emb):
+    _propagate(inst, rho, b_choices, emb)
+    # every image is a position >= 0: a slot still at -1 was never
+    # written, and a slot written twice keeps its last image
+    covered = len(emb) - emb.count(-1)
+    if covered != inst.sizes["pattern"]:
+        raise ReductionError(
+            f"propagation covered {covered} of "
+            f"{inst.sizes['pattern']} pattern points")
+    if covered < len(emb):
         raise ReductionError("embedding misses pattern positions")
-    if any(a >= b for a, b in zip(emb, emb[1:])):
+    if any(a >= b for a, b in itertools.pairwise(emb)):
         raise ReductionError("embedding is not left-to-right monotone")
-    vals = [inst.text[e] for e in emb]
-    rank = {v: i + 1 for i, v in enumerate(sorted(vals))}
-    if tuple(rank[v] for v in vals) != inst.pattern.ranks:
-        raise ReductionError("embedding does not respect value order")
+    # the images' values must rise along the pattern's values
+    inv = array("i", [0]) * len(emb)
+    for i, v in enumerate(inst.pattern.ranks):
+        inv[v - 1] = i
+    text, prev = inst.text.ranks, 0
+    for i in inv:
+        v = text[emb[i]]
+        if v <= prev:
+            raise ReductionError("embedding does not respect value order")
+        prev = v
     return tuple(emb)
 
 

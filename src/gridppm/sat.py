@@ -87,13 +87,6 @@ def parse_dimacs(text: str) -> CNFFormula:
     return CNFFormula(nvars, tuple(clauses))
 
 
-def format_dimacs(f: CNFFormula) -> str:
-    lines = [f"p cnf {f.nvars} {len(f.clauses)}"]
-    for cl in f.clauses:
-        lines.append(" ".join(map(str, cl)) + " 0")
-    return "\n".join(lines) + "\n"
-
-
 def solve_sat(f: CNFFormula) -> Optional[Assignment]:
     """DPLL with unit propagation, iterative rather than recursive.
 

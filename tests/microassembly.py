@@ -6,19 +6,63 @@ assembles both families so grid-preserving embeddings can be enumerated
 exhaustively.
 
 ``make_tile`` is the one way tests build a ``grid.Tile`` from plane
-points, and ``tile_points`` reads one back.  ``direct_sum``,
-``skew_sum`` and ``inflate`` are the textbook permutation operations,
-kept here as oracles for the tests.
+points (``pt``), and ``tile_points`` reads one back.  ``standardize``,
+``direct_sum``, ``skew_sum`` and ``inflate`` are the textbook
+permutation operations, kept here as oracles for the tests.
+``slot_refs`` and ``gadgets_of`` read a builder's gadget trace.
 """
 
 from fractions import Fraction
+from typing import NamedTuple
 
-from gridppm.coords import ExactCoord, PlanePoint, pt
+from gridppm.coords import ExactCoord, coord
 from gridppm.entries import FIBP, INC
 from gridppm.grid import Tile, TileFamily, assemble, cell_positions, staircase
-from gridppm.perm import Permutation, standardize
-from gridppm.reduction.builder import _Builder, make_path_spec
+from gridppm.perm import Permutation
+from gridppm.reduction.builder import KINDS, _Builder, make_path_spec
 from gridppm.sat import CNFFormula
+
+
+# --- plane points ------------------------------------------------------------
+
+
+class PlanePoint(NamedTuple):
+    """A point (x, y); immutable, ordered on x, then y."""
+    x: ExactCoord
+    y: ExactCoord
+
+
+def pt(x, y):
+    """A plane point from two rationals or ``ExactCoord``s."""
+    if not isinstance(x, ExactCoord):
+        x = coord(x)
+    if not isinstance(y, ExactCoord):
+        y = coord(y)
+    return PlanePoint(x, y)
+
+
+class DuplicateCoordinate(ValueError):
+    """Two points agree on x or on y; the set has no reduction."""
+
+
+def standardize(points):
+    """The reduction of a finite point set: sort by x, rank by y.
+
+    Raises DuplicateCoordinate when two points tie on x or on y under
+    the full lexicographic comparison.
+    """
+    pts = list(points)
+    xs = sorted(p.x for p in pts)
+    ys = sorted(p.y for p in pts)
+    for u, v in zip(xs, xs[1:]):
+        if u == v:
+            raise DuplicateCoordinate(f"duplicate x coordinate {u}")
+    for u, v in zip(ys, ys[1:]):
+        if u == v:
+            raise DuplicateCoordinate(f"duplicate y coordinate {u}")
+    by_x = sorted(pts, key=lambda p: p.x)
+    rank = {p.y: i + 1 for i, p in enumerate(sorted(pts, key=lambda p: p.y))}
+    return Permutation(tuple(rank[p.y] for p in by_x))
 
 
 # --- tiles -------------------------------------------------------------------
@@ -71,6 +115,22 @@ def finish_micro(b):
     return out
 
 
+def slot_refs(trace, j):
+    """(tile, index) of each point of output j's slot in a ``Trace``."""
+    t, i = trace.slot_tile[j], trace.slot_idx[j]
+    if t >= 0:
+        return [(t, i), (t, i + 1)]
+    a, b = trace.chain_off[i], trace.chain_off[i + 1]
+    return list(zip(trace.chain_tile[a:b], trace.chain_idx[a:b]))
+
+
+def gadgets_of(trace, fam, kind=None):
+    """The trace's gadgets of one family ("P"/"T"), and of one kind when
+    given, in emission order."""
+    return [g for g in range(len(trace)) if "PT"[trace.fam[g]] == fam
+            and (kind is None or KINDS[trace.kind[g]] == kind)]
+
+
 def _positions(b, prov, refs):
     return tuple(sorted(prov[b.path.cells[t]][i] - 1 for (t, i) in refs))
 
@@ -78,15 +138,19 @@ def _positions(b, prov, refs):
 def pair_positions(b, prov, fam, pid):
     """0-based assembled positions of a pair's two points, sorted.  The
     pair is the last two points of the trace slot that emitted it."""
-    rec = next(r for r in b.trace if r.family == fam and pid in r.outputs)
-    refs = list(rec.slots.values())[rec.outputs.index(pid)]
-    return _positions(b, prov, refs[-2:])
+    tr = b.trace
+    j = next(j for g in gadgets_of(tr, fam)
+             for j in range(tr.out_off[g], tr.out_off[g + 1])
+             if tr.outs[j] == pid)
+    return _positions(b, prov, slot_refs(tr, j)[-2:])
 
 
-def chain_positions(b, prov, fam, kind, slot=None):
-    """0-based positions of every flip chain of the given trace kind."""
-    return [_positions(b, prov, rec.slots["pts" if slot is None else slot])
-            for rec in b.trace if rec.kind == kind and rec.family == fam]
+def slot_positions(b, prov, fam, kind, slot=0):
+    """0-based positions of the points of output ``slot`` of every
+    gadget of the given trace kind: a pair, or a whole flip chain."""
+    tr = b.trace
+    return [_positions(b, prov, slot_refs(tr, tr.out_off[g] + slot))
+            for g in gadgets_of(tr, fam, kind)]
 
 
 def cell_of(p, g):

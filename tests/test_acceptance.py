@@ -28,8 +28,8 @@ from gridppm.reduction import (PathTooShort, default_matrix,
                                validate_instance)
 from gridppm.sat import CNFFormula, solve_sat
 
-from microassembly import (cell_of, chain_positions, finish_micro,
-                           grid_allowed, micro, pair_positions)
+from microassembly import (cell_of, finish_micro, grid_allowed, micro,
+                           pair_positions, slot_positions)
 from test_matcher import (BATTERY, brute_psi, mat, random_partition,
                           random_perm)
 
@@ -123,11 +123,7 @@ def test_choose_and_pick_admit_exactly_two_embeddings():
     (p, pp, gp), (t, tp, gt) = out["P"], out["T"]
     embs = list(embeddings(t, p, grid_allowed(p, gp, t, gt)))
     assert len(embs) == 2
-    rec = next(r for r in b.trace if r.kind == "choose")
-    branches = {
-        tuple(sorted(tp[b.path.cells[tt]][i] - 1
-                     for (tt, i) in rec.slots[s]))
-        for s in ("b1", "b2")}
+    branches = {slot_positions(b, tp, "T", "choose", s)[0] for s in (0, 1)}
     picked = pair_positions(b, pp, "P", b.live["P"][0])
     assert {tuple(sorted(e[i] for i in picked)) for e in embs} == branches
 
@@ -190,9 +186,8 @@ def test_flip_gadget_preserves_branch_identity():
     (p, pp, gp), (t, tp, gt) = out["P"], out["T"]
     embs = list(embeddings(t, p, grid_allowed(p, gp, t, gt)))
     assert embs
-    pchain = chain_positions(b, pp, "P", "flippat")[0]
-    sides = {chain_positions(b, tp, "T", "fliptext", s)[0]
-             for s in ("a1", "a2")}
+    pchain = slot_positions(b, pp, "P", "flippat")[0]
+    sides = {slot_positions(b, tp, "T", "fliptext", s)[0] for s in (0, 1)}
     images = {tuple(sorted(e[i] for i in pchain)) for e in embs}
     # the whole chain commits to one text chain, and both are reachable
     assert images == sides

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gridppm.coords import EPS, ExactCoord, coord, pt
-from gridppm.perm import (EMPTY, DuplicateCoordinate, Permutation,
-                          SymmetryOp, all_symmetries, apply_symmetry, avoids,
-                          contains, embeddings, format_perm, is_fibonacci,
-                          is_order_isomorphic, parse_perm, perm, standardize)
-from microassembly import IndexOutOfRange, direct_sum, inflate, skew_sum
+from gridppm.coords import EPS, coord
+from gridppm.perm import (EMPTY, Permutation, SymmetryOp, all_symmetries,
+                          apply_symmetry, avoids, contains, embeddings,
+                          format_perm, is_fibonacci, is_order_isomorphic,
+                          parse_perm, perm)
+from microassembly import (DuplicateCoordinate, IndexOutOfRange, direct_sum,
+                           inflate, pt, skew_sum, standardize)
 
 # -- independent oracles -----------------------------------------------------
 

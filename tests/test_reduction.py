@@ -3,6 +3,7 @@
 import ast
 import itertools
 import pathlib
+import tracemalloc
 from collections import defaultdict
 from dataclasses import replace
 
@@ -23,8 +24,9 @@ from gridppm.reduction import (ClauseTooWide, EmptyClause, ReductionError,
                                read_instance_summary, rebuild_instance,
                                reduce_formula, simulate_grid_preserving,
                                validate_instance, write_instance)
+from gridppm.reduction.builder import KINDS
 from gridppm.sat import CNFFormula
-from microassembly import tile_points
+from microassembly import slot_refs, tile_points
 
 # The gadget micro-lemmas live in test_acceptance.py, which also checks
 # each assembly's size; they are collected here too under their own names.
@@ -188,6 +190,91 @@ def test_end_to_end(mode, f):
         assert len(emb) == inst.sizes["pattern"]
 
 
+
+def _two_pattern_copies(trace):
+    """The output indices of two pattern copy gadgets in one tile."""
+    by_tile = defaultdict(list)
+    for g in range(len(trace)):
+        if trace.fam[g] == 0 and KINDS[trace.kind[g]] == "copy":
+            j = trace.out_off[g]
+            by_tile[trace.slot_tile[j]].append(j)
+    return next(js[:2] for js in by_tile.values() if len(js) > 1)
+
+
+def test_replay_rejects_tampered_instances():
+    """Each failure branch of ``embedding_from_assignment`` raises its
+    own ``ReductionError`` on an instance tampered in memory."""
+    rho = (True,)
+
+    def replay(inst):
+        return embedding_from_assignment(inst, rho)
+
+    inst = reduce_formula(FORMULAS[0])
+    n = len(inst.pattern)
+    emb = replay(inst)
+    with pytest.raises(ReductionError,
+                       match="^assignment does not satisfy the formula$"):
+        embedding_from_assignment(inst, (False,))
+
+    # two text points trade positions: two images cross
+    prov = inst.prov["T"][inst.path.cells[0]]
+    prov[0], prov[1] = prov[1], prov[0]
+    with pytest.raises(ReductionError,
+                       match="^embedding is not left-to-right monotone$"):
+        replay(inst)
+    prov[0], prov[1] = prov[1], prov[0]
+
+    # two text points trade values: the images keep their order on x
+    r = list(inst.text.ranks)
+    r[emb[0]], r[emb[1]] = r[emb[1]], r[emb[0]]
+    with pytest.raises(ReductionError,
+                       match="^embedding does not respect value order$"):
+        replay(replace(inst, text=Permutation(tuple(r))))
+
+    # a pattern copy's slot names its neighbour's points, so its own two
+    # points are never mapped
+    tr = inst.trace
+    j1, j2 = _two_pattern_copies(tr)
+    kept = tr.slot_idx[j2]
+    tr.slot_idx[j2] = tr.slot_idx[j1]
+    with pytest.raises(ReductionError, match=(
+            f"^propagation covered {n - 2} of {n} pattern points$")):
+        replay(inst)
+    tr.slot_idx[j2] = kept
+
+    # a pattern copy's slot moves to the next tile
+    tr.slot_tile[j1] += 1
+    with pytest.raises(ReductionError, match="^cross-tile point image$"):
+        replay(inst)
+    tr.slot_tile[j1] -= 1
+    assert replay(inst) == emb
+
+
+def test_replay_memory_per_pattern_point():
+    """The replay's transient memory stays near the size of the answer:
+    at most 120 bytes per pattern point, with no per-point tuple or dict
+    entry."""
+    f = FORMULAS[3]
+    inst = reduce_formula(f, mode="gadgets")
+    rho = next(r for r in itertools.product((False, True), repeat=f.nvars)
+               if f.evaluates(r))
+    tracemalloc.start()
+    try:
+        embedding_from_assignment(inst, rho)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 120 * len(inst.pattern), peak / len(inst.pattern)
+
+
+@pytest.mark.parametrize("mode,gadgets", [("gadgets", 5020),
+                                          ("juxtaposition", 1307)])
+def test_trace_length_is_the_gadget_count(mode, gadgets):
+    """``len(inst.trace)`` counts gadgets, the figure the benchmark's
+    ``reduction.builder.gadgets`` counter reads."""
+    assert len(reduce_formula(FORMULAS[3], mode=mode).trace) == gadgets
+
+
 def test_validate_reports_tampered_instances():
     inst = reduce_formula(FORMULAS[0])
     assert validate_instance(inst)["violations"] == []
@@ -305,10 +392,11 @@ def test_tiles_are_direct_sums_of_gadget_blocks(mode):
     from every other gadget's: the tile is a sum of the gadget blocks."""
     inst = reduce_formula(FORMULAS[2], mode=mode)
     blocks = {fam: defaultdict(lambda: defaultdict(list)) for fam in "PT"}
-    for gi, rec in enumerate(inst.trace):
-        for refs in rec.slots.values():
-            for (t, i) in refs:
-                blocks[rec.family][t][gi].append(i)
+    tr = inst.trace
+    for g in range(len(tr)):
+        for j in range(tr.out_off[g], tr.out_off[g + 1]):
+            for (t, i) in slot_refs(tr, j):
+                blocks["PT"[tr.fam[g]]][t][g].append(i)
     for fam in "PT":
         for t, by_gadget in blocks[fam].items():
             pts = tile_points(inst.families[fam].tiles[inst.path.cells[t]])

@@ -6,10 +6,17 @@ import random
 
 import pytest
 
-from gridppm.sat import (CNFFormula, ParseError, format_dimacs,
-                         parse_dimacs, solve_sat)
+from gridppm.sat import CNFFormula, ParseError, parse_dimacs, solve_sat
 
 from test_acceptance import _exhaustive_corpus, _random_formulas
+
+
+def format_dimacs(f):
+    """The DIMACS text of a formula, the inverse of ``parse_dimacs``."""
+    lines = [f"p cnf {f.nvars} {len(f.clauses)}"]
+    for cl in f.clauses:
+        lines.append(" ".join(map(str, cl)) + " 0")
+    return "\n".join(lines) + "\n"
 
 
 def truth_table_sat(f):
