@@ -3,7 +3,8 @@
 Library layout:
 
 - ``coords``    exact plane coordinates with symbolic infinitesimals
-- ``perm``      permutations, containment, symmetries, sums, inflation
+- ``perm``      permutations, containment, symmetries, the Fibonacci
+                class, text format
 - ``entries``   the closed vocabulary of cell classes and membership tests
 - ``grid``      gridding matrices, cell graphs, orientations, assembly,
                 refinements, staircases and rich-path construction

@@ -122,8 +122,6 @@ def _cmd_gridcheck(args):
 
 def _cmd_richpath(args):
     matrix = _load(args.matrix, parse_matrix_json)
-    if args.length is None:
-        raise _UsageError("richpath requires --length")
     try:
         refined, order, d_positions = build_rich_path(matrix, args.length)
     except ValueError as exc:
@@ -137,8 +135,6 @@ def _cmd_richpath(args):
 
 
 def _cmd_staircase(args):
-    if args.length is None:
-        raise _UsageError("staircase requires --length (number of steps)")
     try:
         c = parse_entry(args.entries[0]) if args.entries else parse_entry("inc")
         d = parse_entry(args.entries[1]) if len(args.entries) > 1 \
@@ -252,9 +248,9 @@ def build_parser():
         **{"--matrix": {"required": True}, "--perm": {"required": True}})
     add("richpath", "refine a cycle matrix into a rich proper-turning path",
         **{"--matrix": {"required": True},
-           "--length": {"type": int, "default": None}})
+           "--length": {"type": int, "required": True}})
     p = add("staircase", "build a staircase matrix",
-            **{"--length": {"type": int, "default": None}})
+            **{"--length": {"type": int, "required": True}})
     p.add_argument("entries", nargs="*",
                    help="cell entries: C then D (default: inc av:321)")
     add("reduce", "compile a 3-CNF formula into a C-PPM instance",

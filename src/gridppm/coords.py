@@ -97,15 +97,6 @@ class ExactCoord:
         rn, rd = (r, 1) if type(r) is int else (r.numerator, r.denominator)
         return _reduced(self.na * rn, self.nb * rn, self.den * rd)
 
-    def shift(self, r: Rat) -> "ExactCoord":
-        """Add a rational to the standard part."""
-        d = self.den
-        if type(r) is int:
-            # adding a multiple of den keeps the ints coprime
-            return ExactCoord(self.na + r * d, self.nb, d)
-        rn, rd = r.numerator, r.denominator
-        return _reduced(self.na * rd + rn * d, self.nb * rd, d * rd)
-
     def __repr__(self) -> str:
         parts = [str(self.a)]
         if self.nb:

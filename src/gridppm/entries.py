@@ -1,7 +1,8 @@
 """The closed vocabulary of cell classes used in gridding matrices.
 
-Tags: empty, inc, dec, the Fibonacci class fib+ (all |p_i - i| <= 1) and
-its mirror fib-, avoidance classes av:sigma for a concrete sigma, and
+Tags: empty, inc, dec, the Fibonacci class fib+ (all |p_i - i| <= 1, the
+direct sums of 1s and 21s) and its reverse fib- (the skew sums of 1s and
+12s), avoidance classes av:sigma for a concrete sigma, and
 monotone juxtapositions juxth:d1,d2 / juxtv:d1,d2 with d in {inc, dec}.
 Membership of a concrete permutation in every tag is decidable here.
 """
@@ -9,13 +10,10 @@ Membership of a concrete permutation in every tag is decidable here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
-from .perm import Permutation, avoids, is_fibonacci, perm
-
-
-class UnsupportedEntry(ValueError):
-    """The requested transform leaves the tag vocabulary."""
+from .perm import (Permutation, SymmetryOp, apply_symmetry, avoids,
+                   is_fibonacci, perm)
 
 
 @dataclass(frozen=True)
@@ -52,10 +50,6 @@ def av(sigma: Permutation) -> ClassEntry:
 
 def juxth(d1: str, d2: str) -> ClassEntry:
     return ClassEntry("juxth", d1=d1, d2=d2)
-
-
-def juxtv(d1: str, d2: str) -> ClassEntry:
-    return ClassEntry("juxtv", d1=d1, d2=d2)
 
 
 def is_empty(e: ClassEntry) -> bool:
@@ -102,7 +96,8 @@ def skew_closed(e: ClassEntry) -> bool:
     return False
 
 
-def _mono_ok(vals: Tuple[int, ...], d: str) -> bool:
+def is_monotone_run(vals: Sequence[int], d: str) -> bool:
+    """Whether vals rise (d == "inc") or fall (d == "dec") strictly."""
     if d == "inc":
         return all(a < b for a, b in zip(vals, vals[1:]))
     return all(a > b for a, b in zip(vals, vals[1:]))
@@ -125,71 +120,32 @@ def entry_contains(e: ClassEntry, p: Permutation) -> bool:
     n = len(p)
     if e.kind == "empty":
         return n == 0
-    if e.kind == "inc":
-        return _mono_ok(p.ranks, "inc")
-    if e.kind == "dec":
-        return _mono_ok(p.ranks, "dec")
+    if e.kind in ("inc", "dec"):
+        return is_monotone_run(p.ranks, e.kind)
     if e.kind == "fib+":
         return is_fibonacci(p)
     if e.kind == "fib-":
-        return is_fibonacci(p, mirrored=True)
+        return is_fibonacci(apply_symmetry(p, SymmetryOp("r")))
     if e.kind == "av":
         # monotone patterns reduce to a longest-run computation
-        if _mono_ok(e.sigma.ranks, "inc"):
+        if is_monotone_run(e.sigma.ranks, "inc"):
             return _longest_increasing(p.ranks) < len(e.sigma)
-        if _mono_ok(e.sigma.ranks, "dec"):
+        if is_monotone_run(e.sigma.ranks, "dec"):
             rev = tuple(reversed(p.ranks))
             return _longest_increasing(rev) < len(e.sigma)
         return avoids(p, e.sigma)
     if e.kind == "juxth":
         # a column cut: prefix in d1, suffix in d2
-        return any(_mono_ok(p.ranks[:s], e.d1) and _mono_ok(p.ranks[s:], e.d2)
+        return any(is_monotone_run(p.ranks[:s], e.d1)
+                   and is_monotone_run(p.ranks[s:], e.d2)
                    for s in range(n + 1))
     # juxtv: a row cut by value; d1 is the bottom part, d2 the top
     for v in range(n + 1):
         low = tuple(r for r in p.ranks if r <= v)
         high = tuple(r for r in p.ranks if r > v)
-        if _mono_ok(low, e.d1) and _mono_ok(high, e.d2):
+        if is_monotone_run(low, e.d1) and is_monotone_run(high, e.d2):
             return True
     return False
-
-
-def entry_reverse(e: ClassEntry) -> ClassEntry:
-    from .perm import SymmetryOp, apply_symmetry
-    if e.kind == "empty":
-        return e
-    if e.kind == "inc":
-        return DEC
-    if e.kind == "dec":
-        return INC
-    if e.kind == "av":
-        return av(apply_symmetry(e.sigma, SymmetryOp("r")))
-    if e.kind == "juxth":
-        return juxth(_flip_dir(e.d2), _flip_dir(e.d1))
-    if e.kind == "juxtv":
-        return juxtv(_flip_dir(e.d1), _flip_dir(e.d2))
-    raise UnsupportedEntry(f"reversal of {format_entry(e)} leaves the vocabulary")
-
-
-def entry_complement(e: ClassEntry) -> ClassEntry:
-    from .perm import SymmetryOp, apply_symmetry
-    if e.kind == "empty":
-        return e
-    if e.kind == "inc":
-        return DEC
-    if e.kind == "dec":
-        return INC
-    if e.kind == "av":
-        return av(apply_symmetry(e.sigma, SymmetryOp("c")))
-    if e.kind == "juxth":
-        return juxth(_flip_dir(e.d1), _flip_dir(e.d2))
-    if e.kind == "juxtv":
-        return juxtv(_flip_dir(e.d2), _flip_dir(e.d1))
-    raise UnsupportedEntry(f"complement of {format_entry(e)} leaves the vocabulary")
-
-
-def _flip_dir(d: str) -> str:
-    return "dec" if d == "inc" else "inc"
 
 
 def parse_entry(s: str) -> ClassEntry:

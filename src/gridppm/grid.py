@@ -272,10 +272,8 @@ def _cell_contents_sparse(p: Permutation, g: Gridding
 def _fits(e: ClassEntry, vs: Sequence[int]) -> bool:
     """Whether values vs, in position order, form a member of e.  A
     monotone entry is one scan of vs; other kinds standardize first."""
-    if e.kind == "inc":
-        return all(a < b for a, b in zip(vs, vs[1:]))
-    if e.kind == "dec":
-        return all(a > b for a, b in zip(vs, vs[1:]))
+    if e.kind in ("inc", "dec"):
+        return E.is_monotone_run(vs, e.kind)
     if e.kind == "empty":
         return not vs
     return E.entry_contains(e, _standardize(vs))
@@ -377,40 +375,6 @@ def identity_orientation(k: int, l: int) -> Orientation:
     return Orientation((1,) * k, (1,) * l)
 
 
-def apply_orientation_matrix(m: GriddingMatrix, f: Orientation) -> GriddingMatrix:
-    if len(f.f_c) != m.cols or len(f.f_r) != m.rows:
-        raise DimensionMismatch("orientation size does not match matrix")
-    filled = {}
-    for (i, j), e in m.filled.items():
-        if f.col(i) == -1:
-            e = E.entry_reverse(e)
-        if f.row(j) == -1:
-            e = E.entry_complement(e)
-        filled[i, j] = e
-    return GriddingMatrix(m.cols, m.rows, filled)
-
-
-def apply_orientation_gridded(p: Permutation, g: Gridding,
-                              f: Orientation) -> Permutation:
-    """Reverse every column with f_c = -1 and complement every row with
-    f_r = -1; the gridding g stays valid for the transformed matrix."""
-    k = len(g.col_cuts) - 1
-    l = len(g.row_cuts) - 1
-    if len(f.f_c) != k or len(f.f_r) != l:
-        raise DimensionMismatch("orientation size does not match gridding")
-    pos_map = list(range(len(p)))
-    for i in range(1, k + 1):
-        if f.col(i) == -1:
-            lo, hi = g.col_cuts[i - 1] - 1, g.col_cuts[i] - 1
-            pos_map[lo:hi] = reversed(pos_map[lo:hi])
-    vals = [p[q] for q in pos_map]
-    for j in range(1, l + 1):
-        if f.row(j) == -1:
-            lo, hi = g.row_cuts[j - 1], g.row_cuts[j]
-            vals = [lo + (hi - 1) - v if lo <= v < hi else v for v in vals]
-    return Permutation(tuple(vals))
-
-
 def _orient_by_propagation(m: GriddingMatrix, want_plus
                            ) -> Optional[Orientation]:
     """2-colour columns/rows so that each non-empty entry (i,j) has
@@ -446,24 +410,6 @@ def _orient_by_propagation(m: GriddingMatrix, want_plus
                     stack.append(w)
     return Orientation(tuple(sign[("c", i)] for i in range(1, m.cols + 1)),
                        tuple(sign[("r", j)] for j in range(1, m.rows + 1)))
-
-
-def consistent_orientation(m: GriddingMatrix) -> Optional[Orientation]:
-    """An orientation making every non-empty (monotone) entry inc, or
-    None when the propagation over G_M conflicts."""
-    if not all(E.is_monotone(e) for e in m.filled.values()):
-        raise ValueError("consistent_orientation needs a monotone matrix")
-
-    def want(e: ClassEntry) -> int:
-        return 1 if e.kind == "inc" else -1
-
-    f = _orient_by_propagation(m, want)
-    if f is None:
-        return None
-    img = apply_orientation_matrix(m, f)
-    if any(e.kind != "inc" for e in img.filled.values()):
-        raise ConstructionError("orientation leaves a non-inc entry")
-    return f
 
 
 def sum_closing_orientation(m: GriddingMatrix) -> Optional[Orientation]:

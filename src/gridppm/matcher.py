@@ -63,10 +63,7 @@ class MonotonePartition:
                 raise MalformedPartition(f"bad direction {d!r}")
             if list(part) != sorted(part):
                 raise MalformedPartition("part positions must ascend")
-            vals = [p[q] for q in part]
-            ok = all(a < b for a, b in zip(vals, vals[1:])) if d == "inc" \
-                else all(a > b for a, b in zip(vals, vals[1:]))
-            if not ok:
+            if not E.is_monotone_run([p[q] for q in part], d):
                 raise MalformedPartition(f"part not {d}: {part}")
 
 

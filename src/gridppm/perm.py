@@ -184,14 +184,8 @@ def all_symmetries() -> Tuple[SymmetryOp, ...]:
 
 # --- small class predicates ----------------------------------------------
 
-def is_fibonacci(p: Permutation, mirrored: bool = False) -> bool:
-    """Membership in the Fibonacci class: |p_i - i| <= 1 for all i.
-
-    With mirrored=True, tests the reverse-complement image instead,
-    i.e. membership in the mirror class.
-    """
-    if mirrored:
-        p = apply_symmetry(p, SymmetryOp("rc"))
+def is_fibonacci(p: Permutation) -> bool:
+    """Membership in the Fibonacci class: |p_i - i| <= 1 for all i."""
     return all(abs(v - (i + 1)) <= 1 for i, v in enumerate(p.ranks))
 
 

@@ -1163,9 +1163,10 @@ def _capability_check(matrix: GriddingMatrix, mode: str) -> None:
     Every gadget is a direct sum of 1s and 21s, so a D entry must
     contain the whole Fibonacci class fib+; in juxtaposition mode it
     must also contain the bucket class.  av:sigma contains a class
-    exactly when sigma is not in it.  fib- is fib+ again (reverse-
-    complement maps fib+ onto itself), which holds no juxtaposition
-    class, and no juxtaposition class holds 214365.
+    exactly when sigma is not in it.  fib+ holds no juxtaposition class;
+    fib-, the skew sums of 1s and 12s, lacks 123; and no juxtaposition
+    class holds 214365.  So of the other kinds only fib+ passes, and only
+    in gadgets mode.
     """
     ds = {e for e in matrix.filled.values() if not E.is_monotone(e)}
     if not ds:
@@ -1178,7 +1179,7 @@ def _capability_check(matrix: GriddingMatrix, mode: str) -> None:
             if d.kind == "av":
                 ok = not E.entry_contains(c, d.sigma)
             else:
-                ok = d.kind in ("fib+", "fib-") and c == E.FIBP
+                ok = d.kind == "fib+" and c == E.FIBP
             if not ok:
                 raise UnusableMatrix(
                     f"D entry {E.format_entry(d)} does not contain "

@@ -139,6 +139,18 @@ def _mid(r: ExactCoord, q: ExactCoord) -> ExactCoord:
     return (r + q).scale(Fraction(1, 2))
 
 
+def _chain(r: ExactCoord, q: ExactCoord, m: ExactCoord,
+           inn: ExactCoord) -> FlipChain:
+    """The chain that ends on the slot (r, q) of midpoint m, its head
+    at ``inn`` on the incoming axis."""
+    return FlipChain(
+        head=RawPoint(m, inn),
+        middle=(RawPoint(r + EPS, r), RawPoint(q - EPS, q)),
+        end=(RawPoint(r, q), RawPoint(q, r)),
+        values=(r, q),
+    )
+
+
 def flip_text_chains(
     r1: ExactCoord, q1: ExactCoord, r2: ExactCoord, q2: ExactCoord
 ) -> Tuple[FlipChain, FlipChain]:
@@ -150,27 +162,11 @@ def flip_text_chains(
     sandwiching.
     """
     m1, m2 = _mid(r1, q1), _mid(r2, q2)
-    chain1 = FlipChain(
-        head=RawPoint(m2, m1),
-        middle=(RawPoint(r2 + EPS, r2), RawPoint(q2 - EPS, q2)),
-        end=(RawPoint(r2, q2), RawPoint(q2, r2)),
-        values=(r2, q2),
-    )
-    chain2 = FlipChain(
-        head=RawPoint(m1, m2),
-        middle=(RawPoint(r1 + EPS, r1), RawPoint(q1 - EPS, q1)),
-        end=(RawPoint(r1, q1), RawPoint(q1, r1)),
-        values=(r1, q1),
-    )
-    return chain1, chain2
+    return _chain(r2, q2, m2, m1), _chain(r1, q1, m1, m2)
 
 
 def flip_pattern_chain(r: ExactCoord, q: ExactCoord) -> FlipChain:
-    """Single-channel chain matching the shape of a text flip chain."""
+    """Single-channel chain matching the shape of a text flip chain: the
+    pair is both its source and its target."""
     m = _mid(r, q)
-    return FlipChain(
-        head=RawPoint(m, m),
-        middle=(RawPoint(r + EPS, r), RawPoint(q - EPS, q)),
-        end=(RawPoint(r, q), RawPoint(q, r)),
-        values=(r, q),
-    )
+    return _chain(r, q, m, m)

@@ -1,6 +1,7 @@
 """The command-line surface: exit codes, report shapes, determinism."""
 
 import json
+import random
 import re
 
 import pytest
@@ -167,6 +168,18 @@ def test_staircase_without_steps_exits_one(length, capsys):
     assert captured.err.count("\n") == 1
 
 
+def test_length_is_required(files, capsys):
+    m = files("m.json",
+              '{"cols":2,"rows":2,"entries":[["dec","inc"],["av:321","dec"]]}')
+    for argv in (["richpath", "--matrix", m], ["staircase", "inc", "av:321"]):
+        assert run(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("gridppm: ")
+        assert "--length" in captured.err
+        assert captured.err.count("\n") == 1
+
+
 def test_sat_roundtrip(files, capsys):
     f = files("f.cnf", "p cnf 2 2\n1 2 0\n-1 0\n")
     assert run(["sat", "--cnf", f]) == 0
@@ -217,6 +230,27 @@ def test_reduce_verify_embed_pipeline(files, tmp_path, capsys):
     r = report(capsys)
     assert r["satisfiable"] is True
     assert len(r["embedding"]) == len(set(r["embedding"]))
+
+
+@pytest.mark.xfail(strict=True, reason="the 2^20 guard of "
+                   "simulate_grid_preserving; ROADMAP item 8 removes "
+                   "this mark")
+def test_verify_accepts_21_variables(files, tmp_path, capsys):
+    """A valid juxtaposition instance of a random 21-variable, 21-clause
+    formula verifies."""
+    m = 21
+    rng = random.Random(20260826 + m)
+    lines = [f"p cnf {m} {m}"]
+    for _ in range(m):
+        vs = rng.sample(range(1, m + 1), 3)
+        lines.append(" ".join(str(v if rng.random() < 0.5 else -v)
+                              for v in vs) + " 0")
+    f = files("f.cnf", "\n".join(lines) + "\n")
+    out = str(tmp_path / "inst")
+    assert run(["reduce", "--cnf", f, "--mode", "juxtaposition",
+                "--out", out]) == 0
+    capsys.readouterr()
+    assert run(["verify", out]) == 0
 
 
 @pytest.mark.parametrize("command", ["verify", "embed"])

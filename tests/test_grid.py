@@ -14,16 +14,15 @@ from gridppm import grid as grid_mod
 from gridppm.entries import DEC, EMPTY_E, FIBP, INC, av
 from gridppm.grid import (BoxOverflow, CellGraph, DimensionMismatch, Gridding,
                           GriddingMatrix, MultipleDEntries, NoCycle,
-                          Orientation, Tile, TileFamily, all_griddings,
-                          apply_orientation_gridded, apply_orientation_matrix,
-                          assemble, build_rich_path, cell_graph,
-                          check_gridding, classify, consistent_orientation,
-                          find_gridding, gridding_to_obj, identity_orientation,
+                          NotClosedEntry, Orientation, Tile, TileFamily,
+                          all_griddings, assemble, build_rich_path, cell_graph,
+                          check_gridding, classify, find_gridding,
+                          gridding_to_obj, identity_orientation,
                           matrix_from_obj, matrix_from_rows_top_down,
                           matrix_to_obj, parse_matrix_json, path_order, refine,
                           sample_member, staircase, sum_closing_orientation)
 from gridppm.perm import Permutation, perm
-from microassembly import inflate, make_tile, pt
+from microassembly import direct_sum, inflate, make_tile, pt, skew_sum
 
 P321 = perm(3, 2, 1)
 P312 = perm(3, 1, 2)
@@ -51,7 +50,7 @@ def test_entry_contains_basics():
     assert not E.entry_contains(FIBP, perm(3, 1, 2))
     assert E.entry_contains(E.juxth("inc", "inc"), perm(3, 4, 1, 2))
     assert not E.entry_contains(E.juxth("inc", "inc"), perm(3, 1, 4, 2))
-    assert E.entry_contains(E.juxtv("inc", "dec"), perm(1, 4, 2, 3))
+    assert E.entry_contains(E.parse_entry("juxtv:inc,dec"), perm(1, 4, 2, 3))
     assert E.entry_contains(EMPTY_E, perm())
     assert not E.entry_contains(EMPTY_E, perm(1))
 
@@ -73,6 +72,21 @@ def test_closure_flags():
     assert E.sum_closed(av(P321)) and not E.skew_closed(av(P321))
     # 123 is skew-indecomposable but sum-decomposable
     assert E.skew_closed(av(perm(1, 2, 3))) and not E.sum_closed(av(perm(1, 2, 3)))
+
+
+def test_closure_flags_hold_on_members():
+    """A sum-closed entry contains a + b, and a skew-closed one a - b, for
+    all its members a and b with |a| + |b| <= 6."""
+    for e in EVERY_KIND:
+        by_size = [[p for p in all_perms(n) if E.entry_contains(e, p)]
+                   for n in range(7)]
+        sums = [f for f, flag in ((direct_sum, E.sum_closed(e)),
+                                  (skew_sum, E.skew_closed(e))) if flag]
+        for na, nb in itertools.product(range(7), repeat=2):
+            if na + nb > 6:
+                continue
+            for a, b, f in itertools.product(by_size[na], by_size[nb], sums):
+                assert E.entry_contains(e, f(a, b)), (e, f.__name__, a, b)
 
 
 def test_entry_string_roundtrip():
@@ -101,7 +115,7 @@ def test_matrix_json_roundtrip():
 
 
 ALL_KINDS = [EMPTY_E, INC, DEC, FIBP, E.FIBM, av(P321), av(P132),
-             E.juxth("inc", "dec"), E.juxtv("dec", "inc")]
+             E.juxth("inc", "dec"), E.parse_entry("juxtv:dec,inc")]
 
 
 @settings(max_examples=150, deadline=None)
@@ -235,7 +249,8 @@ def test_find_gridding_agrees_with_brute_force(m):
 # each juxtaposition
 EVERY_KIND = [EMPTY_E, INC, DEC, FIBP, E.FIBM, av(P321), av(P132),
               av(perm(2, 1)), E.juxth("inc", "dec"), E.juxth("dec", "dec"),
-              E.juxtv("inc", "dec"), E.juxtv("dec", "inc")]
+              E.parse_entry("juxtv:inc,dec"),
+              E.parse_entry("juxtv:dec,inc")]
 
 
 @st.composite
@@ -304,47 +319,28 @@ def test_rich_2x2_exclusions():
 # -- orientations ----------------------------------------------------------------
 
 
-def test_apply_orientation_matrix_example():
-    m = mat([DEC, INC], [INC, DEC])
-    f = Orientation((-1, 1), (1, 1))
-    img = apply_orientation_matrix(m, f)
-    assert img == mat([INC, INC], [DEC, DEC])
-
-
-def test_apply_orientation_identity_and_involution():
-    m = mat([DEC, av(P132)], [INC, DEC])
-    f_id = identity_orientation(2, 2)
-    assert apply_orientation_matrix(m, f_id) == m
-    f = Orientation((-1, 1), (1, -1))
-    assert apply_orientation_matrix(apply_orientation_matrix(m, f), f) == m
-
-
-def test_apply_orientation_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        apply_orientation_matrix(mat([INC]), Orientation((1, 1), (1,)))
+CYCLE_D = mat([DEC, INC], [av(P321), DEC])
 
 
 def test_consistent_orientation_paper_examples():
+    """On a monotone matrix, the sum-closing orientation is the one
+    consistent with it: every entry's image is increasing.  In general
+    it gives +1 on each cell that is only sum-closed and -1 on each cell
+    that is only skew-closed."""
     m = mat([DEC, INC], [INC, DEC])
-    f = consistent_orientation(m)
+    f = sum_closing_orientation(m)
     assert f == Orientation((-1, 1), (-1, 1))
     m2 = mat([INC, INC], [INC, DEC])
-    assert consistent_orientation(m2) is None
+    assert sum_closing_orientation(m2) is None
     m3 = mat([INC, INC], [INC, INC])
-    assert consistent_orientation(m3) == identity_orientation(2, 2)
-
-
-def test_gridded_orientation_preserves_gridding():
-    rng = random.Random(3)
-    m = mat([DEC, INC], [INC, DEC])
-    f = Orientation((-1, 1), (-1, 1))
-    fm = apply_orientation_matrix(m, f)
-    for _ in range(25):
-        sizes = {c: rng.randint(0, 3) for c in m.nonempty_cells()}
-        p, g = sample_member(m, rng, sizes)
-        q = apply_orientation_gridded(p, g, f)
-        assert check_gridding(q, g, fm)
-        assert apply_orientation_gridded(q, g, f) == p
+    assert sum_closing_orientation(m3) == identity_orientation(2, 2)
+    f = sum_closing_orientation(CYCLE_D)
+    assert f is not None
+    for (i, j), e in CYCLE_D.filled.items():
+        assert E.sum_closed(e) != E.skew_closed(e)
+        assert f.col(i) * f.row(j) == (1 if E.sum_closed(e) else -1)
+    with pytest.raises(NotClosedEntry):
+        sum_closing_orientation(mat([INC, E.juxth("inc", "inc")]))
 
 
 # -- refinement and rich paths -----------------------------------------------------
@@ -369,7 +365,14 @@ def test_refine_members_stay_in_original_class():
         assert find_gridding(p, m) is not None
 
 
-CYCLE_D = mat([DEC, INC], [av(P321), DEC])
+def test_refined_fib_minus_stays_in_fib_minus():
+    """fib- is skew-closed, so refine lays it out anti-diagonally, and
+    every member of the refinement is a member of fib-."""
+    r = refine(GriddingMatrix(1, 1, {(1, 1): E.FIBM}), 2)
+    for n in range(7):
+        for p in all_perms(n):
+            if find_gridding(p, r) is not None:
+                assert E.entry_contains(E.FIBM, p), p
 
 
 def test_rich_path_requires_cycle_and_single_d():
@@ -468,9 +471,9 @@ def test_tile_errors_name_the_point_and_the_columns():
 def test_assemble_passes_induced_gridding():
     rng = random.Random(5)
     m = mat([DEC, INC], [INC, DEC])
-    f = consistent_orientation(m)
-    fm = apply_orientation_matrix(m, f)
-    assert all(fm.entry(*c) == INC for c in fm.nonempty_cells())
+    f = sum_closing_orientation(m)
+    assert all(f.col(i) * f.row(j) == (1 if e == INC else -1)
+               for (i, j), e in m.filled.items())
     for _ in range(10):
         sizes = {c: rng.randint(1, 3) for c in m.nonempty_cells()}
         # build increasing tiles, orient with f: result lands in Grid(m)

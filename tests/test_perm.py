@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridppm.coords import EPS, coord
+from gridppm.entries import FIBM, entry_contains
 from gridppm.perm import (EMPTY, Permutation, SymmetryOp, all_symmetries,
                           apply_symmetry, avoids, contains, embeddings,
                           format_perm, is_fibonacci, is_order_isomorphic,
@@ -80,7 +81,7 @@ def test_standardize_empty():
 
 def test_standardize_with_infinitesimals():
     pts = [pt(coord(1), coord(1) + EPS), pt(Fraction(3, 2), 5),
-           pt(coord(2).shift(0), coord(2) - EPS)]
+           pt(coord(2), coord(2) - EPS)]
     assert standardize(pts) == perm(1, 3, 2)
     assert standardize(pts).ranks == rank_by_pairwise_comparison(pts)
 
@@ -143,8 +144,6 @@ def test_coord_agrees_with_fraction_pairs(u, v, r, k):
     assert_coord_is(-cu, tuple(-x for x in u))
     assert_coord_is(cu.scale(r), tuple(x * r for x in u))
     assert_coord_is(cu.scale(k), tuple(x * k for x in u))
-    assert_coord_is(cu.shift(r), (u[0] + r, u[1]))
-    assert_coord_is(cu.shift(k), (u[0] + k, u[1]))
     # lexicographic order, as on the reference tuples
     assert (cu < cv) == (u < v)
     assert (cu <= cv) == (u <= v)
@@ -327,11 +326,14 @@ def test_fibonacci_equals_avoidance_characterization():
 
 
 def test_fibonacci_mirror():
-    rc = SymmetryOp("rc")
-    for n in range(6):
+    """fib- is the reverse of fib+: the skew sums of 1s and 12s, whose
+    basis is the reverse of fib+'s."""
+    basis = [perm(1, 2, 3), perm(2, 1, 3), perm(1, 3, 2)]
+    for n in range(7):
         for p in all_perms(n):
-            assert is_fibonacci(p, mirrored=True) == \
-                is_fibonacci(apply_symmetry(p, rc))
+            want = all(avoids(p, b) for b in basis)
+            assert entry_contains(FIBM, p) == want
+            assert is_fibonacci(apply_symmetry(p, SymmetryOp("r"))) == want
 
 
 # -- text format -----------------------------------------------------------------

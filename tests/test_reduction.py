@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gridppm.reduction
-from gridppm.entries import DEC, FIBP, INC, av, juxth, juxtv, parse_entry
+from gridppm.entries import DEC, FIBP, INC, av, juxth, parse_entry
 from gridppm.grid import (GriddingMatrix, build_rich_path, check_gridding,
                           matrix_from_rows_top_down, staircase)
 from gridppm.perm import Permutation
@@ -330,6 +330,41 @@ def test_no_function_calls_itself():
     assert found == []
 
 
+# top-level names that only tests reach, each with its reason
+TEST_ONLY_NAMES = {
+    "sample_member": "seeded generator of grid class members for tests",
+    "bucket_rehearsal": "exercises every juxtaposition shape; "
+                        "tests/test_golden.py pins its bytes",
+    "all_symmetries": "kept for the Av(sigma) certificates (ROADMAP item 3)",
+    "_cell_contents_sparse": "the cell contents that bench/test_bench.py "
+                             "and the gridding tests compare against",
+}
+
+
+def test_every_library_name_has_a_caller():
+    """Every top-level function and class of the package is referenced by
+    name, outside its own definition, from library code or from a
+    non-test module of bench/."""
+    pkg = pathlib.Path(gridppm.__file__).parent
+    bench = pathlib.Path(__file__).parents[1] / "bench"
+    assert (bench / "run.py").exists()
+    defined, used = set(), set()
+    for path in sorted(pkg.rglob("*.py")) + sorted(bench.glob("*.py")):
+        if path.name.startswith("test_"):
+            continue
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            names = {n.id if isinstance(n, ast.Name) else n.attr
+                     for n in ast.walk(stmt)
+                     if isinstance(n, (ast.Name, ast.Attribute))}
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names.discard(stmt.name)
+                if bench not in path.parents:
+                    defined.add(stmt.name)
+            used |= names
+    assert sorted(defined - used - set(TEST_ONLY_NAMES)) == []
+    assert sorted(set(TEST_ONLY_NAMES) - defined) == []
+
+
 @pytest.mark.parametrize("mode", ["gadgets", "juxtaposition"])
 def test_anchor_counting(mode):
     inst = reduce_formula(FORMULAS[2], mode=mode)
@@ -410,7 +445,7 @@ def test_tiles_are_direct_sums_of_gadget_blocks(mode):
 
 
 BUCKET_SHAPES = [juxth("inc", "inc"), juxth("inc", "dec"),
-                 juxtv("inc", "inc"), juxtv("inc", "dec")]
+                 parse_entry("juxtv:inc,inc"), parse_entry("juxtv:inc,dec")]
 
 
 @pytest.mark.parametrize("entry", BUCKET_SHAPES,
