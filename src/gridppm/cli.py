@@ -135,10 +135,12 @@ def _cmd_richpath(args):
 
 
 def _cmd_staircase(args):
+    if len(args.entries) > 2:
+        raise _UsageError("staircase takes at most two entries, C then D; "
+                          f"got {len(args.entries)}")
+    names = args.entries + ["inc", "av:321"][len(args.entries):]
     try:
-        c = parse_entry(args.entries[0]) if args.entries else parse_entry("inc")
-        d = parse_entry(args.entries[1]) if len(args.entries) > 1 \
-            else parse_entry("av:321")
+        c, d = map(parse_entry, names)
         m = staircase(args.length, c, d)
     except ValueError as exc:
         raise _UsageError(str(exc))

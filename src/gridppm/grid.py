@@ -375,8 +375,8 @@ def identity_orientation(k: int, l: int) -> Orientation:
     return Orientation((1,) * k, (1,) * l)
 
 
-def _orient_by_propagation(m: GriddingMatrix, want_plus
-                           ) -> Optional[Orientation]:
+def orient_by_propagation(m: GriddingMatrix, want_plus
+                          ) -> Optional[Orientation]:
     """2-colour columns/rows so that each non-empty entry (i,j) has
     f_c(i)*f_r(j) equal to want_plus(entry) (+1/-1/None=unconstrained).
     In every connected component the largest-indexed column is anchored
@@ -425,7 +425,7 @@ def sum_closing_orientation(m: GriddingMatrix) -> Optional[Orientation]:
             return -1
         raise NotClosedEntry(f"entry {E.format_entry(e)} is neither sum- "
                              "nor skew-closed")
-    return _orient_by_propagation(m, want)
+    return orient_by_propagation(m, want)
 
 
 # --- refinement, staircases, rich paths ------------------------------------

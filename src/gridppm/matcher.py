@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from . import entries as E
@@ -42,29 +41,25 @@ class NoTextGridding(ValueError):
     """Promise violation: the text admits no gridding at all."""
 
 
-@dataclass(frozen=True)
-class MonotonePartition:
-    """Disjoint monotone parts covering all points of a permutation.
+Partition = Tuple[Tuple[int, ...], ...]   # parts of 0-based positions
 
-    Each part is a tuple of 0-based positions in ascending order; the
-    direction states how values run along that order.
-    """
-    parts: Tuple[Tuple[int, ...], ...]
-    dirs: Tuple[str, ...]
 
-    def validate(self, p: Permutation) -> None:
-        if len(self.parts) != len(self.dirs):
-            raise MalformedPartition("parts/dirs length mismatch")
-        seen = [q for part in self.parts for q in part]
-        if sorted(seen) != list(range(len(p))):
+def _check_partitions(pattern: Permutation, pi: Partition,
+                      text: Permutation, sigma: Partition) -> None:
+    """Each partition's parts cover its permutation's positions once, each
+    part ascends and its values run either way; the arities agree."""
+    for p, parts in ((pattern, pi), (text, sigma)):
+        if sorted(q for part in parts for q in part) != list(range(len(p))):
             raise MalformedPartition("parts must partition all positions")
-        for part, d in zip(self.parts, self.dirs):
-            if d not in ("inc", "dec"):
-                raise MalformedPartition(f"bad direction {d!r}")
+        for part in parts:
             if list(part) != sorted(part):
                 raise MalformedPartition("part positions must ascend")
-            if not E.is_monotone_run([p[q] for q in part], d):
-                raise MalformedPartition(f"part not {d}: {part}")
+            vals = [p[q] for q in part]
+            if not (E.is_monotone_run(vals, "inc")
+                    or E.is_monotone_run(vals, "dec")):
+                raise MalformedPartition(f"part not monotone: {part}")
+    if len(pi) != len(sigma):
+        raise MalformedPartition("partition arities differ")
 
 
 def _require_monotone(m: GriddingMatrix) -> None:
@@ -73,16 +68,14 @@ def _require_monotone(m: GriddingMatrix) -> None:
 
 
 def extract_partition(p: Permutation, g: Gridding,
-                      m: GriddingMatrix) -> MonotonePartition:
+                      m: GriddingMatrix) -> Partition:
     """One part per non-empty (monotone) matrix cell, in cell order.  No
     part needs re-checking: ``check_gridding`` proved each cell's run."""
     _require_monotone(m)
     if not check_gridding(p, g, m):
         raise InvalidGridding("not a valid gridding of the permutation")
     cells = cell_positions(p, g)
-    nonempty = m.nonempty_cells()
-    return MonotonePartition(tuple(tuple(cells.get(c, ())) for c in nonempty),
-                             tuple(m.entry(*c).kind for c in nonempty))
+    return tuple(tuple(cells.get(c, ())) for c in m.nonempty_cells())
 
 
 # --- 2-SAT ------------------------------------------------------------------
@@ -165,8 +158,8 @@ class _TwoSat:
 
 # --- the (Pi, Sigma)-embedding decision --------------------------------------
 
-def psi_embedding(pattern: Permutation, pi: MonotonePartition,
-                  text: Permutation, sigma: MonotonePartition,
+def psi_embedding(pattern: Permutation, pi: Partition,
+                  text: Permutation, sigma: Partition,
                   stats: Optional[dict] = None) -> Optional[Tuple[int, ...]]:
     """An embedding of pattern into text mapping the i-th pattern part
     into the i-th text part, or None.
@@ -174,14 +167,9 @@ def psi_embedding(pattern: Permutation, pi: MonotonePartition,
     Returns the embedding as a tuple of 0-based text positions indexed
     by pattern position.
     """
-    pi.validate(pattern)
-    sigma.validate(text)
-    if len(pi.parts) != len(sigma.parts):
-        raise MalformedPartition("partition arities differ")
-    t = len(pi.parts)
-    for i in range(t):
-        if len(pi.parts[i]) > len(sigma.parts[i]):
-            return None  # pigeonhole
+    _check_partitions(pattern, pi, text, sigma)
+    if any(len(a) > len(b) for a, b in zip(pi, sigma)):
+        return None  # pigeonhole
 
     k = len(pattern)
     if k == 0:
@@ -190,14 +178,14 @@ def psi_embedding(pattern: Permutation, pi: MonotonePartition,
         return ()
 
     part_of = [0] * k
-    for i, part in enumerate(pi.parts):
+    for i, part in enumerate(pi):
         for q in part:
             part_of[q] = i
     # text part data, in canonical (ascending position) order; tasc holds
     # each part's values ascending, and a part rises when its values do
     # along it (one with fewer than two points counts as rising)
-    tpos = [list(part) for part in sigma.parts]
-    tval = [[text[q] for q in part] for part in sigma.parts]
+    tpos = [list(part) for part in sigma]
+    tval = [[text[q] for q in part] for part in sigma]
     tasc = [sorted(vs) for vs in tval]
     rising = [len(vs) < 2 or vs[0] < vs[1] for vs in tval]
 
@@ -324,8 +312,8 @@ def psi_embedding(pattern: Permutation, pi: MonotonePartition,
     if not is_order_isomorphic(text, pattern, witness):
         raise RuntimeError(
             f"threshold encoding produced an invalid witness {witness}")
-    for i, part in enumerate(pi.parts):
-        tgt = set(sigma.parts[i])
+    for i, part in enumerate(pi):
+        tgt = set(sigma[i])
         if any(witness[q] not in tgt for q in part):
             raise RuntimeError("witness is not part-respecting")
     return witness

@@ -5,8 +5,8 @@ from .builder import (ReductionError, EmptyClause, ClauseTooWide,
                       PathTooShort, TooManyVariables, NotAPath,
                       UnusableMatrix, normalize_3cnf, PathSpec,
                       make_path_spec, LayerPlan, ReductionInstance,
-                      plan_layers, reduce_formula, default_matrix,
-                      rich_path_matrix, bucket_rehearsal)
+                      plan_layers, default_path, reduce_formula,
+                      default_matrix, rich_path_matrix, bucket_rehearsal)
 from .checks import (validate_instance, simulate_grid_preserving,
                      embedding_from_assignment)
 from .io import (write_instance, read_instance_summary, rebuild_instance,
@@ -16,8 +16,8 @@ __all__ = [
     "ReductionError", "EmptyClause", "ClauseTooWide", "PathTooShort",
     "TooManyVariables", "NotAPath", "UnusableMatrix",
     "normalize_3cnf", "PathSpec", "make_path_spec",
-    "LayerPlan", "ReductionInstance", "plan_layers", "reduce_formula",
-    "default_matrix", "rich_path_matrix", "bucket_rehearsal",
+    "LayerPlan", "ReductionInstance", "plan_layers", "default_path",
+    "reduce_formula", "default_matrix", "rich_path_matrix", "bucket_rehearsal",
     "validate_instance", "simulate_grid_preserving",
     "embedding_from_assignment", "write_instance",
     "read_instance_summary", "rebuild_instance", "check_stored",

@@ -56,8 +56,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..coords import ExactCoord
 from .. import entries as E
 from ..grid import (Gridding, GriddingMatrix, Orientation, Tile, TileFamily,
-                    _orient_by_propagation, assemble, build_rich_path,
-                    cell_graph, classify, matrix_from_rows_top_down,
+                    assemble, build_rich_path, cell_graph, classify,
+                    matrix_from_rows_top_down, orient_by_propagation,
                     path_order)
 from ..perm import Permutation, perm
 from ..sat import CNFFormula
@@ -70,7 +70,7 @@ __all__ = [
     "TooManyVariables", "NotAPath", "UnusableMatrix",
     "normalize_3cnf", "PathSpec", "make_path_spec",
     "Trace", "KINDS", "LayerPlan", "ReductionInstance", "plan_layers",
-    "reduce_formula",
+    "default_path", "reduce_formula",
     "default_matrix", "rich_path_matrix", "bucket_rehearsal",
 ]
 
@@ -147,14 +147,6 @@ class PathSpec:
     d_tiles: Tuple[int, ...]     # 0-based path indices of non-monotone cells
 
 
-def _reduction_want(entry):
-    if entry.kind == "inc":
-        return 1
-    if entry.kind == "dec":
-        return -1
-    return 1  # non-monotone entries are used in their given orientation
-
-
 def make_path_spec(matrix: GriddingMatrix) -> PathSpec:
     g = cell_graph(matrix)
     if classify(g) != "ProperTurningPath":
@@ -178,7 +170,7 @@ def make_path_spec(matrix: GriddingMatrix) -> PathSpec:
     if row_d(rev) > row_d(cells):
         cells = rev
 
-    f = _orient_by_propagation(matrix, _reduction_want)
+    f = orient_by_propagation(matrix, _reduction_want)
     if f is None:
         raise UnusableMatrix("path matrix admits no consistent orientation")
 
@@ -280,7 +272,6 @@ class ReductionInstance:
     formula: CNFFormula
     mode: str
     path: PathSpec
-    bucket_entry: E.ClassEntry
     sizes: Dict[str, int]
     layers: List[Tuple[str, int]]          # (kind, tile reached)
     d_used: int
@@ -1083,7 +1074,6 @@ class _Builder:
                     f"{plan.sizes[name]} counted")
         return ReductionInstance(
             formula=self.formula, mode=self.mode, path=self.path,
-            bucket_entry=self.bucket_entry,
             sizes=plan.sizes, layers=plan.layers, d_used=plan.d_used,
             trace=self.trace, clause_layouts=self.clause_layouts,
             final_positions={pid: i for i, pid in enumerate(self.live["T"])},
@@ -1157,6 +1147,14 @@ def bucket_entry_of(matrix: GriddingMatrix) -> E.ClassEntry:
     return E.juxth("inc", "inc")
 
 
+def _reduction_want(entry: E.ClassEntry) -> int:
+    """The sign ``make_path_spec`` asks of a cell: -1 for dec, else +1.
+    A D cell takes +1 because the gadgets are sums of 1s and 21s (fib+),
+    and ``_capability_check`` requires each D entry to contain fib+ as
+    it is, not reflected."""
+    return -1 if entry.kind == "dec" else 1
+
+
 def _capability_check(matrix: GriddingMatrix, mode: str) -> None:
     """Every D entry must contain every gadget the mode places in it.
 
@@ -1200,28 +1198,34 @@ def plan_layers(formula: CNFFormula, path: PathSpec, mode: str
     return b.plan()
 
 
+def default_path(formula: CNFFormula, mode: str
+                 ) -> Tuple[PathSpec, LayerPlan]:
+    """The default rich path for the mode, sized for the formula, and the
+    plan of its last sizing pass: from length 8, a path too short grows
+    to twice its length or to two more than the D entries it needs."""
+    length = 8
+    for _ in range(12):
+        path = make_path_spec(rich_path_matrix(mode, length))
+        try:
+            return path, plan_layers(formula, path, mode)
+        except PathTooShort as exc:
+            length = max(length * 2, exc.required_d + 2)
+    raise ReductionError("could not size a rich path for the formula")
+
+
 def reduce_formula(formula: CNFFormula, mode: str = "gadgets",
                    matrix: Optional[GriddingMatrix] = None
                    ) -> ReductionInstance:
     """Build the full geometric instance for a formula.
 
-    With no explicit matrix, a rich path of sufficient length is derived
-    from the default 2x2 cycle for the requested mode."""
+    With no explicit matrix, it builds on ``default_path``: a rich path
+    of sufficient length derived from the default 2x2 cycle."""
     if matrix is not None:
         path = make_path_spec(matrix)
         _capability_check(matrix, mode)
         plan_layers(formula, path, mode)   # raises PathTooShort if unfit
     else:
-        length = 8
-        for _ in range(12):
-            path = make_path_spec(rich_path_matrix(mode, length))
-            try:
-                plan_layers(formula, path, mode)
-                break
-            except PathTooShort as exc:
-                length = max(length * 2, exc.required_d + 2)
-        else:
-            raise ReductionError("could not size a rich path for the formula")
+        path, _ = default_path(formula, mode)
         _capability_check(path.matrix, mode)
     b = _Builder(formula, path, mode, geometry=True)
     b.build()

@@ -21,10 +21,10 @@ from gridppm.grid import (build_rich_path, cell_graph, classify,
                           find_gridding, sample_member, staircase)
 from gridppm.matcher import psi_embedding, solve_cppm
 from gridppm.perm import contains, embeddings, is_order_isomorphic, perm
-from gridppm.reduction import (PathTooShort, default_matrix,
+from gridppm.reduction import (default_matrix, default_path,
                                embedding_from_assignment, make_path_spec,
                                normalize_3cnf, plan_layers, reduce_formula,
-                               rich_path_matrix, simulate_grid_preserving,
+                               simulate_grid_preserving,
                                validate_instance)
 from gridppm.sat import CNFFormula, solve_sat
 
@@ -274,17 +274,6 @@ _JUXT_C1 = 1400       # |text| <= C1 * m * log2(m)
 _GADGET_C2 = 9600     # |text| <= C2 * m^2
 
 
-def _planned_text_size(f, mode):
-    length = 8
-    for _ in range(12):
-        m = rich_path_matrix(mode, length)
-        try:
-            return plan_layers(f, make_path_spec(m), mode).sizes["text"]
-        except PathTooShort as exc:
-            length = max(length * 2, exc.required_d + 2)
-    raise AssertionError("could not size a path")
-
-
 def test_text_size_scaling():
     rng = random.Random(20260826)
     ratios = []
@@ -294,8 +283,8 @@ def test_text_size_scaling():
             vs = rng.sample(range(1, m + 1), 3)
             cls.append(tuple(v if rng.random() < 0.5 else -v for v in vs))
         f = normalize_3cnf(m, cls)
-        sj = _planned_text_size(f, "juxtaposition")
-        sg = _planned_text_size(f, "gadgets")
+        sj = default_path(f, "juxtaposition")[1].sizes["text"]
+        sg = default_path(f, "gadgets")[1].sizes["text"]
         assert sj <= _JUXT_C1 * m * math.log2(m), (m, sj)
         assert sg <= _GADGET_C2 * m * m, (m, sg)
         ratios.append(sj / sg)

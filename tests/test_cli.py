@@ -168,6 +168,15 @@ def test_staircase_without_steps_exits_one(length, capsys):
     assert captured.err.count("\n") == 1
 
 
+def test_staircase_rejects_extra_entries(capsys):
+    assert run(["staircase", "--length", "2", "inc", "av:321",
+                "dec", "fib+"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("gridppm: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_length_is_required(files, capsys):
     m = files("m.json",
               '{"cols":2,"rows":2,"entries":[["dec","inc"],["av:321","dec"]]}')

@@ -10,8 +10,8 @@ from gridppm.grid import (Gridding, GriddingMatrix, all_griddings,
                           find_gridding, matrix_from_rows_top_down,
                           sample_member)
 from gridppm.matcher import (InvalidGridding, MalformedPartition,
-                             MonotonePartition, NoTextGridding,
-                             extract_partition, psi_embedding, solve_cppm)
+                             NoTextGridding, extract_partition,
+                             psi_embedding, solve_cppm)
 from gridppm.perm import Permutation, contains, is_order_isomorphic, perm
 
 
@@ -22,13 +22,12 @@ def mat(*rows):
 def brute_psi(pattern, pi, text, sigma):
     """Exhaustive part-respecting enumeration."""
     per_part = []
-    for i, part in enumerate(pi.parts):
-        per_part.append(list(itertools.combinations(sigma.parts[i],
-                                                    len(part))))
+    for i, part in enumerate(pi):
+        per_part.append(list(itertools.combinations(sigma[i], len(part))))
     for combo in itertools.product(*per_part):
         witness = [None] * len(pattern)
         for i, chosen in enumerate(combo):
-            for src, dst in zip(pi.parts[i], chosen):
+            for src, dst in zip(pi[i], chosen):
                 witness[src] = dst
         if is_order_isomorphic(text, pattern, tuple(witness)):
             return tuple(witness)
@@ -36,29 +35,26 @@ def brute_psi(pattern, pi, text, sigma):
 
 
 def random_partition(p, t, rng):
-    """A random t-monotone partition of p (with retries)."""
+    """A random t-monotone partition of p (with retries).  A part of at
+    most one point still draws a direction, which keeps the seeded
+    stream, and so the partitions drawn after it, as they were."""
     n = len(p)
     for _ in range(2000):
         assign = [rng.randrange(t) for _ in range(n)]
         parts = [tuple(q for q in range(n) if assign[q] == i)
                  for i in range(t)]
-        dirs = []
         ok = True
         for part in parts:
             vals = [p[q] for q in part]
             inc = all(a < b for a, b in zip(vals, vals[1:]))
             dec = all(a > b for a, b in zip(vals, vals[1:]))
             if inc and dec:
-                dirs.append(rng.choice(["inc", "dec"]))
-            elif inc:
-                dirs.append("inc")
-            elif dec:
-                dirs.append("dec")
-            else:
+                rng.choice(["inc", "dec"])
+            elif not (inc or dec):
                 ok = False
                 break
         if ok:
-            return MonotonePartition(tuple(parts), tuple(dirs))
+            return tuple(parts)
     raise AssertionError("no monotone partition found")
 
 
@@ -75,15 +71,14 @@ def test_extract_partition_trivial():
     m = GriddingMatrix(1, 1, {(1, 1): INC})
     p = perm(1, 2, 3)
     pi = extract_partition(p, Gridding((1, 4), (1, 4)), m)
-    assert pi.parts == ((0, 1, 2),) and pi.dirs == ("inc",)
+    assert pi == ((0, 1, 2),)
 
 
 def test_extract_partition_two_cells():
     m = mat([DEC, INC])
     p = perm(2, 1, 3, 4, 5)
     pi = extract_partition(p, Gridding((1, 3, 6), (1, 6)), m)
-    assert pi.parts == ((0, 1), (2, 3, 4))
-    assert pi.dirs == ("dec", "inc")
+    assert pi == ((0, 1), (2, 3, 4))
 
 
 def test_extract_partition_skips_empty_entries():
@@ -91,7 +86,7 @@ def test_extract_partition_skips_empty_entries():
     p = perm(2, 1, 3, 4)
     g = find_gridding(p, m)
     pi = extract_partition(p, g, m)
-    assert len(pi.parts) == 2  # one per non-empty entry only
+    assert len(pi) == 2  # one per non-empty entry only
 
 
 def test_extract_partition_rejects_bad_gridding():
@@ -102,10 +97,12 @@ def test_extract_partition_rejects_bad_gridding():
 
 def test_partition_validation():
     p = perm(2, 1, 3)
-    with pytest.raises(MalformedPartition):
-        MonotonePartition(((0, 1),), ("inc",)).validate(p)  # missing 2
-    with pytest.raises(MalformedPartition):
-        MonotonePartition(((0, 1), (2,)), ("inc", "inc")).validate(p)
+    for pi in (((0, 1),),           # misses position 2
+               ((0, 1, 2),),        # 213 is not monotone
+               ((1, 0), (2,)),      # positions do not ascend
+               ((0, 1), (2,), ())):  # arity differs from the text's
+        with pytest.raises(MalformedPartition):
+            psi_embedding(p, pi, p, ((0, 1), (2,)))
 
 
 # -- psi embedding -----------------------------------------------------------------
@@ -113,33 +110,33 @@ def test_partition_validation():
 
 def test_psi_example_from_contract():
     text = perm(1, 3, 2)
-    sigma = MonotonePartition(((0, 1), (2,)), ("inc", "dec"))
+    sigma = ((0, 1), (2,))
     pattern = perm(1, 2)
-    pi = MonotonePartition(((0, 1), ()), ("inc", "dec"))
+    pi = ((0, 1), ())
     assert psi_embedding(pattern, pi, text, sigma) == (0, 1)
 
 
 def test_psi_pigeonhole():
     text = perm(1, 2)
-    sigma = MonotonePartition(((0, 1),), ("inc",))
+    sigma = ((0, 1),)
     pattern = perm(1, 2, 3)
-    pi = MonotonePartition(((0, 1, 2),), ("inc",))
+    pi = ((0, 1, 2),)
     assert psi_embedding(pattern, pi, text, sigma) is None
 
 
 def test_psi_direction_mismatch():
     text = perm(1, 2)
-    sigma = MonotonePartition(((0, 1),), ("inc",))
+    sigma = ((0, 1),)
     pattern = perm(2, 1)
-    pi = MonotonePartition(((0, 1),), ("dec",))
+    pi = ((0, 1),)
     assert psi_embedding(pattern, pi, text, sigma) is None
 
 
 def test_psi_empty_pattern():
     text = perm(2, 1)
-    sigma = MonotonePartition(((0,), (1,)), ("inc", "inc"))
+    sigma = ((0,), (1,))
     pattern = perm()
-    pi = MonotonePartition(((), ()), ("inc", "inc"))
+    pi = ((), ())
     assert psi_embedding(pattern, pi, text, sigma) == ()
 
 
@@ -228,8 +225,8 @@ def test_psi_clauses_are_linear_in_the_domains(mi, n, k):
         st = {}
         psi_embedding(pattern, pi, text, sigma, stats=st)
         if "clauses" in st:
-            dom = sum(len(sigma.parts[i]) * len(part)
-                      for i, part in enumerate(pi.parts))
+            dom = sum(len(sigma[i]) * len(part)
+                      for i, part in enumerate(pi))
             assert st["clauses"] <= 3 * dom, (st["clauses"], dom)
             checked += 1
     assert checked

@@ -20,7 +20,6 @@ import pytest
 
 from gridppm import matcher
 from gridppm.grid import sample_member
-from gridppm.matcher import MonotonePartition as MP
 from gridppm.matcher import psi_embedding, solve_cppm
 from gridppm.perm import perm
 
@@ -106,34 +105,33 @@ def test_solve_cppm_counters(mi, monkeypatch):
 # name -> (text, sigma, pattern, pi, embedding, stats)
 PSI_PINS = {
     "rows_all_full": (
-        perm(1, 2, 3, 4), MP(((0, 1), (2, 3)), ("inc", "inc")),
-        perm(1, 2), MP(((0,), (1,)), ("inc", "inc")), (1, 3), {"clauses": 0}),
+        perm(1, 2, 3, 4), ((0, 1), (2, 3)),
+        perm(1, 2), ((0,), (1,)), (1, 3), {"clauses": 0}),
     "rows_all_empty": (
-        perm(1, 2, 3, 4), MP(((0, 1), (2, 3)), ("inc", "inc")),
-        perm(2, 1), MP(((0,), (1,)), ("inc", "inc")), None, {}),
+        perm(1, 2, 3, 4), ((0, 1), (2, 3)),
+        perm(2, 1), ((0,), (1,)), None, {}),
     "single_point_parts": (
-        perm(2, 1, 3), MP(((0,), (1,), (2,)), ("inc",) * 3),
-        perm(2, 1, 3), MP(((0,), (1,), (2,)), ("inc",) * 3), (0, 1, 2),
+        perm(2, 1, 3), ((0,), (1,), (2,)),
+        perm(2, 1, 3), ((0,), (1,), (2,)), (0, 1, 2),
         {"clauses": 0}),
     "single_point_vs_run": (
-        perm(3, 1, 2, 4), MP(((0,), (1, 2, 3)), ("inc", "inc")),
-        perm(2, 1, 3), MP(((0,), (1, 2)), ("inc", "inc")), (0, 2, 3),
+        perm(3, 1, 2, 4), ((0,), (1, 2, 3)),
+        perm(2, 1, 3), ((0,), (1, 2)), (0, 2, 3),
         {"clauses": 7}),
     "same_part_inc": (
-        perm(1, 2, 3, 4, 5), MP(((0, 1, 2, 3, 4),), ("inc",)),
-        perm(1, 2, 3), MP(((0, 1, 2),), ("inc",)), (1, 3, 4),
+        perm(1, 2, 3, 4, 5), ((0, 1, 2, 3, 4),),
+        perm(1, 2, 3), ((0, 1, 2),), (1, 3, 4),
         {"clauses": 29}),
     "same_part_dec": (
-        perm(5, 4, 3, 2, 1), MP(((0, 1, 2, 3, 4),), ("dec",)),
-        perm(2, 1), MP(((0, 1),), ("dec",)), (1, 4), {"clauses": 16}),
+        perm(5, 4, 3, 2, 1), ((0, 1, 2, 3, 4),),
+        perm(2, 1), ((0, 1),), (1, 4), {"clauses": 16}),
     "interleaved": (
-        perm(1, 4, 2, 5, 3, 6), MP(((0, 2, 4), (1, 3, 5)), ("inc", "inc")),
-        perm(1, 3, 2, 4), MP(((0, 2), (1, 3)), ("inc", "inc")),
+        perm(1, 4, 2, 5, 3, 6), ((0, 2, 4), (1, 3, 5)),
+        perm(1, 3, 2, 4), ((0, 2), (1, 3)),
         (2, 3, 4, 5), {"clauses": 17}),
     "dec_against_inc": (
-        perm(7, 5, 2, 3, 4, 1, 6), MP(((0, 1, 3, 5), (2, 4, 6)),
-                                      ("dec", "inc")),
-        perm(3, 2, 1, 4), MP(((0, 1), (2, 3)), ("dec", "inc")), None,
+        perm(7, 5, 2, 3, 4, 1, 6), ((0, 1, 3, 5), (2, 4, 6)),
+        perm(3, 2, 1, 4), ((0, 1), (2, 3)), None,
         {"clauses": 25}),
 }
 

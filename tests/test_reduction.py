@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 import gridppm.reduction
 from gridppm.entries import DEC, FIBP, INC, av, juxth, parse_entry
 from gridppm.grid import (GriddingMatrix, build_rich_path, check_gridding,
-                          matrix_from_rows_top_down, staircase)
+                          matrix_from_rows_top_down, staircase,
+                          sum_closing_orientation)
 from gridppm.perm import Permutation
 from gridppm.reduction import (ClauseTooWide, EmptyClause, ReductionError,
                                NotAPath, PathTooShort, UnusableMatrix,
@@ -363,6 +364,39 @@ def test_every_library_name_has_a_caller():
             used |= names
     assert sorted(defined - used - set(TEST_ONLY_NAMES)) == []
     assert sorted(set(TEST_ONLY_NAMES) - defined) == []
+
+
+def test_no_module_imports_a_private_name():
+    """No module of the package imports an underscore name from another
+    module: a rule shared across modules gets a public name."""
+    pkg = pathlib.Path(gridppm.__file__).parent
+    found = []
+    for path in sorted(pkg.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom):
+                found += [(path.name, a.name) for a in node.names
+                          if a.name.startswith("_")]
+    assert found == []
+
+
+def test_builder_keeps_d_cells_unreflected():
+    """Why the builder orients by its own rule: on the shortest staircase
+    of av:1432 that holds a 1-clause formula in gadgets mode, sum-closing
+    would reflect every D cell (av:1432 is only skew-closed), while the
+    builder keeps each one as it is, and that instance is sound."""
+    f = normalize_3cnf(3, [(1, -2, 3)])
+    d = av(Permutation((1, 4, 3, 2)))
+    with pytest.raises(PathTooShort):
+        plan_layers(f, make_path_spec(staircase(7, INC, d)), "gadgets")
+    m = staircase(8, INC, d)
+    inst = reduce_formula(f, mode="gadgets", matrix=m)
+    closing = sum_closing_orientation(m)
+    for t in inst.path.d_tiles:
+        i, j = inst.path.cells[t]
+        assert inst.path.orientation.col(i) * inst.path.orientation.row(j) == 1
+        assert closing.col(i) * closing.row(j) == -1
+    assert validate_instance(inst)["violations"] == []
+    assert len(embedding_from_assignment(inst, (True, True, True))) == 647
 
 
 @pytest.mark.parametrize("mode", ["gadgets", "juxtaposition"])
