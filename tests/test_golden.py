@@ -18,12 +18,15 @@ import itertools
 
 import pytest
 
-from gridppm.entries import INC, format_entry
-from gridppm.grid import staircase
+from gridppm.entries import INC, av, format_entry
+from gridppm.grid import GriddingMatrix, staircase
+from gridppm.perm import perm
 from gridppm.reduction import (bucket_rehearsal, check_stored,
                                embedding_from_assignment,
                                read_instance_summary, rebuild_instance,
-                               reduce_formula, write_instance)
+                               reduce_formula, validate_instance,
+                               write_instance)
+from gridppm.sat import CNFFormula
 
 from test_reduction import BUCKET_SHAPES, FORMULAS
 
@@ -123,6 +126,45 @@ def test_written_instance_bytes(mode, k, tmp_path):
     inst = rebuild_instance(read_instance_summary(str(tmp_path)))
     check_stored(inst, str(tmp_path))
 
+
+# a user staircase whose first bucket pass lands on a tile that shares
+# its row with the next one, so the split runs along the coordinate
+# carried from the previous tile; the default rich paths never do this
+CARRIED_FORMULA = CNFFormula(3, ((3, -1, 2), (2, 1, -3)))
+CARRIED_GOLDEN = {
+    "instance.json":
+        "1b94f6dcee636edcf57a5abdd3c8a8545d11471870d21242b71c5a5ea236b51d",
+    "pattern.perm":
+        "65d19b2eeee85a96f39e04c7b94cd2f4c3d39a74f6c1fb08afd5a1486b183e30",
+    "text.perm":
+        "cb1dde7a9b7736e94be07ebb90015a0a0feb8dcb3e4768a5741f208b8ebe9580",
+    "provenance.json":
+        "4d34f2e55fb4928b192f32dc05252483ded4805245c7d0fa100925a0fdc53fa0",
+}
+
+
+def carried_matrix():
+    """``staircase(12, inc, av:321)`` with cell (4, 4) also ``av:321``."""
+    m = staircase(12, INC, av(perm(3, 2, 1)))
+    return GriddingMatrix(m.cols, m.rows,
+                          {**m.filled, (4, 4): av(perm(3, 2, 1))})
+
+
+def test_carried_split_bytes(tmp_path):
+    """``reduce`` sorts through the carried split on a user path; its
+    written files, validity and embedding are pinned."""
+    inst = reduce_formula(CARRIED_FORMULA, mode="juxtaposition",
+                          matrix=carried_matrix())
+    first = next(t for kind, t in inst.layers if kind == "bucket")
+    assert inst.path.out_coord[first] == "y"
+    assert validate_instance(inst)["violations"] == []
+    assert len(embedding_from_assignment(inst, (True,) * 3)) == 1600
+    write_instance(inst, str(tmp_path))
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in CARRIED_GOLDEN}
+    assert got == CARRIED_GOLDEN
+    check_stored(rebuild_instance(read_instance_summary(str(tmp_path))),
+                 str(tmp_path))
 
 # the rehearsal sorts channels alone, with no formula, so pattern and
 # text are the same permutation; the two increasing shapes write the
