@@ -41,8 +41,8 @@ per flip layer.
 
 Every fact is recorded once: the tiles' box bound lives on their
 ``TileFamily``, a point's index within its tile is the length of the
-tile's columns, and the juxtaposition the bucket passes use follows
-from the path matrix (``bucket_entry_of``).
+tile's columns, and every bucket pass sorts through one juxtaposition,
+``BUCKET_ENTRY``.
 """
 
 from __future__ import annotations
@@ -67,12 +67,16 @@ Cell = Tuple[int, int]
 
 __all__ = [
     "ReductionError", "EmptyClause", "ClauseTooWide", "PathTooShort",
-    "TooManyVariables", "NotAPath", "UnusableMatrix",
+    "TooManyVariables", "NotAPath", "UnusableMatrix", "BUCKET_ENTRY",
     "normalize_3cnf", "PathSpec", "make_path_spec",
     "Trace", "KINDS", "LayerPlan", "ReductionInstance", "plan_layers",
     "default_path", "reduce_formula",
-    "default_matrix", "rich_path_matrix", "bucket_rehearsal",
+    "default_matrix", "rich_path_matrix",
 ]
+
+# the monotone juxtaposition every bucket pass sorts through: two
+# increasing parts side by side
+BUCKET_ENTRY = E.juxth("inc", "inc")
 
 
 class ReductionError(Exception):
@@ -158,9 +162,11 @@ def make_path_spec(matrix: GriddingMatrix) -> PathSpec:
     def shared_axis(a: Cell, b: Cell) -> str:
         return "row" if a[1] == b[1] else "col"
 
-    # Prefer the direction whose D entries mostly follow a shared row; with
-    # the default cycle-derived matrices this makes every D entry usable for
-    # bucket passes that split along the free coordinate.
+    # Prefer the direction whose D entries mostly follow a shared row.  On
+    # the default cycle-derived matrices every D tile then has x as its
+    # outgoing coordinate, so every bucket pass takes the free split; a
+    # user path may still put a bucket pass on the carried split (as on
+    # ``staircase(12, inc, av:321)`` with cell (4, 4) also ``av:321``).
     def row_d(order):
         return sum(1 for t in range(1, len(order))
                    if not E.is_monotone(matrix.entry(*order[t]))
@@ -325,7 +331,6 @@ class _Builder:
         self.path = path
         self.mode = mode
         self.geometry = geometry
-        self.bucket_entry = bucket_entry_of(path.matrix)
         self.n = formula.nvars
         self.bound = Fraction(2 * self.n + 2)
 
@@ -584,13 +589,10 @@ class _Builder:
             self.live[fam] = self._flip_chains(fam, d1, d2, chains)
         self.cursor = d2
 
-    def _bucket(self, new_order: Dict[str, List[int]],
-                dec_of: Dict[str, Dict[int, bool]]) -> None:
+    def _bucket(self, new_order: Dict[str, List[int]]) -> None:
         """Bucket pass: one step into the next D entry; every channel is
         copied with fresh outgoing values assigned along ``new_order``
-        (positions into the current live list).  ``dec_of[fam][pos]`` marks
-        channels landing in a decreasing juxtaposition part, whose x-order
-        is reversed."""
+        (positions into the current live list)."""
         (d,) = self._take_d(1)
         self._advance_to(d - 1)
         for fam in _FAMS:
@@ -599,8 +601,8 @@ class _Builder:
             step = self.bound / (2 * len(order) + 1)
             new = []
             for k, pos in enumerate(order):
-                new += self._gadget("bucket", fam, d, (live[pos],), args=(
-                    step, k, dec_of[fam].get(pos, False)))
+                new += self._gadget("bucket", fam, d, (live[pos],),
+                                    args=(step, k))
             self.live[fam] = new
         self.cursor = d
 
@@ -843,16 +845,12 @@ class _Builder:
                for i in range(m - 1)):
             self._mark_layer("sorted")
             return
-        entry = self.bucket_entry
-        d1_dec, d2_dec = entry.d1 == "dec", entry.d2 == "dec"
-        has_dec = d1_dec or d2_dec
-
-        # split type: "free" when the juxtaposition splits along the tile's
-        # outgoing (freshly assigned) coordinate, "carried" when it splits
-        # along the coordinate inherited from the previous tile
+        # split type: ``BUCKET_ENTRY`` splits along x, which is "free" when
+        # x is the tile's outgoing (freshly assigned) coordinate and
+        # "carried" when it is the coordinate inherited from the previous
+        # tile
         t0 = self.path.d_tiles[min(self._dptr, len(self.path.d_tiles) - 1)]
-        split_axis = "x" if entry.kind == "juxth" else "y"
-        free = self.path.out_coord[t0] == split_axis
+        free = self.path.out_coord[t0] == "x"
 
         bits = max(1, (m - 1).bit_length())
         if free:
@@ -864,10 +862,7 @@ class _Builder:
                     if tag[0] == "anchor":
                         return tag[1] == 0
                     return not (key[tag[1]] >> _bit) & 1
-                if has_dec:
-                    self._pass(in_first, None, d1_dec, d2_dec)
-                    self._mark_layer("bucket-pre")
-                self._pass(in_first, None, d1_dec, d2_dec)
+                self._pass(in_first)
                 self._mark_layer("bucket")
         else:
             # the carried coordinate only supports prefix/suffix splits:
@@ -897,56 +892,42 @@ class _Builder:
                         return -1 if tag[1] == 0 else len(_r) + 1
                     return _r[tag[1]]
 
-                if has_dec:
-                    self._pass(in_first, None, d1_dec, d2_dec, carried=True)
-                    self._mark_layer("bucket-pre")
-                self._pass(in_first, target_rank, d1_dec, d2_dec,
-                           carried=True)
+                self._pass(in_first, target_rank)
                 self._mark_layer("bucket")
                 if self.occ_order != target_seq:
                     raise ReductionError("bucket pass missed its target")
         if [key[o] for o in self.occ_order] != sorted(key):
             raise ReductionError("bucket passes left occurrences unsorted")
 
-    def _pass(self, in_first, target_rank, d1_dec: bool, d2_dec: bool,
-              carried: bool = False) -> None:
+    def _pass(self, in_first, target_rank=None) -> None:
         """One juxtaposition bucket pass over every live channel.
 
-        ``in_first(tag)`` assigns channels to the juxtaposition parts.
-        Within a decreasing part the outgoing order is forced: it reverses
-        the incoming one.  ``target_rank(tag)`` (optional) prescribes how
-        the two parts interleave in the outgoing order; without it the
-        first part simply precedes the second.
+        ``in_first(tag)`` assigns channels to the two increasing parts of
+        ``BUCKET_ENTRY``; each part keeps its incoming order.  On a free
+        split the first part simply precedes the second.  A carried split
+        (``target_rank`` given) needs the first part to be a prefix of the
+        live order, and ``target_rank(tag)`` prescribes how the two parts
+        interleave in the outgoing order.
         """
         orders = {}
-        decs = {}
         for fam in _FAMS:
             live = self.live[fam]
             part = [in_first(self.tag[fam][pid]) for pid in live]
-            if carried:
-                cut = sum(part)
-                if any(part[p] != (p < cut) for p in range(len(live))):
-                    raise ReductionError(
-                        "carried split requires a prefix partition")
             first = [p for p in range(len(live)) if part[p]]
             second = [p for p in range(len(live)) if not part[p]]
-            if d1_dec:
-                first.reverse()
-            if d2_dec:
-                second.reverse()
             if target_rank is None:
-                pattern = [True] * len(first) + [False] * len(second)
-            else:
-                by_target = sorted(
-                    range(len(live)),
-                    key=lambda p: (target_rank(self.tag[fam][live[p]]), p))
-                pattern = [part[p] for p in by_target]
+                orders[fam] = first + second
+                continue
+            if first != list(range(len(first))):
+                raise ReductionError(
+                    "carried split requires a prefix partition")
+            by_target = sorted(
+                range(len(live)),
+                key=lambda p: (target_rank(self.tag[fam][live[p]]), p))
             it1, it2 = iter(first), iter(second)
-            new_idx = [next(it1) if f else next(it2) for f in pattern]
-            orders[fam] = new_idx
-            decs[fam] = {p: (d1_dec if part[p] else d2_dec)
-                         for p in range(len(live))}
-        self._bucket(orders, decs)
+            orders[fam] = [next(it1) if part[p] else next(it2)
+                           for p in by_target]
+        self._bucket(orders)
         self._refresh_occ_order()
 
     def build_phase_evaluation(self) -> None:
@@ -1093,34 +1074,6 @@ class _Builder:
             self.build_phase_evaluation()
 
 
-def bucket_rehearsal(keys: Sequence[int], matrix: GriddingMatrix
-                     ) -> Tuple[ReductionInstance, List[int]]:
-    """Sort standalone channels by juxtaposition bucket passes alone.
-
-    ``keys`` must be a permutation of 0..len(keys)-1; channel i carries
-    key ``keys[i]``.  Builds the initial layer on the given path matrix,
-    runs the bucket sorting phase with the matrix's bucket entry (see
-    ``bucket_entry_of``), and assembles.  Returns the instance
-    and the final channel order.  This isolates the bucket machinery so
-    every juxtaposition shape can be exercised on small staircases.
-    """
-    if sorted(keys) != list(range(len(keys))):
-        raise ReductionError("keys must be a permutation of 0..m-1")
-    path = make_path_spec(matrix)
-    formula = CNFFormula(len(keys), ())
-    b = _Builder(formula, path, "juxtaposition", geometry=True)
-    b.build_phase_initial()
-    for fam in _FAMS:
-        for pid in list(b.live[fam]):
-            tg = b.tag[fam][pid]
-            if tg[0] == "var":
-                b.tag[fam][pid] = ("occ", tg[1] - 1)
-    b.occ_key = list(keys)
-    b._refresh_occ_order()
-    b.build_phase_sorting_juxtaposition()
-    return b.finish(), list(b.occ_order)
-
-
 # --- public entry points -------------------------------------------------
 
 
@@ -1134,17 +1087,6 @@ def default_matrix(mode: str) -> GriddingMatrix:
 def rich_path_matrix(mode: str, length: int) -> GriddingMatrix:
     m, _, _ = build_rich_path(default_matrix(mode), length)
     return m
-
-
-def bucket_entry_of(matrix: GriddingMatrix) -> E.ClassEntry:
-    """The monotone juxtaposition the bucket passes sort through: the
-    matrix's first D entry in cell order when that entry is one, else
-    ``juxth:inc,inc``."""
-    ds = [e for _, e in sorted(matrix.filled.items())
-          if not E.is_monotone(e)]
-    if ds and ds[0].kind in ("juxth", "juxtv"):
-        return ds[0]
-    return E.juxth("inc", "inc")
 
 
 def _reduction_want(entry: E.ClassEntry) -> int:
@@ -1171,7 +1113,7 @@ def _capability_check(matrix: GriddingMatrix, mode: str) -> None:
         raise UnusableMatrix("matrix has no non-monotone entry")
     wanted = [E.FIBP]
     if mode == "juxtaposition":
-        wanted.append(bucket_entry_of(matrix))
+        wanted.append(BUCKET_ENTRY)
     for d in ds:
         for c in wanted:
             if d.kind == "av":

@@ -108,16 +108,12 @@ def gadget_initial(lo: Fraction, hi: Fraction) -> List[RawPair]:
     return [(RawPoint(coord(lo), coord(lo)), RawPoint(coord(hi), coord(hi)))]
 
 
-def gadget_bucket(r: ExactCoord, q: ExactCoord, step: Fraction, k: int,
-                  dec: bool) -> List[RawPair]:
-    """Pair sandwiched by the input, carrying it onto the k-th pair of
-    fresh outgoing values 1/2 + (2k+1)*step < 1/2 + (2k+2)*step: a 12, or
-    a 21 when the channel lands in a decreasing juxtaposition part."""
-    s_in, t_in = r + EPS, q - EPS
-    if dec:
-        s_in, t_in = t_in, s_in
+def gadget_bucket(r: ExactCoord, q: ExactCoord, step: Fraction, k: int
+                  ) -> List[RawPair]:
+    """A 12 sandwiched by the input, carrying it onto the k-th pair of
+    fresh outgoing values 1/2 + (2k+1)*step < 1/2 + (2k+2)*step."""
     lo = coord(Fraction(1, 2) + step * (2 * k + 1))
-    return [(RawPoint(lo, s_in), RawPoint(lo + coord(step), t_in))]
+    return [(RawPoint(lo, r + EPS), RawPoint(lo + coord(step), q - EPS))]
 
 
 @dataclass(frozen=True)

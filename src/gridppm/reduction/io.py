@@ -25,7 +25,7 @@ from ..entries import format_entry
 from ..grid import matrix_from_obj, matrix_to_obj
 from ..perm import format_perm, parse_perm
 from ..sat import CNFFormula
-from .builder import (ReductionError, ReductionInstance, bucket_entry_of,
+from .builder import (BUCKET_ENTRY, ReductionError, ReductionInstance,
                       reduce_formula)
 
 __all__ = ["write_instance", "read_instance_summary", "rebuild_instance",
@@ -44,7 +44,7 @@ def _instance_payload(inst: ReductionInstance) -> Dict:
         "layers": [list(l) for l in inst.layers],
         "d_used": inst.d_used,
         "path_cells": [list(c) for c in inst.path.cells],
-        "bucket_entry": format_entry(bucket_entry_of(inst.path.matrix)),
+        "bucket_entry": format_entry(BUCKET_ENTRY),
     }
 
 

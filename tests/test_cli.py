@@ -281,7 +281,7 @@ def test_malformed_instance_json_exits_one(command, files, tmp_path, capsys):
         {"formula": {"nvars": 1, "clauses": [[1, 1]]}},
         {"mode": "sideways"},
         {"bucket_entry": 5},
-        {"bucket_entry": "juxtv:inc,inc"},   # not the matrix's entry
+        {"bucket_entry": "juxtv:inc,inc"},   # not ``builder.BUCKET_ENTRY``
         # derived fields that differ from the rebuild's
         {"sizes": dict(stored["sizes"], text=stored["sizes"]["text"] + 1)},
         {"layers": stored["layers"][:-1]},

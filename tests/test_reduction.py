@@ -19,7 +19,7 @@ from gridppm.grid import (GriddingMatrix, build_rich_path, check_gridding,
 from gridppm.perm import Permutation
 from gridppm.reduction import (ClauseTooWide, EmptyClause, ReductionError,
                                NotAPath, PathTooShort, UnusableMatrix,
-                               bucket_rehearsal, default_matrix,
+                               default_matrix,
                                embedding_from_assignment, make_path_spec,
                                normalize_3cnf, plan_layers,
                                read_instance_summary, rebuild_instance,
@@ -334,8 +334,6 @@ def test_no_function_calls_itself():
 # top-level names that only tests reach, each with its reason
 TEST_ONLY_NAMES = {
     "sample_member": "seeded generator of grid class members for tests",
-    "bucket_rehearsal": "exercises every juxtaposition shape; "
-                        "tests/test_golden.py pins its bytes",
     "all_symmetries": "kept for the Av(sigma) certificates (ROADMAP item 3)",
     "_cell_contents_sparse": "the cell contents that bench/test_bench.py "
                              "and the gridding tests compare against",
@@ -473,23 +471,6 @@ def test_tiles_are_direct_sums_of_gadget_blocks(mode):
                 (min(pts[i].x for i in idx), max(pts[i].x for i in idx))
                 for idx in by_gadget.values())
             assert all(a[1] < b[0] for a, b in zip(spans, spans[1:]))
-
-
-# --- bucket passes -----------------------------------------------------------
-
-
-BUCKET_SHAPES = [juxth("inc", "inc"), juxth("inc", "dec"),
-                 parse_entry("juxtv:inc,inc"), parse_entry("juxtv:inc,dec")]
-
-
-@pytest.mark.parametrize("entry", BUCKET_SHAPES,
-                         ids=[str(e) for e in BUCKET_SHAPES])
-def test_bucket_rehearsal_sorts_and_respects_entries(entry):
-    keys = [5, 2, 7, 0, 3, 6, 1, 4]
-    matrix = staircase(30, INC, entry)
-    inst, final = bucket_rehearsal(keys, matrix)
-    assert final == sorted(range(len(keys)), key=lambda t: keys[t])
-    assert validate_instance(inst)["violations"] == []
 
 
 # --- persistence --------------------------------------------------------------
