@@ -19,9 +19,8 @@ from gridppm.grid import (GriddingMatrix, build_rich_path, check_gridding,
 from gridppm.perm import Permutation
 from gridppm.reduction import (ClauseTooWide, EmptyClause, ReductionError,
                                NotAPath, PathTooShort, UnusableMatrix,
-                               default_matrix,
-                               embedding_from_assignment, make_path_spec,
-                               normalize_3cnf, plan_layers,
+                               default_matrix, embedding_from_assignment,
+                               make_path_spec, normalize_3cnf, plan_layers,
                                read_instance_summary, rebuild_instance,
                                reduce_formula, simulate_grid_preserving,
                                validate_instance, write_instance)
