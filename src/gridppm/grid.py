@@ -137,7 +137,6 @@ def matrix_to_obj(m: GriddingMatrix) -> Dict:
 @dataclass(frozen=True)
 class CellGraph:
     vertices: Tuple[Cell, ...]
-    edges: Tuple[Tuple[Cell, Cell], ...]
     adj: Dict[Cell, List[Cell]]
 
     def neighbours(self, v: Cell) -> List[Cell]:
@@ -167,7 +166,7 @@ def cell_graph(m: GriddingMatrix) -> CellGraph:
     for a, b in edges:
         adj[a].append(b)
         adj[b].append(a)
-    return CellGraph(tuple(verts), tuple(edges), adj)
+    return CellGraph(tuple(verts), adj)
 
 
 def _no_three_in_line(verts: Sequence[Cell]) -> bool:

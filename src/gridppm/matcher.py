@@ -172,11 +172,6 @@ def psi_embedding(pattern: Permutation, pi: Partition,
         return None  # pigeonhole
 
     k = len(pattern)
-    if k == 0:
-        if stats is not None:
-            stats["clauses"] = 0
-        return ()
-
     part_of = [0] * k
     for i, part in enumerate(pi):
         for q in part:

@@ -212,14 +212,11 @@ class Trace:
     Gadget g has kind ``KINDS[kind[g]]``, family "PT"[fam[g]], input
     pair ids ``ins[in_off[g]:in_off[g + 1]]`` and output pair ids
     ``outs[out_off[g]:out_off[g + 1]]``.  Output j (an index into
-    ``outs``) owns one slot: the points the gadget placed for that pair.
-    A single-tile gadget places each output pair's two points in tile
-    ``slot_tile[j]`` (a path index), at indices ``slot_idx[j]`` and
-    ``slot_idx[j] + 1``.  A flip gadget places a chain per output:
-    ``slot_tile[j]`` is -1 and ``slot_idx[j]`` is its chain c, whose
-    points are (``chain_tile[k]``, ``chain_idx[k]``) for k in
-    ``chain_off[c]`` .. ``chain_off[c + 1] - 1``.  ``meta`` maps a pick
-    gadget to the rule that picks its branch.
+    ``outs``) owns one slot: the points the gadget placed for that pair,
+    point k in tile ``slot_tile[k]`` (a path index) at index
+    ``slot_idx[k]``, for k in ``slot_off[j]`` .. ``slot_off[j + 1] - 1``;
+    a single-tile gadget's slot is its pair, a flip's is its chain.
+    ``meta`` maps a pick gadget to the rule that picks its branch.
     """
 
     def __init__(self) -> None:
@@ -229,11 +226,9 @@ class Trace:
         self.ins = array("i")
         self.out_off = array("i", [0])
         self.outs = array("i")
+        self.slot_off = array("i", [0])
         self.slot_tile = array("i")
         self.slot_idx = array("i")
-        self.chain_off = array("i", [0])
-        self.chain_tile = array("i")
-        self.chain_idx = array("i")
         self.meta: Dict[int, Tuple] = {}
 
     def __len__(self) -> int:
@@ -251,13 +246,11 @@ class Trace:
         self.outs.extend(outputs)
         self.out_off.append(len(self.outs))
 
-    def add_chain(self, tiles: Sequence[int], idxs: Sequence[int]) -> None:
-        """Append the next output's slot as a chain of points."""
-        self.slot_tile.append(-1)
-        self.slot_idx.append(len(self.chain_off) - 1)
-        self.chain_tile.extend(tiles)
-        self.chain_idx.extend(idxs)
-        self.chain_off.append(len(self.chain_idx))
+    def add_slot(self, tiles: Sequence[int], idxs: Sequence[int]) -> None:
+        """Append the next output's slot: its points' tiles and indices."""
+        self.slot_tile.extend(tiles)
+        self.slot_idx.extend(idxs)
+        self.slot_off.append(len(self.slot_idx))
 
 
 @dataclass
@@ -409,9 +402,9 @@ class _Builder:
             vals += self.pairs.pop((fam, pid))
         tr = self.trace
         for pid, rp in zip(pids, _GADGETS[kind](*vals, *args)):
-            tr.slot_tile.append(t)
-            tr.slot_idx.append(self._put_raw(fam, t, rp[0]))
+            i = self._put_raw(fam, t, rp[0])
             self._put_raw(fam, t, rp[1])
+            tr.add_slot((t, t), (i, i + 1))
             self.pairs[(fam, pid)] = G.pair_values(rp)
         tr.add(kind, fam, inputs, pids, meta)
         return pids
@@ -472,7 +465,7 @@ class _Builder:
                 ix += (self._put_raw(fam, d2, ch.end[0]),
                        self._put_raw(fam, d2, ch.end[1]))
                 self.pairs[(fam, pid)] = ch.values
-                self.trace.add_chain(tiles, ix)
+                self.trace.add_slot(tiles, ix)
             self.trace.add(kind, fam, inputs, pids)
         # per flipped input: a head point, then two in each later tile
         self.points[fam] += width * (1 + 2 * (d2 - d1))

@@ -39,50 +39,35 @@ _SAME_SLOTS = {(COPY, COPY), (BUCKET, BUCKET), (FLIPPAT, FLIPPAT),
                (FOLLOW, MERGE), (PICK, PICK)}
 
 
-def _anchor_idxs(tile: Tile):
-    """How many points tile 0's anchor runs hold, and their indices:
-    the inflated anchors, then all of their run points."""
+def _run_idxs(tile: Tile) -> range:
+    """The indices of tile 0's anchor run points, past its columns."""
     n = len(tile.x_na)
-    extra = sum(r for _, r in tile.runs)
-    return len(tile.runs) + extra, itertools.chain(
-        (k for k, _ in tile.runs), range(n, n + extra))
+    return range(n, n + sum(r for _, r in tile.runs))
 
 
 def _propagate(inst: ReductionInstance, rho: Sequence[bool],
-               b_choices: Dict[int, int], emb: List[int]) -> None:
+               emb: List[int]) -> None:
     """Follow the gadget trace under ``rho`` and write every pattern
     point's forced text image into ``emb`` (0-based positions, indexed
     by pattern position)."""
     tr = inst.trace
     kind, fam, ins, in_off = tr.kind, tr.fam, tr.ins, tr.in_off
-    outs, out_off, s_tile, s_idx = tr.outs, tr.out_off, tr.slot_tile, \
-        tr.slot_idx
-    c_off, c_tile, c_idx = tr.chain_off, tr.chain_tile, tr.chain_idx
+    outs, out_off = tr.outs, tr.out_off
+    s_off, s_tile, s_idx = tr.slot_off, tr.slot_tile, tr.slot_idx
     prov_p = [inst.prov["P"].get(c) for c in inst.path.cells]
     prov_t = [inst.prov["T"].get(c) for c in inst.path.cells]
 
     def map_slot(j: int, k: int) -> None:
         """Map the points of pattern slot j onto those of text slot k."""
-        t = s_tile[j]
-        if t >= 0 and s_tile[k] >= 0:
-            if t != s_tile[k]:
-                raise ReductionError("cross-tile point image")
-            pp, pt, a, b = prov_p[t], prov_t[t], s_idx[j], s_idx[k]
-            emb[pp[a] - 1] = pt[b] - 1
-            emb[pp[a + 1] - 1] = pt[b + 1] - 1
-            return
-        if t >= 0 or s_tile[k] >= 0:
+        a0, a1, b0 = s_off[j], s_off[j + 1], s_off[k]
+        if a1 - a0 != s_off[k + 1] - b0:
             raise ReductionError("gadget chains of unequal length")
-        a0, a1 = c_off[s_idx[j]], c_off[s_idx[j] + 1]
-        b0 = c_off[s_idx[k]]
-        if a1 - a0 != c_off[s_idx[k] + 1] - b0:
-            raise ReductionError("gadget chains of unequal length")
+        d = b0 - a0
         for a in range(a0, a1):
-            b = b0 + a - a0
-            t = c_tile[a]
-            if t != c_tile[b]:
+            t = s_tile[a]
+            if t != s_tile[a + d]:
                 raise ReductionError("cross-tile point image")
-            emb[prov_p[t][c_idx[a]] - 1] = prov_t[t][c_idx[b]] - 1
+            emb[prov_p[t][s_idx[a]] - 1] = prov_t[t][s_idx[a + d]] - 1
 
     # every pair id is some gadget's output, so len(outs) bounds them
     cons = array("i", [-1]) * len(outs)   # text pair -> gadget taking it
@@ -100,10 +85,10 @@ def _propagate(inst: ReductionInstance, rho: Sequence[bool],
         j, k = out_off[gp], out_off[gt]
         imap[outs[j]] = outs[k]
         map_slot(j, k)
-    (na, ia), (nb, ib) = (
-        _anchor_idxs(inst.families[f].tiles[inst.path.cells[0]])
-        for f in ("P", "T"))
-    if na != nb:
+    # the inflated anchors are initial pairs' points; their runs follow
+    ia, ib = (_run_idxs(inst.families[f].tiles[inst.path.cells[0]])
+              for f in ("P", "T"))
+    if len(ia) != len(ib):
         raise ReductionError("gadget chains of unequal length")
     for a, b in zip(ia, ib):
         emb[prov_p[0][a] - 1] = prov_t[0][b] - 1
@@ -150,7 +135,8 @@ def _propagate(inst: ReductionInstance, rho: Sequence[bool],
                     first = pimg == (t_ids[2] if idx == 0 else t_ids[0])
                     beta = 0 if first else 1
                 elif meta and meta[0] == "eval":
-                    beta = b_choices[meta[1]]
+                    lit = inst.formula.clauses[meta[1]][0]
+                    beta = 0 if _literal_true(lit, rho) else 1
                 else:
                     raise ReductionError(
                         "pick meets a choose without a rule")
@@ -212,10 +198,8 @@ def embedding_from_assignment(inst: ReductionInstance,
     indexed by pattern position) from a satisfying assignment."""
     if not inst.formula.evaluates(rho):
         raise ReductionError("assignment does not satisfy the formula")
-    b_choices = {c: (0 if _literal_true(cl[0], rho) else 1)
-                 for c, cl in enumerate(inst.formula.clauses)}
     emb = [-1] * len(inst.pattern)
-    _propagate(inst, rho, b_choices, emb)
+    _propagate(inst, rho, emb)
     # every image is a position >= 0: a slot still at -1 was never
     # written, and a slot written twice keeps its last image
     covered = len(emb) - emb.count(-1)

@@ -117,11 +117,8 @@ def finish_micro(b):
 
 def slot_refs(trace, j):
     """(tile, index) of each point of output j's slot in a ``Trace``."""
-    t, i = trace.slot_tile[j], trace.slot_idx[j]
-    if t >= 0:
-        return [(t, i), (t, i + 1)]
-    a, b = trace.chain_off[i], trace.chain_off[i + 1]
-    return list(zip(trace.chain_tile[a:b], trace.chain_idx[a:b]))
+    a, b = trace.slot_off[j], trace.slot_off[j + 1]
+    return list(zip(trace.slot_tile[a:b], trace.slot_idx[a:b]))
 
 
 def gadgets_of(trace, fam, kind=None):

@@ -241,6 +241,40 @@ def test_reduce_verify_embed_pipeline(files, tmp_path, capsys):
     assert len(r["embedding"]) == len(set(r["embedding"]))
 
 
+def test_verify_reports_simulation_disagreeing_with_sat(files, tmp_path,
+                                                       capsys, monkeypatch):
+    f = files("f.cnf", "p cnf 1 1\n1 0\n")
+    out = str(tmp_path / "inst")
+    assert run(["reduce", "--cnf", f, "--mode", "gadgets",
+                "--out", out]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr("gridppm.cli.simulate_grid_preserving",
+                        lambda inst: (False, None))
+    assert run(["verify", out]) == 2
+    r = report(capsys)
+    assert r["simulate"] is False and r["sat"] is True
+    assert "simulation disagrees with SAT oracle" in r["report"]["violations"]
+
+
+@pytest.mark.parametrize("mode", ["gadgets", "juxtaposition"])
+def test_formula_without_clauses(mode, files, tmp_path, capsys):
+    """``p cnf 2 0`` reduces, verifies and embeds every pattern point."""
+    f = files("f.cnf", "p cnf 2 0\n")
+    out = str(tmp_path / "inst")
+    assert run(["reduce", "--cnf", f, "--mode", mode, "--out", out]) == 0
+    points = report(capsys)["sizes"]["pattern"]
+
+    assert run(["verify", out]) == 0
+    r = report(capsys)
+    assert r["report"]["violations"] == []
+    assert r["simulate"] is True and r["sat"] is True
+
+    assert run(["embed", out]) == 0
+    r = report(capsys)
+    assert r["satisfiable"] is True
+    assert len(set(r["embedding"])) == len(r["embedding"]) == points
+
+
 @pytest.mark.xfail(strict=True, reason="the 2^20 guard of "
                    "simulate_grid_preserving; ROADMAP item 8 removes "
                    "this mark")

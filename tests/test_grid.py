@@ -154,14 +154,14 @@ def test_cell_graph_diagonal_is_disconnected():
     # vertices, not a path
     m = mat([EMPTY_E, INC], [INC, EMPTY_E])
     g = cell_graph(m)
-    assert len(g.edges) == 0
+    assert g.adj == {(1, 1): [], (2, 2): []}
     assert classify(g) == "Other"
 
 
 def test_cell_graph_two_cell_path():
     m = mat([INC, INC])
     g = cell_graph(m)
-    assert len(g.vertices) == 2 and len(g.edges) == 1
+    assert g.adj == {(1, 1): [(2, 1)], (2, 1): [(1, 1)]}
     assert classify(g) == "ProperTurningPath"
 
 
@@ -177,7 +177,9 @@ def test_cell_graph_L_shape_path():
 def test_cell_graph_full_2x2_cycle():
     m = mat([INC, DEC], [DEC, INC])
     g = cell_graph(m)
-    assert len(g.vertices) == 4 and len(g.edges) == 4
+    assert {v: set(ns) for v, ns in g.adj.items()} == {
+        (1, 1): {(1, 2), (2, 1)}, (1, 2): {(1, 1), (2, 2)},
+        (2, 1): {(1, 1), (2, 2)}, (2, 2): {(1, 2), (2, 1)}}
     assert classify(g) == "ProperTurningCycle"
 
 
@@ -186,7 +188,8 @@ def test_cell_graph_skips_blocked_pairs():
     # in a line violates proper turning
     m = matrix_from_rows_top_down([[INC], [INC], [INC]])
     g = cell_graph(m)
-    assert len(g.edges) == 2
+    assert g.adj == {(1, 1): [(1, 2)], (1, 2): [(1, 1), (1, 3)],
+                     (1, 3): [(1, 2)]}
     assert classify(g) == "Other"
 
 

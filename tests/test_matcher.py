@@ -138,6 +138,9 @@ def test_psi_empty_pattern():
     pattern = perm()
     pi = ((), ())
     assert psi_embedding(pattern, pi, text, sigma) == ()
+    st = {}
+    assert psi_embedding(pattern, pi, text, sigma, stats=st) == ()
+    assert st["clauses"] == 0
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -197,7 +197,7 @@ def _two_pattern_copies(trace):
     for g in range(len(trace)):
         if trace.fam[g] == 0 and KINDS[trace.kind[g]] == "copy":
             j = trace.out_off[g]
-            by_tile[trace.slot_tile[j]].append(j)
+            by_tile[trace.slot_tile[trace.slot_off[j]]].append(j)
     return next(js[:2] for js in by_tile.values() if len(js) > 1)
 
 
@@ -235,18 +235,21 @@ def test_replay_rejects_tampered_instances():
     # points are never mapped
     tr = inst.trace
     j1, j2 = _two_pattern_copies(tr)
-    kept = tr.slot_idx[j2]
-    tr.slot_idx[j2] = tr.slot_idx[j1]
+    a1, a2 = tr.slot_off[j1], tr.slot_off[j2]
+    kept = tr.slot_idx[a2:a2 + 2]
+    tr.slot_idx[a2:a2 + 2] = tr.slot_idx[a1:a1 + 2]
     with pytest.raises(ReductionError, match=(
             f"^propagation covered {n - 2} of {n} pattern points$")):
         replay(inst)
-    tr.slot_idx[j2] = kept
+    tr.slot_idx[a2:a2 + 2] = kept
 
     # a pattern copy's slot moves to the next tile
-    tr.slot_tile[j1] += 1
+    for a in (a1, a1 + 1):
+        tr.slot_tile[a] += 1
     with pytest.raises(ReductionError, match="^cross-tile point image$"):
         replay(inst)
-    tr.slot_tile[j1] -= 1
+    for a in (a1, a1 + 1):
+        tr.slot_tile[a] -= 1
     assert replay(inst) == emb
 
 
@@ -339,18 +342,25 @@ TEST_ONLY_NAMES = {
 }
 
 
+# dataclass fields ("Class.field") that no library code reads, each with
+# its reason
+UNREAD_FIELDS: dict = {}
+
+
 def test_every_library_name_has_a_caller():
     """Every top-level function and class of the package is referenced by
     name, outside its own definition, from library code or from a
-    non-test module of bench/."""
+    non-test module of bench/; and every field of the package's
+    dataclasses is read there as an attribute."""
     pkg = pathlib.Path(gridppm.__file__).parent
     bench = pathlib.Path(__file__).parents[1] / "bench"
     assert (bench / "run.py").exists()
-    defined, used = set(), set()
+    defined, used, fields, read = set(), set(), set(), set()
     for path in sorted(pkg.rglob("*.py")) + sorted(bench.glob("*.py")):
         if path.name.startswith("test_"):
             continue
-        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for stmt in tree.body:
             names = {n.id if isinstance(n, ast.Name) else n.attr
                      for n in ast.walk(stmt)
                      if isinstance(n, (ast.Name, ast.Attribute))}
@@ -358,9 +368,21 @@ def test_every_library_name_has_a_caller():
                 names.discard(stmt.name)
                 if bench not in path.parents:
                     defined.add(stmt.name)
+            if bench not in path.parents and \
+                    isinstance(stmt, ast.ClassDef) and any(
+                        "dataclass" in ast.unparse(d)
+                        for d in stmt.decorator_list):
+                fields |= {(stmt.name, a.target.id) for a in stmt.body
+                           if isinstance(a, ast.AnnAssign)}
             used |= names
+        read |= {n.attr for n in ast.walk(tree)
+                 if isinstance(n, ast.Attribute)
+                 and isinstance(n.ctx, ast.Load)}
     assert sorted(defined - used - set(TEST_ONLY_NAMES)) == []
     assert sorted(set(TEST_ONLY_NAMES) - defined) == []
+    unread = {f"{c}.{f}" for c, f in fields if f not in read}
+    assert sorted(unread - set(UNREAD_FIELDS)) == []
+    assert sorted(set(UNREAD_FIELDS) - unread) == []
 
 
 def test_no_module_imports_a_private_name():
