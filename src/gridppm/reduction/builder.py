@@ -24,7 +24,7 @@ to designated channels.  Layers come in four shapes:
                   assigned outgoing values, which reorders the channels.
 
 Every layer runs one code path in both of the builder's modes: it decides
-the gadgets, the output channels with their tags and lineage, freezing,
+the gadgets, the output channels with their tags, freezing,
 the clause layouts and the new live order the same way.  The modes differ
 only inside the emission helpers.  ``geometry`` mode computes exact
 points with ``ExactCoord`` arithmetic, appends each point's six ints to
@@ -47,7 +47,7 @@ tile's columns, and every bucket pass sorts through one juxtaposition,
 
 from __future__ import annotations
 
-import math
+import itertools
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
@@ -335,7 +335,6 @@ class _Builder:
         self.trace = Trace()
         self.live = {f: [] for f in _FAMS}     # pair ids in value order
         self.tag = {f: {} for f in _FAMS}      # pid -> tag tuple
-        self.lineage = {}                      # text pid -> "Y"/"Z"/""
         self.cursor = 0
         self.layers: List[Tuple[str, int]] = []
         self.clause_layouts: List[Dict[str, int]] = []
@@ -371,29 +370,24 @@ class _Builder:
         yd.append(y.den)
         return idx
 
-    def _pid(self, fam: str, tag: Tuple, lineage: str) -> int:
+    def _pid(self, fam: str, tag: Tuple) -> int:
         pid = self._next_pid[fam]
         self._next_pid[fam] += 1
         self.tag[fam][pid] = tag
-        if fam == "T":
-            self.lineage[pid] = lineage
         return pid
 
-    def _successor(self, fam: str, pid: int) -> int:
-        """A new pid continuing channel ``pid``, with its tag and lineage."""
-        return self._pid(fam, self.tag[fam][pid], self.lineage.get(pid, ""))
-
     def _gadget(self, kind: str, fam: str, t: int, inputs: Tuple[int, ...],
-                outs: Optional[Sequence[Tuple[Tuple, str]]] = None,
-                meta: Tuple = (), args: Tuple = ()) -> List[int]:
+                meta: Tuple = (), args: Tuple = (), tag: Tuple = ()
+                ) -> List[int]:
         """Emit the single-tile gadget ``kind`` into tile t, consuming the
-        pairs ``inputs``.  ``outs`` holds the (tag, lineage) of each output
-        pair, by default one successor of the first input; ``args`` follow
-        the input values in the emitter's call.  Returns the new pids."""
-        if outs is None:
-            pids = [self._successor(fam, inputs[0])]
-        else:
-            pids = [self._pid(fam, tg, lin) for tg, lin in outs]
+        pairs ``inputs``.  Its output pairs, two for choose and multiply
+        and one otherwise, continue the first input's tag; an initial
+        gadget's output takes ``tag``.  ``args`` follow the input values
+        in the emitter's call.  Returns the new pids."""
+        if inputs:
+            tag = self.tag[fam][inputs[0]]
+        pids = [self._pid(fam, tag)
+                for _ in range(2 if kind in ("choose", "multiply") else 1)]
         self.points[fam] += 2 * len(pids)
         if not self.geometry:
             return pids
@@ -411,7 +405,7 @@ class _Builder:
 
     def _copy(self, fam: str, t: int, pids: Sequence[int]) -> List[int]:
         """Copy every pair of ``pids`` into tile t; returns the new pids.
-        Counting mode keeps the old pids: a copy inherits tag and lineage
+        Counting mode keeps the old pids: a copy inherits the tag
         unchanged."""
         if not self.geometry:
             self.points[fam] += 2 * len(pids)
@@ -429,8 +423,7 @@ class _Builder:
         "fliptext" an adjacent duo, exchanging its two slots: each input
         gets a head point in d1, a middle pair in every interior tile and
         an end pair in d2, which becomes its successor's pair.  Counting
-        mode keeps the input pids, since a flip changes no tag and no
-        lineage.
+        mode keeps the input pids, since a flip changes no tag.
         """
         new, width = [], 0
         # the tile of each chain point: a head, then two per later tile
@@ -446,7 +439,7 @@ class _Builder:
             if not self.geometry:
                 new += reversed(inputs)
                 continue
-            pids = [self._successor(fam, pid) for pid in inputs]
+            pids = [self._pid(fam, self.tag[fam][pid]) for pid in inputs]
             new += reversed(pids)
             vals = [v for pid in inputs for v in self.pairs.pop((fam, pid))]
             if kind == "fliptext":
@@ -503,18 +496,14 @@ class _Builder:
                 self.live[fam] = self._copy(fam, t, self.live[fam])
             self.cursor = t
 
-    def _dsimple(self, kind_of, meta_of=None) -> None:
-        """One layer ending with a gadget step into the next D entry.
+    def _step(self, t: int, kind_of, meta_of=None) -> None:
+        """One gadget step of every live channel into tile t.
 
         ``kind_of(fam, pos, pid)`` names the gadget for each live channel:
-        "copy", "pick", "choose", "follow" or ("merge", partner-position).
-        ``meta_of(fam, pos)`` (optional) supplies the gadget's metadata;
-        it runs after the copy advance, when ``self.live`` holds the
-        gadgets' actual input channels.
+        "copy", "pick", "choose", "multiply", "follow" or ("merge",
+        partner-position).  ``meta_of(fam, pos)`` (optional) supplies the
+        gadget's metadata.
         """
-        (d,) = self._take_d(1)
-        self._advance_to(d - 1)
-        t = d
         for fam in _FAMS:
             live = self.live[fam]
             new, skip = [], set()
@@ -525,36 +514,23 @@ class _Builder:
                 if kind == "copy":
                     new += self._copy(fam, t, (pid,))
                     continue
-                meta = meta_of(fam, pos) if meta_of else ()
-                if kind == "choose":
-                    tg, lin = self.tag[fam][pid], self.lineage.get(pid, "")
-                    new += self._gadget("choose", fam, t, (pid,),
-                                        [(tg, lin or "Y"), (tg, lin or "Z")],
-                                        meta)
-                elif isinstance(kind, tuple):
-                    skip.add(kind[1])
-                    new += self._gadget("merge", fam, t, (pid, live[kind[1]]),
-                                        meta=meta)
-                else:
-                    new += self._gadget(kind, fam, t, (pid,), meta=meta)
+                inputs = (pid,)
+                if isinstance(kind, tuple):
+                    kind, partner = kind
+                    skip.add(partner)
+                    inputs += (live[partner],)
+                new += self._gadget(kind, fam, t, inputs,
+                                    meta_of(fam, pos) if meta_of else ())
             self.live[fam] = new
         self.cursor = t
 
-    def _mono(self, multiply_of) -> None:
-        """One step into the next tile; ``multiply_of(fam, pos)`` says which
-        channels get multiply gadgets."""
-        t = self.cursor + 1
-        for fam in _FAMS:
-            new = []
-            for pos, pid in enumerate(self.live[fam]):
-                if multiply_of(fam, pos):
-                    heir = (self.tag[fam][pid], self.lineage.get(pid, ""))
-                    new += self._gadget("multiply", fam, t, (pid,),
-                                        [heir, heir])
-                else:
-                    new += self._copy(fam, t, (pid,))
-            self.live[fam] = new
-        self.cursor = t
+    def _dsimple(self, kind_of, meta_of=None) -> None:
+        """One layer ending with a gadget step into the next D entry; the
+        step runs after the copy advance, so ``meta_of`` sees in
+        ``self.live`` the gadgets' actual input channels."""
+        (d,) = self._take_d(1)
+        self._advance_to(d - 1)
+        self._step(d, kind_of, meta_of)
 
     def _flip(self, text_duos: List[int], pattern_duos: List[int]) -> None:
         """Flip layer spanning two consecutive D entries.
@@ -572,8 +548,7 @@ class _Builder:
             live = self.live[fam]
             chains = []
             for pos, pid in enumerate(live):
-                tg = self.tag[fam][pid]
-                if tg and tg[0] == "anchor":
+                if self.tag[fam][pid][0] == "anchor":
                     chains.append(("copy", (pid,)))
                 elif pos in lows:
                     chains.append(("fliptext", (pid, live[pos + 1])))
@@ -613,20 +588,19 @@ class _Builder:
             + [(2 * n + Fraction(9, 8), 2 * n + Fraction(11, 8))]
         for fam in _FAMS:
             self.live[fam] = [
-                self._gadget("initial", fam, 0, (), [(tg, "")], args=v)[0]
+                self._gadget("initial", fam, 0, (), args=v, tag=tg)[0]
                 for tg, v in zip(tags, values)]
         self._mark_layer("initial")
 
     def build_phase_assignment(self) -> None:
         def kind_of(fam, pos, pid):
-            tg = self.tag[fam][pid]
-            if not tg or tg[0] != "var":
+            if self.tag[fam][pid][0] != "var":
                 return "copy"
             return "choose" if fam == "T" else "pick"
 
         def meta_of(fam, pos):
             tg = self.tag[fam][self.live[fam][pos]]
-            if fam == "P" and tg and tg[0] == "var":
+            if fam == "P" and tg[0] == "var":
                 return ("assign", tg[1])
             return ()
 
@@ -634,81 +608,46 @@ class _Builder:
         self._mark_layer("assignment")
 
     def build_phase_multiplication(self) -> None:
+        lits = [lit for cl in self.formula.clauses for lit in cl]
         counts = [0] * (self.n + 1)   # occurrences per variable
-        for cl in self.formula.clauses:
-            for lit in cl:
-                counts[abs(lit)] += 1
-        levels = [0] * (self.n + 1)
-        for k in range(1, self.n + 1):
-            levels[k] = max(0, math.ceil(math.log2(counts[k]))) \
-                if counts[k] > 1 else 0
-        lmax = max(levels[1:], default=0)
-        cur = [1] * (self.n + 1)      # channels per variable so far
+        for lit in lits:
+            counts[abs(lit)] += 1
+        # variable k doubles its channels ceil(log2(counts[k])) times
+        levels = [max(c - 1, 0).bit_length() for c in counts]
 
-        for step in range(lmax):
-            active = {k for k in range(1, self.n + 1) if levels[k] > step}
+        for step in range(max(levels)):
+            def grows(tg, _step=step):
+                return tg[0] == "var" and levels[tg[1]] > _step
 
-            # live text layout: [A1] + per-var blocks of 2*cur[k] + [A2]
-            def var_blocks(width_of):
-                pos, spans = 1, {}
-                for k in range(1, self.n + 1):
-                    spans[k] = (pos, pos + width_of(k))
-                    pos += width_of(k)
-                return spans
-
-            tspan = var_blocks(lambda k: 2 * cur[k])
-            pspan = var_blocks(lambda k: cur[k])
-            act_t = set()
-            act_p = set()
-            for k in active:
-                act_t.update(range(*tspan[k]))
-                act_p.update(range(*pspan[k]))
-            self._mono(lambda fam, pos:
-                       pos in (act_t if fam == "T" else act_p))
+            self._step(self.cursor + 1, lambda fam, pos, pid:
+                       "multiply" if grows(self.tag[fam][pid]) else "copy")
             self._mark_layer("multiply")
 
-            # after doubling: per active var the text block reads
-            # [Y~1 Y~2 Z~1 Z~2 ...]; flip (Y~2j, Z~2j-1) in every quadruple
+            # after doubling, each quadruple of a growing variable's text
+            # channels reads Y Y' Z Z'; flip its middle duo (Y', Z)
             duos = []
-            base = 1
-            for k in range(1, self.n + 1):
-                width = 2 * cur[k] * (2 if k in active else 1)
-                if k in active:
-                    for j in range(cur[k]):
-                        duos.append(base + 4 * j + 1)
-                base += width
+            for tg, run in itertools.groupby(
+                    enumerate(self.live["T"]),
+                    key=lambda e: self.tag["T"][e[1]]):
+                if grows(tg):
+                    duos += [pos for pos, _ in run][1::4]
             self._flip(duos, [])
             self._mark_layer("multiply-fix")
-            for k in active:
-                cur[k] *= 2
 
         # occurrence metadata: channels are in variable-major order, the
         # target order enumerates literal slots clause by clause
-        occ_of_var = [[] for _ in range(self.n + 1)]
-        tpos = 0
-        lits = []
-        for cl in self.formula.clauses:
-            for lit in cl:
-                lits.append(lit)
-                occ_of_var[abs(lit)].append(tpos)
-                tpos += 1
-        self.occ_lit, self.occ_key = [], []
-        for k in range(1, self.n + 1):
-            for t in occ_of_var[k]:
-                self.occ_lit.append(lits[t])
-                self.occ_key.append(t)
+        self.occ_key = sorted(range(len(lits)), key=lambda s: abs(lits[s]))
+        self.occ_lit = [lits[s] for s in self.occ_key]
 
         # freeze surplus channels and retag the kept ones by occurrence
-        occ_base = [0] * (self.n + 2)
-        for k in range(1, self.n + 1):
-            occ_base[k + 1] = occ_base[k] + counts[k]
+        occ_base = list(itertools.accumulate(counts, initial=0))
         for fam in _FAMS:
             keep = []
             per_var_seen = [0] * (self.n + 1)
             width = 2 if fam == "T" else 1
             for pid in self.live[fam]:
                 tg = self.tag[fam][pid]
-                if tg and tg[0] == "var":
+                if tg[0] == "var":
                     k = tg[1]
                     slot = per_var_seen[k] // width
                     per_var_seen[k] += 1
@@ -929,16 +868,16 @@ class _Builder:
             raise ReductionError("occurrence count is not 3 per clause")
 
         # polarity: make each occurrence's literal-true channel the lower
-        # one.  The true channel has lineage Y for positive literals and Z
-        # for negative ones.
+        # one.  Every occurrence reaches this step with its variable's
+        # true branch (the choose's output 0) below its false branch, so
+        # exactly the negative literals flip.
         _, pos_t = self._scan_positions()
         flips = []
         for o in self.occ_order:
-            want = "Y" if self.occ_lit[o] > 0 else "Z"
             lo, hi = pos_t[o]
             if hi != lo + 1:
                 raise ReductionError("occurrence channels not adjacent")
-            if self.lineage.get(self.live["T"][lo], "Y") != want:
+            if self.occ_lit[o] < 0:
                 flips.append(lo)
         if flips:
             self._flip(flips, [])
@@ -948,12 +887,12 @@ class _Builder:
         pos_p, pos_t = self._scan_positions()
         choose_pos = set()
         pick_t = set()
-        eval_info = {}   # pattern position -> (clause, slot)
+        eval_info = {}   # pattern position -> clause
         for c in range(len(self.formula.clauses)):
             for slot in range(3):
                 o = self.occ_order[3 * c + slot]
                 lo, hi = pos_t[o]
-                eval_info[pos_p[o]] = (c, slot)
+                eval_info[pos_p[o]] = c
                 if slot == 1:
                     choose_pos.add(hi)
                     pick_t.add(lo)
@@ -969,7 +908,7 @@ class _Builder:
 
         def meta_of(fam, pos):
             if fam == "P" and pos in eval_info:
-                return ("eval",) + eval_info[pos]
+                return ("eval", eval_info[pos])
             return ()
 
         self._dsimple(kind_of, meta_of)
@@ -1027,10 +966,10 @@ class _Builder:
         perms = {}
         for fam in _FAMS:
             # tile 0 inflates its lowest and its highest point into the
-            # two anchor runs, low first
-            ys = [ExactCoord(*c) for c in zip(*self.tiles[fam][0][3:])]
-            runs = ((ys.index(min(ys)), run - 1),
-                    (ys.index(max(ys)), run - 1))
+            # two anchor runs, low first; it holds only the initial pairs,
+            # placed bottom to top, so these are its first and last points
+            last = len(self.tiles[fam][0][0]) - 1
+            runs = ((0, run - 1), (last, run - 1))
             tf = TileFamily(
                 self.path.matrix.cols, self.path.matrix.rows,
                 {self.path.cells[t]: Tile(*cols, runs if t == 0 else ())

@@ -97,8 +97,8 @@ def micro(channels):
     for fam in "PT":
         ids = []
         for k, (lo, hi) in enumerate(channels[fam], 1):
-            ids += b._gadget("initial", fam, 0, (), [(("var", k), "")],
-                             args=(lo, hi))
+            ids += b._gadget("initial", fam, 0, (), args=(lo, hi),
+                             tag=("var", k))
         b.live[fam] = ids
     return b
 

@@ -130,7 +130,7 @@ def test_choose_and_pick_admit_exactly_two_embeddings():
 
 def test_multiply_gadget_maps_branches_index_wise():
     b = micro({"P": [(1, 2)], "T": [(1, 2)]})
-    b._mono(lambda fam, pos: True)
+    b._step(b.cursor + 1, lambda fam, pos, pid: "multiply")
     out = finish_micro(b)
     assert _sizes_ok(out)
     (p, _, gp), (t, _, gt) = out["P"], out["T"]
