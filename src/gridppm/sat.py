@@ -24,6 +24,8 @@ class CNFFormula:
     clauses: Tuple[Tuple[int, ...], ...]  # signed 1-based literals
 
     def __post_init__(self) -> None:
+        if self.nvars < 0:
+            raise ValueError(f"negative variable count {self.nvars}")
         for cl in self.clauses:
             for lit in cl:
                 if lit == 0 or abs(lit) > self.nvars:
@@ -62,6 +64,8 @@ def parse_dimacs(text: str) -> CNFFormula:
                 nvars, nclauses = int(fields[2]), int(fields[3])
             except ValueError:
                 raise ParseError(lineno, "non-numeric problem line") from None
+            if nvars < 0 or nclauses < 0:
+                raise ParseError(lineno, f"negative count in {line!r}")
             continue
         if nvars is None:
             raise ParseError(lineno, "clause before the problem line")

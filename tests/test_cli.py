@@ -159,6 +159,18 @@ def test_usage_errors_exit_one(files, capsys):
         assert err.startswith(f"gridppm: {wide}: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("text", ["p cnf -1 0\n", "p cnf 1 -1\n"])
+def test_negative_dimacs_count_exits_one(text, files, capsys):
+    """``sat`` once reported such a formula satisfiable, and ``reduce``
+    died with a ``BoxOverflow`` traceback."""
+    cnf = files("neg.cnf", text)
+    for command in ("sat", "reduce"):
+        assert run([command, "--cnf", cnf]) == 1, command
+        err = capsys.readouterr().err
+        assert err.startswith(f"gridppm: {cnf}: line 1: ") \
+            and err.count("\n") == 1, command
+
+
 @pytest.mark.parametrize("length", ["0", "-2"])
 def test_staircase_without_steps_exits_one(length, capsys):
     assert run(["staircase", "--length", length]) == 1

@@ -1,11 +1,12 @@
 """Fuzzed text inputs reach the CLI's exit codes, never a traceback.
 
-Each input runs in-process through ``cli.run``: DIMACS through ``sat``,
-``.perm`` text through ``brute``, matrix JSON through ``gridcheck`` and
-a tampered ``instance.json`` through ``verify``.  Every run must return
-0, 1 or 2 and raise nothing.  The inputs stay small, at most 12
-variables and at most 8 points, and the written instance comes from a
-one-clause formula, so the searches behind the commands stay cheap.
+Each input runs in-process through ``cli.run``: DIMACS through ``sat``
+and ``reduce``, ``.perm`` text through ``brute``, matrix JSON through
+``gridcheck`` and a tampered ``instance.json`` through ``verify``.
+Every run must return 0, 1 or 2 and raise nothing.  The inputs stay
+small, at most 12 variables (4 for ``reduce``) and at most 8 points,
+and the written instance comes from a one-clause formula, so the
+searches behind the commands stay cheap.
 """
 
 import contextlib
@@ -76,6 +77,40 @@ MATRIX_TEXT = st.one_of(
 @given(DIMACS)
 def test_sat_never_raises(text):
     assert _run("sat", cnf=text) in (0, 1, 2)
+
+
+# at most 4 variables and, as a parsed formula, at most 3 clauses: a
+# well-formed file or a soup of lines
+_SMALL_LINE = st.one_of(
+    st.builds("p cnf {} {}".format, st.integers(-1, 4), st.integers(-1, 3)),
+    st.lists(st.integers(-5, 5), max_size=4).map(
+        lambda lits: " ".join(map(str, lits))),
+    st.sampled_from(["", "c a comment", "0"]))
+_SMALL_CNF = st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(st.sampled_from([v for v in range(-n, n + 1) if v]),
+             min_size=1, max_size=3), max_size=3).map(
+    lambda cls: f"p cnf {n} {len(cls)}\n" + "".join(
+        " ".join(map(str, cl + [0])) + "\n" for cl in cls)))
+SMALL_DIMACS = st.one_of(_SMALL_CNF,
+                         st.lists(_SMALL_LINE, max_size=5).map("\n".join))
+
+
+@settings(max_examples=40, deadline=None)
+@given(SMALL_DIMACS)
+@example("p cnf -1 0\n")   # reduce raised BoxOverflow
+def test_reduce_never_raises(text):
+    """reduce exits 0, 1 or 2, with one line on stderr when it fails."""
+    with tempfile.TemporaryDirectory() as d:
+        cnf = os.path.join(d, "f.cnf")
+        with open(cnf, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = run(["reduce", "--cnf", cnf, "--mode", "juxtaposition",
+                        "--out", os.path.join(d, "inst")])
+    assert code in (0, 1, 2)
+    assert err.getvalue().count("\n") == (code != 0)
 
 
 @settings(max_examples=150, deadline=None)

@@ -48,6 +48,15 @@ def test_parse_errors():
     assert err.value.line == 2
 
 
+def test_negative_counts_are_rejected():
+    for text in ("c\np cnf -1 0\n", "c\np cnf 1 -1\n"):
+        with pytest.raises(ParseError) as err:
+            parse_dimacs(text)
+        assert err.value.line == 2
+    with pytest.raises(ValueError):
+        CNFFormula(-1, ())
+
+
 def roundtrip_corpus():
     """30 seeded formulas; a clause may repeat a variable."""
     rng = random.Random(0)
