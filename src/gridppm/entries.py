@@ -103,6 +103,15 @@ def is_monotone_run(vals: Sequence[int], d: str) -> bool:
     return all(a > b for a, b in zip(vals, vals[1:]))
 
 
+def _monotone_prefix(vals: Sequence[int], d: str) -> int:
+    """The length of the longest prefix of distinct vals that rises
+    (d == "inc") or falls (d == "dec")."""
+    for i in range(1, len(vals)):
+        if (vals[i - 1] < vals[i]) != (d == "inc"):
+            return i
+    return len(vals)
+
+
 def _longest_increasing(vals: Tuple[int, ...]) -> int:
     """Patience sorting, O(n log n)."""
     from bisect import bisect_left
@@ -134,18 +143,15 @@ def entry_contains(e: ClassEntry, p: Permutation) -> bool:
             rev = tuple(reversed(p.ranks))
             return _longest_increasing(rev) < len(e.sigma)
         return avoids(p, e.sigma)
-    if e.kind == "juxth":
-        # a column cut: prefix in d1, suffix in d2
-        return any(is_monotone_run(p.ranks[:s], e.d1)
-                   and is_monotone_run(p.ranks[s:], e.d2)
-                   for s in range(n + 1))
-    # juxtv: a row cut by value; d1 is the bottom part, d2 the top
-    for v in range(n + 1):
-        low = tuple(r for r in p.ranks if r <= v)
-        high = tuple(r for r in p.ranks if r > v)
-        if is_monotone_run(low, e.d1) and is_monotone_run(high, e.d2):
-            return True
-    return False
+    # juxth: a column cut, prefix in d1 and suffix in d2.  A cut fits
+    # exactly when the longest d1 prefix and the longest d2 suffix cover
+    # p.  juxtv, a row cut by value with d1 the bottom part, is juxth of
+    # the inverse: a set of points rises (falls) whichever axis orders it.
+    ranks = p.ranks if e.kind == "juxth" else \
+        apply_symmetry(p, SymmetryOp("i")).ranks
+    back = "dec" if e.d2 == "inc" else "inc"
+    return _monotone_prefix(ranks, e.d1) \
+        + _monotone_prefix(ranks[::-1], back) >= n
 
 
 def parse_entry(s: str) -> ClassEntry:

@@ -63,6 +63,29 @@ def test_av_monotone_fast_path_matches_backtracking():
             avoids(p, perm(1, 2, 3))
 
 
+def _juxt_by_splits(e, p):
+    """Juxtaposition membership by trying every cut: by position for
+    juxth, by value for juxtv (d1 the bottom part)."""
+    n = len(p)
+    if e.kind == "juxth":
+        return any(E.is_monotone_run(p.ranks[:s], e.d1)
+                   and E.is_monotone_run(p.ranks[s:], e.d2)
+                   for s in range(n + 1))
+    return any(E.is_monotone_run([r for r in p.ranks if r <= v], e.d1)
+               and E.is_monotone_run([r for r in p.ranks if r > v], e.d2)
+               for v in range(n + 1))
+
+
+def test_juxtaposition_scan_matches_every_split():
+    kinds = [E.ClassEntry(k, d1=d1, d2=d2) for k in ("juxth", "juxtv")
+             for d1 in ("inc", "dec") for d2 in ("inc", "dec")]
+    for n in range(8):
+        for p in all_perms(n):
+            for e in kinds:
+                assert E.entry_contains(e, p) == _juxt_by_splits(e, p), \
+                    (E.format_entry(e), p.ranks)
+
+
 def test_closure_flags():
     assert E.sum_closed(INC) and not E.skew_closed(INC)
     assert E.skew_closed(DEC) and not E.sum_closed(DEC)
