@@ -386,8 +386,9 @@ class _Builder:
         in the emitter's call.  Returns the new pids."""
         if inputs:
             tag = self.tag[fam][inputs[0]]
-        pids = [self._pid(fam, tag)
-                for _ in range(2 if kind in ("choose", "multiply") else 1)]
+        pids = [self._pid(fam, tag)]
+        if kind in ("choose", "multiply"):
+            pids.append(self._pid(fam, tag))
         self.points[fam] += 2 * len(pids)
         if not self.geometry:
             return pids
