@@ -1,5 +1,6 @@
 """Gridding matrices: graphs, griddings, orientations, assembly."""
 
+import hashlib
 import itertools
 import random
 from dataclasses import replace
@@ -22,6 +23,7 @@ from gridppm.grid import (BoxOverflow, CellGraph, DimensionMismatch, Gridding,
                           matrix_to_obj, parse_matrix_json, path_order, refine,
                           sample_member, staircase, sum_closing_orientation)
 from gridppm.perm import Permutation, perm
+from gridppm.reduction import rich_path_matrix
 from microassembly import direct_sum, inflate, make_tile, pt, skew_sum
 
 P321 = perm(3, 2, 1)
@@ -214,6 +216,42 @@ def test_cell_graph_skips_blocked_pairs():
     assert g.adj == {(1, 1): [(1, 2)], (1, 2): [(1, 1), (1, 3)],
                      (1, 3): [(1, 2)]}
     assert classify(g) == "Other"
+
+
+def _shape_and_order(m):
+    g = cell_graph(m)
+    shape = classify(g)
+    return shape, path_order(g) if shape == "ProperTurningPath" else None
+
+
+def _shape_corpus():
+    """Every fill pattern of every grid up to 3x3, 20,000 seeded random
+    matrices up to 7x7 with at most 10 filled cells, and the default rich
+    paths of both modes for lengths 1..29."""
+    for k in range(1, 4):
+        for l in range(1, 4):
+            grid = [(i, j) for i in range(1, k + 1) for j in range(1, l + 1)]
+            for bits in range(1 << len(grid)):
+                yield GriddingMatrix(k, l, {c: INC for t, c in enumerate(grid)
+                                            if bits >> t & 1})
+    rng = random.Random(20261020)
+    for _ in range(20_000):
+        k, l = rng.randint(1, 7), rng.randint(1, 7)
+        grid = [(i, j) for i in range(1, k + 1) for j in range(1, l + 1)]
+        cells = rng.sample(grid, rng.randint(0, min(10, len(grid))))
+        yield GriddingMatrix(k, l, dict.fromkeys(cells, INC))
+    for mode in ("juxtaposition", "gadgets"):
+        for length in range(1, 30):
+            yield rich_path_matrix(mode, length)
+
+
+def test_shapes_and_path_orders_are_pinned():
+    """The shape of every corpus matrix, and the cell order of every
+    path, hashed: a rewrite of the shape code must give the same list."""
+    shapes = [_shape_and_order(m) for m in _shape_corpus()]
+    digest = hashlib.sha256(repr(shapes).encode()).hexdigest()
+    assert digest == ("fe35a06be88d9d70408b3094888b7100"
+                      "e5faad8abef2f08e2f04ea079bb76474")
 
 
 # -- griddings -----------------------------------------------------------------
