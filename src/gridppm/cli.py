@@ -14,9 +14,9 @@ import time
 
 # check_gridding is unused here, but the benchmark's tracer expects every
 # module that imports a layer function to keep binding it
-from .grid import (build_rich_path, check_gridding, classify, cell_graph,
-                   find_gridding, gridding_to_obj, matrix_to_obj,
-                   parse_matrix_json, staircase)
+from .grid import (build_rich_path, cell_walk, check_gridding, find_gridding,
+                   gridding_to_obj, matrix_to_obj, parse_matrix_json,
+                   staircase)
 from .entries import parse_entry
 from .matcher import InvalidGridding, NoTextGridding, solve_cppm
 from .perm import contains, parse_perm
@@ -128,7 +128,7 @@ def _cmd_richpath(args):
         raise _UsageError(str(exc))
     return {"command": "richpath",
             "matrix": matrix_to_obj(refined),
-            "shape": classify(cell_graph(refined)),
+            "shape": cell_walk(refined)[0],
             "order": [list(c) for c in order],
             "d_positions": list(d_positions),
             "stats": {}}
@@ -146,7 +146,7 @@ def _cmd_staircase(args):
         raise _UsageError(str(exc))
     return {"command": "staircase",
             "matrix": matrix_to_obj(m),
-            "shape": classify(cell_graph(m)),
+            "shape": cell_walk(m)[0],
             "stats": {}}
 
 

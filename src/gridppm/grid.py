@@ -3,10 +3,9 @@
 A k x l gridding matrix has k columns and l rows of cell classes; rows
 are numbered 1..l from bottom to top.  A matrix stores only its filled
 (non-empty) cells, since the refined path matrices of the reduction are
-almost all empty.  This module provides cell graphs and their
-path/cycle classification, gridding search and verification,
-orientations, refinements, staircase matrices, the rich-path
-construction, and F-assembly of tile families.
+almost all empty.  This module provides path and cycle shapes,
+gridding search and verification, orientations, refinements, staircase
+matrices, the rich-path construction, and F-assembly of tile families.
 """
 
 from __future__ import annotations
@@ -132,93 +131,49 @@ def matrix_to_obj(m: GriddingMatrix) -> Dict:
     return {"cols": m.cols, "rows": m.rows, "entries": rows}
 
 
-# --- cell graph -----------------------------------------------------------
+# --- path and cycle shapes -------------------------------------------------
 
-@dataclass(frozen=True)
-class CellGraph:
-    vertices: Tuple[Cell, ...]
-    adj: Dict[Cell, List[Cell]]
+def cell_walk(m: GriddingMatrix) -> Tuple[str, List[Cell]]:
+    """The shape of m's cell graph, and its cells in walk order.
 
-    def neighbours(self, v: Cell) -> List[Cell]:
-        return list(self.adj.get(v, ()))
+    The cell graph joins two filled cells of one row or column when no
+    filled cell lies between them.  The result is ("ProperTurningPath",
+    cells from the smaller end; a single cell counts),
+    ("ProperTurningCycle", cells in walk order) or ("Other", []).
 
-
-def cell_graph(m: GriddingMatrix) -> CellGraph:
-    """Vertices are the cells with infinite (non-empty) entries; two
-    vertices in the same row or column are adjacent when no infinite
-    entry lies between them."""
-    verts = m.nonempty_cells()
-    by_col: Dict[int, List[int]] = {}
-    by_row: Dict[int, List[int]] = {}
-    for (i, j) in verts:
-        by_col.setdefault(i, []).append(j)
-        by_row.setdefault(j, []).append(i)
-    # in each line the nonempty cells are adjacent exactly when they are
-    # consecutive in it
-    edges = []
-    for i, js in by_col.items():
-        js.sort()
-        edges.extend(((i, a), (i, b)) for a, b in zip(js, js[1:]))
-    for j, iis in by_row.items():
-        iis.sort()
-        edges.extend(((a, j), (b, j)) for a, b in zip(iis, iis[1:]))
-    adj: Dict[Cell, List[Cell]] = {v: [] for v in verts}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    return CellGraph(tuple(verts), adj)
-
-
-def _no_three_in_line(verts: Sequence[Cell]) -> bool:
-    for key in (0, 1):
-        counts: Dict[int, int] = {}
-        for v in verts:
-            counts[v[key]] = counts.get(v[key], 0) + 1
-            if counts[v[key]] > 2:
-                return False
-    return True
-
-
-def classify(g: CellGraph) -> str:
-    """One of 'ProperTurningPath', 'ProperTurningCycle', 'Other'."""
-    n = len(g.vertices)
-    if n == 0:
-        return "Other"
-    deg = {v: len(g.neighbours(v)) for v in g.vertices}
-    # connectivity
-    seen = {g.vertices[0]}
-    stack = [g.vertices[0]]
-    while stack:
-        for w in g.neighbours(stack.pop()):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if len(seen) != n:
-        return "Other"
-    if not _no_three_in_line(g.vertices):
-        return "Other"
-    degs = sorted(deg.values())
-    if n == 1:
-        return "ProperTurningPath"
-    if degs == [1, 1] + [2] * (n - 2):
-        return "ProperTurningPath"
-    if degs == [2] * n and n >= 3:
-        return "ProperTurningCycle"
-    return "Other"
-
-
-def path_order(g: CellGraph) -> List[Cell]:
-    """Vertex order of a path graph, starting from the smaller endpoint."""
-    if len(g.vertices) == 1:
-        return [g.vertices[0]]
-    ends = sorted(v for v in g.vertices if len(g.neighbours(v)) == 1)
-    order = [ends[0]]
-    prev = None
-    while len(order) < len(g.vertices):
-        nxt = [w for w in g.neighbours(order[-1]) if w != prev]
-        prev = order[-1]
-        order.append(nxt[0])
-    return order
+    A proper-turning path or cycle turns at every cell: of a cell's two
+    neighbours, one shares its row and one its column.  Three filled
+    cells in one row or column would give the middle one both its
+    neighbours in that line, so a matrix with them is "Other".  Without
+    them each cell has at most one neighbour in its row and one in its
+    column, so every cell with two neighbours turns, and every connected
+    piece of the graph is a path or a cycle.  One walk, from the
+    smallest cell with fewer than two neighbours or else from the first
+    cell, then decides the shape: the matrix is connected exactly when
+    the walk visits every filled cell.
+    """
+    cells = m.nonempty_cells()
+    lines: Dict[Tuple[int, int], List[Cell]] = {}   # (0, col) or (1, row)
+    for c in cells:
+        lines.setdefault((0, c[0]), []).append(c)
+        lines.setdefault((1, c[1]), []).append(c)
+    if not cells or any(len(line) > 2 for line in lines.values()):
+        return "Other", []
+    nbrs = {c: [o for o in lines[0, c[0]] + lines[1, c[1]] if o != c]
+            for c in cells}
+    start = next((c for c in cells if len(nbrs[c]) < 2), cells[0])
+    walk, prev = [start], None
+    while True:
+        nxt = [o for o in nbrs[walk[-1]] if o != prev and o != start]
+        if not nxt:
+            break
+        prev = walk[-1]
+        walk.append(nxt[0])
+    if len(walk) < len(cells):
+        return "Other", []
+    if len(nbrs[start]) < 2:
+        return "ProperTurningPath", walk
+    return "ProperTurningCycle", walk
 
 
 # --- griddings ------------------------------------------------------------
@@ -467,8 +422,7 @@ def build_rich_path(m: GriddingMatrix, length: int
 
     Returns (matrix, path vertices in order, cells holding D).
     """
-    g = cell_graph(m)
-    if classify(g) != "ProperTurningCycle":
+    if cell_walk(m)[0] != "ProperTurningCycle":
         raise NoCycle("cell graph is not a single proper-turning cycle")
     ds = [e for e in m.filled.values() if not E.is_monotone(e)]
     if len(ds) != 1:
@@ -513,10 +467,9 @@ def build_rich_path(m: GriddingMatrix, length: int
         filled[col_of_label[s], row_of_label[s + 1]] = shift_entry
 
     out = GriddingMatrix(refined.cols, refined.rows, filled)
-    og = cell_graph(out)
-    if classify(og) != "ProperTurningPath":
+    shape, order = cell_walk(out)
+    if shape != "ProperTurningPath":
         raise ConstructionError("rich path matrix is not a proper-turning path")
-    order = path_order(og)
     d_positions = [cc for cc in order if not E.is_monotone(filled[cc])]
     return out, order, d_positions
 

@@ -56,9 +56,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..coords import ExactCoord
 from .. import entries as E
 from ..grid import (Gridding, GriddingMatrix, Orientation, Tile, TileFamily,
-                    assemble, build_rich_path, cell_graph, classify,
-                    matrix_from_rows_top_down, orient_by_propagation,
-                    path_order)
+                    assemble, build_rich_path, cell_walk,
+                    matrix_from_rows_top_down, orient_by_propagation)
 from ..perm import Permutation, perm
 from ..sat import CNFFormula
 from . import gadgets as G
@@ -152,10 +151,9 @@ class PathSpec:
 
 
 def make_path_spec(matrix: GriddingMatrix) -> PathSpec:
-    g = cell_graph(matrix)
-    if classify(g) != "ProperTurningPath":
+    shape, cells = cell_walk(matrix)
+    if shape != "ProperTurningPath":
         raise NotAPath("cell graph is not a single proper-turning path")
-    cells = path_order(g)
     if len(cells) < 2:
         raise NotAPath("a path needs at least two cells")
 

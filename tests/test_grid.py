@@ -1,4 +1,4 @@
-"""Gridding matrices: graphs, griddings, orientations, assembly."""
+"""Gridding matrices: shapes, griddings, orientations, assembly."""
 
 import hashlib
 import itertools
@@ -13,15 +13,15 @@ from hypothesis import strategies as st
 from gridppm import entries as E
 from gridppm import grid as grid_mod
 from gridppm.entries import DEC, EMPTY_E, FIBP, INC, av
-from gridppm.grid import (BoxOverflow, CellGraph, DimensionMismatch, Gridding,
+from gridppm.grid import (BoxOverflow, DimensionMismatch, Gridding,
                           GriddingMatrix, MultipleDEntries, NoCycle,
                           NotClosedEntry, Orientation, Tile, TileFamily,
-                          all_griddings, assemble, build_rich_path, cell_graph,
-                          check_gridding, classify, find_gridding,
-                          gridding_to_obj, identity_orientation,
-                          matrix_from_obj, matrix_from_rows_top_down,
-                          matrix_to_obj, parse_matrix_json, path_order, refine,
-                          sample_member, staircase, sum_closing_orientation)
+                          all_griddings, assemble, build_rich_path, cell_walk,
+                          check_gridding, find_gridding, gridding_to_obj,
+                          identity_orientation, matrix_from_obj,
+                          matrix_from_rows_top_down, matrix_to_obj,
+                          parse_matrix_json, refine, sample_member, staircase,
+                          sum_closing_orientation)
 from gridppm.perm import Permutation, perm
 from gridppm.reduction import rich_path_matrix
 from microassembly import direct_sum, inflate, make_tile, pt, skew_sum
@@ -171,57 +171,42 @@ def test_gridding_json_form():
                                   "row_cuts": [1, 2, 6]}
 
 
-# -- cell graph ----------------------------------------------------------------
+# -- path and cycle shapes ----------------------------------------------------
 
 
-def test_cell_graph_diagonal_is_disconnected():
+def test_cell_walk_diagonal_is_disconnected():
     # diagonal cells share no row or column, so they form isolated
     # vertices, not a path
     m = mat([EMPTY_E, INC], [INC, EMPTY_E])
-    g = cell_graph(m)
-    assert g.adj == {(1, 1): [], (2, 2): []}
-    assert classify(g) == "Other"
+    assert cell_walk(m) == ("Other", [])
 
 
-def test_cell_graph_two_cell_path():
+def test_cell_walk_two_cell_path():
     m = mat([INC, INC])
-    g = cell_graph(m)
-    assert g.adj == {(1, 1): [(2, 1)], (2, 1): [(1, 1)]}
-    assert classify(g) == "ProperTurningPath"
+    assert cell_walk(m) == ("ProperTurningPath", [(1, 1), (2, 1)])
 
 
-def test_cell_graph_L_shape_path():
+def test_cell_walk_L_shape_path():
     m = mat([INC, EMPTY_E], [INC, DEC])
-    g = cell_graph(m)
-    assert set(g.vertices) == {(1, 1), (1, 2), (2, 1)}
-    assert classify(g) == "ProperTurningPath"
-    assert path_order(g) in ([(1, 2), (1, 1), (2, 1)],
-                             [(2, 1), (1, 1), (1, 2)])
+    assert cell_walk(m) == ("ProperTurningPath", [(1, 2), (1, 1), (2, 1)])
 
 
-def test_cell_graph_full_2x2_cycle():
+def test_cell_walk_full_2x2_cycle():
     m = mat([INC, DEC], [DEC, INC])
-    g = cell_graph(m)
-    assert {v: set(ns) for v, ns in g.adj.items()} == {
-        (1, 1): {(1, 2), (2, 1)}, (1, 2): {(1, 1), (2, 2)},
-        (2, 1): {(1, 1), (2, 2)}, (2, 2): {(1, 2), (2, 1)}}
-    assert classify(g) == "ProperTurningCycle"
+    assert cell_walk(m) == ("ProperTurningCycle",
+                            [(1, 1), (1, 2), (2, 2), (2, 1)])
 
 
-def test_cell_graph_skips_blocked_pairs():
-    # three cells in one column: middle blocks the long edge, and three
-    # in a line violates proper turning
+def test_cell_walk_three_in_a_column():
+    # the middle of three cells in one column has both its neighbours
+    # there, so it cannot turn
     m = matrix_from_rows_top_down([[INC], [INC], [INC]])
-    g = cell_graph(m)
-    assert g.adj == {(1, 1): [(1, 2)], (1, 2): [(1, 1), (1, 3)],
-                     (1, 3): [(1, 2)]}
-    assert classify(g) == "Other"
+    assert cell_walk(m) == ("Other", [])
 
 
 def _shape_and_order(m):
-    g = cell_graph(m)
-    shape = classify(g)
-    return shape, path_order(g) if shape == "ProperTurningPath" else None
+    shape, cells = cell_walk(m)
+    return shape, cells if shape == "ProperTurningPath" else None
 
 
 def _shape_corpus():
@@ -360,7 +345,7 @@ def test_staircase_shape():
     assert (m3.cols, m3.rows) == (4, 3)
     for i in range(1, 4):
         assert m3.entry(i, i) == INC and m3.entry(i + 1, i) == av(P321)
-    assert classify(cell_graph(m3)) == "ProperTurningPath"
+    assert cell_walk(m3)[0] == "ProperTurningPath"
 
 
 def test_staircase_exclusions():
@@ -448,17 +433,14 @@ def test_rich_path_requires_cycle_and_single_d():
 
 def test_rich_path_degenerate_length_one():
     out, order, dpos = build_rich_path(CYCLE_D, 1)
-    g = cell_graph(out)
-    assert classify(g) == "ProperTurningPath"
+    assert cell_walk(out)[0] == "ProperTurningPath"
     assert len(order) >= 3
 
 
 @pytest.mark.parametrize("L", [2, 4, 8])
 def test_rich_path_structure(L):
     out, order, dpos = build_rich_path(CYCLE_D, L)
-    g = cell_graph(out)
-    assert classify(g) == "ProperTurningPath"
-    assert order == path_order(g)
+    assert cell_walk(out) == ("ProperTurningPath", order)
     assert len(order) >= L
     # one D entry per cycle copy
     cycle_len = len(CYCLE_D.nonempty_cells())
