@@ -332,7 +332,7 @@ def identity_orientation(k: int, l: int) -> Orientation:
 def orient_by_propagation(m: GriddingMatrix, want_plus
                           ) -> Optional[Orientation]:
     """2-colour columns/rows so that each non-empty entry (i,j) has
-    f_c(i)*f_r(j) equal to want_plus(entry) (+1/-1/None=unconstrained).
+    f_c(i)*f_r(j) equal to want_plus(entry), +1 or -1.
     In every connected component the largest-indexed column is anchored
     to +1 (canonical representative)."""
     sign: Dict[Tuple[str, int], int] = {}
@@ -342,8 +342,6 @@ def orient_by_propagation(m: GriddingMatrix, want_plus
         {v: [] for v in nodes}
     for (i, j), e in m.filled.items():
         w = want_plus(e)
-        if w is None:
-            continue
         adj[("c", i)].append((("r", j), w))
         adj[("r", j)].append((("c", i), w))
     for start in [("c", i) for i in range(m.cols, 0, -1)] + \
@@ -368,14 +366,13 @@ def orient_by_propagation(m: GriddingMatrix, want_plus
 
 def sum_closing_orientation(m: GriddingMatrix) -> Optional[Orientation]:
     """An orientation under which every non-empty entry's image is
-    sum-closed; None if propagation conflicts."""
-    def want(e: ClassEntry) -> Optional[int]:
-        sc, kc = E.sum_closed(e), E.skew_closed(e)
-        if sc and kc:
-            return None
-        if sc:
+    sum-closed; None if propagation conflicts.  A sum-closed entry is
+    asked +1 even when it is also skew-closed, since ``refine`` lays it
+    out on the diagonal."""
+    def want(e: ClassEntry) -> int:
+        if E.sum_closed(e):
             return 1
-        if kc:
+        if E.skew_closed(e):
             return -1
         raise NotClosedEntry(f"entry {E.format_entry(e)} is neither sum- "
                              "nor skew-closed")

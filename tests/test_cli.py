@@ -7,6 +7,7 @@ import re
 import pytest
 
 from gridppm.cli import run
+from gridppm.grid import find_gridding, matrix_from_obj, sample_member
 
 
 def report(capsys):
@@ -98,6 +99,38 @@ def test_richpath(files, capsys):
     r = report(capsys)
     assert r["shape"] == "ProperTurningPath"
     assert len(r["d_positions"]) == 6
+
+
+@pytest.mark.parametrize("d", ["av:2413", "av:3142"])
+def test_richpath_with_a_sum_and_skew_closed_d_entry(d, files, tmp_path,
+                                                     capsys):
+    """A D entry that is both sum- and skew-closed: refine lays it on the
+    diagonal, so the orientation must ask +1 of it too.  The rich path's
+    members grid into the cycle, and the reduction builds on it."""
+    cycle = {"cols": 2, "rows": 2, "entries": [["inc", "dec"], [d, "inc"]]}
+    m = files("m.json", json.dumps(cycle))
+    base = matrix_from_obj(cycle)
+    rng = random.Random(2413)
+    for length in (2, 3, 8):
+        assert run(["richpath", "--matrix", m, "--length", str(length)]) == 0
+        r = report(capsys)
+        assert r["shape"] == "ProperTurningPath"
+        out = matrix_from_obj(r["matrix"])
+        for _ in range(8):
+            sizes = {c: rng.randint(0, 2) for c in out.nonempty_cells()}
+            member, _ = sample_member(out, rng, sizes)
+            assert find_gridding(member, base) is not None, member
+    path = files("path.json", json.dumps(r["matrix"]))
+    f = files("f.cnf", "p cnf 1 1\n1 0\n")
+    inst = str(tmp_path / "inst")
+    assert run(["reduce", "--cnf", f, "--mode", "gadgets", "--matrix", path,
+                "--out", inst]) == 0
+    capsys.readouterr()
+    assert run(["verify", inst]) == 0
+    r = report(capsys)
+    assert r["report"]["violations"] == [] and r["simulate"] is True
+    assert run(["embed", inst]) == 0
+    assert report(capsys)["satisfiable"] is True
 
 
 def test_staircase(files, capsys):
