@@ -2,7 +2,9 @@
 
 Each input runs in-process through ``cli.run``: DIMACS through ``sat``
 and ``reduce``, ``.perm`` text through ``brute``, matrix JSON through
-``gridcheck`` and a tampered ``instance.json`` through ``verify``.
+``gridcheck``, cycle matrices through ``richpath``, entry strings
+through ``staircase`` and a tampered ``instance.json`` through
+``verify``.
 Every run must return 0, 1 or 2 and raise nothing.  The inputs stay
 small, at most 12 variables (4 for ``reduce``) and at most 8 points,
 and the written instance comes from a one-clause formula, so the
@@ -11,6 +13,7 @@ searches behind the commands stay cheap.
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import tempfile
@@ -124,6 +127,73 @@ def test_brute_never_raises(pattern, text):
 @example("[" * 100_000, "1\n")   # json's decoder raised RecursionError
 def test_gridcheck_never_raises(matrix, perm_text):
     assert _run("gridcheck", matrix=matrix, perm=perm_text) in (0, 1, 2)
+
+
+def _run_reporting(argv):
+    """Run argv with its report sent to a file: the exit code, the
+    stderr text and the report, None unless the exit code is 0."""
+    with tempfile.TemporaryDirectory() as d:
+        out = os.path.join(d, "report.json")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run(argv + ["--out", out])
+        if code != 0:
+            return code, err.getvalue(), None
+        with open(out, encoding="utf-8") as fh:
+            return code, err.getvalue(), json.load(fh)
+
+
+def _assert_path_or_one_line(code, err, rep):
+    assert code in (0, 1)
+    if code:
+        assert err.count("\n") == 1 and err.startswith("gridppm: ")
+    else:
+        assert rep["shape"] == "ProperTurningPath"
+
+
+# the cycles of the rich-path construction: a 2x2, the corners of a 3x3,
+# and a 6-cycle; each as (cols, rows, cells)
+_CYCLES = [(2, 2, [(1, 1), (1, 2), (2, 1), (2, 2)]),
+           (3, 3, [(1, 1), (1, 3), (3, 1), (3, 3)]),
+           (3, 3, [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (1, 3)])]
+D_ENTRY = st.sampled_from(
+    ["fib+", "fib-"]
+    + ["av:" + "".join(map(str, s)) for n in range(1, 5)
+       for s in itertools.permutations(range(1, n + 1))]
+    + ["juxth:inc,inc", "juxth:inc,dec", "juxtv:dec,inc", "juxtv:dec,dec"])
+
+
+@st.composite
+def cycle_matrices(draw):
+    """A cycle matrix as JSON: monotone cells and one D entry."""
+    k, l, cells = draw(st.sampled_from(_CYCLES))
+    d_cell = draw(st.sampled_from(cells))
+    rows = [["empty"] * k for _ in range(l)]
+    for i, j in cells:
+        rows[l - j][i - 1] = (draw(D_ENTRY) if (i, j) == d_cell
+                              else draw(st.sampled_from(["inc", "dec"])))
+    return json.dumps({"cols": k, "rows": l, "entries": rows})
+
+
+@settings(max_examples=150, deadline=None)
+@given(cycle_matrices(), st.integers(1, 4))
+@example('{"cols": 2, "rows": 2, "entries": [["inc", "dec"], '
+         '["av:2413", "inc"]]}', 2)   # refine and the orientation disagreed
+def test_richpath_builds_a_path_or_exits_one(matrix, length):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "m.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(matrix)
+        _assert_path_or_one_line(*_run_reporting(
+            ["richpath", "--matrix", path, "--length", str(length)]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(D_ENTRY | st.sampled_from(["inc", "dec", "spam"]),
+                max_size=3), st.integers(1, 6))
+def test_staircase_builds_a_path_or_exits_one(entries, length):
+    _assert_path_or_one_line(*_run_reporting(
+        ["staircase", "--length", str(length)] + entries))
 
 
 @pytest.fixture(scope="module")
