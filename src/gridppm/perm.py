@@ -26,7 +26,15 @@ class Permutation:
         seen = bytearray(n + 1)
         for r in self.ranks:
             if not 0 < r <= n or seen[r]:
-                raise ValueError(f"not a permutation of 1..{n}: {self.ranks}")
+                # name the first bad rank, not the whole sequence
+                at = self.ranks.index(r)
+                if 0 < r <= n:
+                    at = self.ranks.index(r, at + 1)
+                    why = "repeats"
+                else:
+                    why = "is out of range"
+                raise ValueError(f"not a permutation of 1..{n}: rank {r} "
+                                 f"{why} at position {at + 1}")
             seen[r] = 1
 
     def __len__(self) -> int:

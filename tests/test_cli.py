@@ -422,6 +422,33 @@ def test_tampered_stored_file_exits_two(command, name, files, tmp_path,
     assert err.count("\n") == 1
 
 
+def test_repeated_rank_error_is_one_short_line(files, tmp_path, capsys):
+    """A malformed permutation is named by its first bad rank, not
+    printed whole: a 20,000-point pattern and a tampered text.perm."""
+    m = files("m.json", '{"cols":1,"rows":1,"entries":[["inc"]]}')
+    p = files("pattern.perm",
+              "1 1 " + " ".join(map(str, range(3, 20_001))) + "\n")
+    t = files("t.perm", "1 2\n")
+    assert run(["match", "--matrix", m, "--pattern", p, "--text", t]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"gridppm: {p}: not a permutation of 1..20000: "
+                   "rank 1 repeats at position 2\n")
+    assert len(err.encode()) < 200
+
+    f = files("f.cnf", "p cnf 1 1\n1 0\n")
+    out = tmp_path / "inst"
+    assert run(["reduce", "--cnf", f, "--mode", "juxtaposition",
+                "--out", str(out)]) == 0
+    capsys.readouterr()
+    text = out / "text.perm"
+    ranks = text.read_text().split()
+    text.write_text(" ".join([ranks[1]] + ranks[1:]) + "\n")
+    assert run(["verify", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"gridppm: {text}: not a permutation of ")
+    assert err.count("\n") == 1 and len(err.encode()) < 200
+
+
 def test_embed_unsat_instance(files, tmp_path, capsys):
     f = files("f.cnf", "p cnf 1 2\n1 0\n-1 0\n")
     out = str(tmp_path / "inst")
