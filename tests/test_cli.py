@@ -159,6 +159,15 @@ UNUSABLE_MATRICES = [
 ]
 
 
+def test_reduce_on_a_monotone_path_exits_one(files, capsys):
+    assert run(["staircase", "--length", "6", "inc", "dec"]) == 0
+    m = files("m.json", json.dumps(report(capsys)["matrix"]))
+    f = files("f.cnf", "p cnf 1 1\n1 0\n")
+    assert run(["reduce", "--cnf", f, "--matrix", m]) == 1
+    assert capsys.readouterr().err == (
+        f"gridppm: {m}: matrix has no non-monotone entry\n")
+
+
 def test_usage_errors_exit_one(files, capsys):
     assert run(["match", "--pattern", "x"]) == 1
     assert run(["brute", "--pattern", "/does/not/exist",

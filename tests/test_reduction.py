@@ -24,7 +24,7 @@ from gridppm.reduction import (ClauseTooWide, EmptyClause, ReductionError,
                                read_instance_summary, rebuild_instance,
                                reduce_formula, simulate_grid_preserving,
                                validate_instance, write_instance)
-from gridppm.reduction.builder import KINDS
+from gridppm.reduction.builder import KINDS, _Builder
 from gridppm.sat import CNFFormula
 from microassembly import slot_refs, tile_points
 
@@ -165,6 +165,34 @@ def test_short_path_reports_requirement():
     m2 = staircase(exc.value.required_d, INC, FIBP)
     inst = reduce_formula(f, mode="gadgets", matrix=m2)
     assert inst.d_used <= exc.value.required_d
+
+
+def test_d_tiles_the_cursor_has_passed_are_skipped(monkeypatch):
+    """On a path whose every cell is av:321, the D tiles a layer asks for
+    can lie behind the cursor; ``_take_d`` skips them.  Each build below
+    skips 4, over its planning pass and its geometry pass."""
+    skipped = []
+    take_d = _Builder._take_d
+
+    def counting_take_d(self, k):
+        start = self._dptr
+        out = take_d(self, k)
+        real = len(set(out) & set(self.path.d_tiles))
+        skipped.append(self._dptr - start - real)
+        return out
+
+    monkeypatch.setattr(_Builder, "_take_d", counting_take_d)
+    f = normalize_3cnf(3, [(1, -2, 3), (-2, 3, 1)])
+    d = av(Permutation((3, 2, 1)))
+    for k, mode, points in [(8, "juxtaposition", 1074),
+                            (40, "gadgets", 6570)]:
+        skipped.clear()
+        inst = reduce_formula(f, mode=mode, matrix=staircase(k, d, d))
+        assert (inst.sizes["text"], sum(skipped)) == (points, 4)
+        assert validate_instance(inst)["violations"] == []
+        embedding_from_assignment(inst, (True, False, True))
+    with pytest.raises(PathTooShort, match="provides 72 .* needs 74"):
+        reduce_formula(f, mode="gadgets", matrix=staircase(36, d, d))
 
 
 # --- structural invariants ----------------------------------------------------
