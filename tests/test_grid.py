@@ -174,30 +174,30 @@ def test_gridding_json_form():
 # -- path and cycle shapes ----------------------------------------------------
 
 
-def test_cell_walk_diagonal_is_disconnected():
+def test_cell_graph_diagonal_is_disconnected():
     # diagonal cells share no row or column, so they form isolated
     # vertices, not a path
     m = mat([EMPTY_E, INC], [INC, EMPTY_E])
     assert cell_walk(m) == ("Other", [])
 
 
-def test_cell_walk_two_cell_path():
+def test_cell_graph_two_cell_path():
     m = mat([INC, INC])
     assert cell_walk(m) == ("ProperTurningPath", [(1, 1), (2, 1)])
 
 
-def test_cell_walk_L_shape_path():
+def test_cell_graph_L_shape_path():
     m = mat([INC, EMPTY_E], [INC, DEC])
     assert cell_walk(m) == ("ProperTurningPath", [(1, 2), (1, 1), (2, 1)])
 
 
-def test_cell_walk_full_2x2_cycle():
+def test_cell_graph_full_2x2_cycle():
     m = mat([INC, DEC], [DEC, INC])
     assert cell_walk(m) == ("ProperTurningCycle",
                             [(1, 1), (1, 2), (2, 2), (2, 1)])
 
 
-def test_cell_walk_three_in_a_column():
+def test_cell_graph_skips_blocked_pairs():
     # the middle of three cells in one column has both its neighbours
     # there, so it cannot turn
     m = matrix_from_rows_top_down([[INC], [INC], [INC]])
