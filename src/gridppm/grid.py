@@ -163,10 +163,7 @@ def cell_walk(m: GriddingMatrix) -> Tuple[str, List[Cell]]:
             for c in cells}
     start = next((c for c in cells if len(nbrs[c]) < 2), cells[0])
     walk, prev = [start], None
-    while True:
-        nxt = [o for o in nbrs[walk[-1]] if o != prev and o != start]
-        if not nxt:
-            break
+    while nxt := [o for o in nbrs[walk[-1]] if o not in (prev, start)]:
         prev = walk[-1]
         walk.append(nxt[0])
     if len(walk) < len(cells):

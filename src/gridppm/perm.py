@@ -26,7 +26,7 @@ class Permutation:
         seen = bytearray(n + 1)
         for r in self.ranks:
             if not 0 < r <= n or seen[r]:
-                # name the first bad rank, not the whole sequence
+                # name the first bad rank: the sequence can be huge
                 at = self.ranks.index(r)
                 if 0 < r <= n:
                     at = self.ranks.index(r, at + 1)
