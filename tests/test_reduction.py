@@ -8,7 +8,7 @@ from collections import defaultdict
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gridppm.reduction
@@ -193,6 +193,52 @@ def test_d_tiles_the_cursor_has_passed_are_skipped(monkeypatch):
         embedding_from_assignment(inst, (True, False, True))
     with pytest.raises(PathTooShort, match="provides 72 .* needs 74"):
         reduce_formula(f, mode="gadgets", matrix=staircase(36, d, d))
+
+
+# every sigma of size 3 and 4, and the size-5 sigma that pass the
+# juxtaposition rule yet lie in juxtv:inc,inc
+_CAPABILITY_SIGMAS = [
+    "".join(map(str, s)) for n in (3, 4)
+    for s in itertools.permutations(range(1, n + 1))] + [
+    "14253", "31425", "31452", "34152", "41253", "41523"]
+
+
+@st.composite
+def _capability_paths(draw):
+    """A staircase(k, D, D), a staircase(k, inc, D), or the latter with
+    one diagonal cell also D."""
+    d = av(Permutation(tuple(map(int, draw(st.sampled_from(
+        _CAPABILITY_SIGMAS))))))
+    k = draw(st.integers(6, 14))
+    family = draw(st.sampled_from(["DD", "incD", "incD+1"]))
+    m = staircase(k, d if family == "DD" else INC, d)
+    if family == "incD+1":
+        i = draw(st.integers(1, k))
+        m = GriddingMatrix(m.cols, m.rows, {**m.filled, (i, i): d})
+    return m
+
+
+@settings(max_examples=25, deadline=None)
+@given(_capability_paths(),
+       st.sampled_from(["juxtaposition"] * 4 + ["gadgets"]))
+@example(staircase(7, av(Permutation((3, 1, 4, 2))),
+                   av(Permutation((3, 1, 4, 2)))), "juxtaposition")
+def test_capability_rule_holds_on_user_paths(m, mode):
+    """A D entry that ``_capability_check`` accepts holds every gadget
+    the builder places in it: ``reduce`` either refuses the path or
+    writes an instance that lies in its matrix and embeds.  Every bucket
+    pass builds in a tile whose outgoing coordinate is x, where the
+    fresh x lays the two parts out as ``juxth:inc,inc``."""
+    f = CNFFormula(3, ((3, 2, 1), (2, 1, 3)))
+    try:
+        inst = reduce_formula(f, mode=mode, matrix=m)
+    except ReductionError:
+        return
+    assert validate_instance(inst)["violations"] == []
+    assert {inst.path.out_coord[t] for kind, t in inst.layers
+            if kind == "bucket"} <= {"x"}
+    assert len(embedding_from_assignment(inst, (True,) * 3)) \
+        == inst.sizes["pattern"]
 
 
 # --- structural invariants ----------------------------------------------------
