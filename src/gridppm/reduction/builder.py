@@ -19,9 +19,11 @@ to designated channels.  Layers come in four shapes:
                   adjacent duos get flip (text) gadgets, every other
                   non-anchor channel gets a single-channel flip chain,
                   anchors get plain copies;
-* ``bucket``   -- one step into a D entry holding a monotone
-                  juxtaposition; every channel is copied with freshly
-                  assigned outgoing values, which reorders the channels.
+* ``bucket``   -- one step into the next D entry whose outgoing
+                  coordinate is x; every channel is copied with freshly
+                  assigned outgoing values, which reorders the channels
+                  and lays them out as ``BUCKET_ENTRY``.  A D entry on
+                  the way whose outgoing coordinate is y gets copies.
 
 Every layer runs one code path in both of the builder's modes: it decides
 the gadgets, the output channels with their tags, freezing,
@@ -160,11 +162,13 @@ def make_path_spec(matrix: GriddingMatrix) -> PathSpec:
     def shared_axis(a: Cell, b: Cell) -> str:
         return "row" if a[1] == b[1] else "col"
 
-    # Prefer the direction whose D entries mostly follow a shared row.  On
-    # the default cycle-derived matrices every D tile then has x as its
-    # outgoing coordinate, so every bucket pass takes the free split; a
-    # user path may still put a bucket pass on the carried split (as on
-    # ``staircase(12, inc, av:321)`` with cell (4, 4) also ``av:321``).
+    # Prefer the direction in which more D tiles are entered along a
+    # shared row: such a tile leaves along a column, so its outgoing
+    # coordinate is x and a bucket pass can build in it.  On the default
+    # cycle-derived matrices every D tile then has outgoing x; a user
+    # path may still hold D tiles with outgoing y, which bucket passes
+    # copy through (as tile 6 of ``staircase(13, inc, av:321)`` with
+    # cell (4, 4) also ``av:321``).
     def row_d(order):
         return sum(1 for t in range(1, len(order))
                    if not E.is_monotone(matrix.entry(*order[t]))
@@ -338,8 +342,8 @@ class _Builder:
         self.clause_layouts: List[Dict[str, int]] = []
         self._next_pid = {f: 0 for f in _FAMS}
         self._dptr = 0
-        self._d_needed = 0
-        self._virtual = False
+        self._d_needed = 0    # D tiles built in, virtual ones included
+        self._d_virtual = 0
         # occurrence metadata, fixed after the multiplication phase
         self.occ_lit: List[int] = []
         self.occ_key: List[int] = []
@@ -466,6 +470,9 @@ class _Builder:
     # -- D-entry supply ----------------------------------------------------
 
     def _take_d(self, k: int) -> List[int]:
+        """The next k D tiles past the cursor, each one a layer builds
+        in.  Past the path's last D tile, counting mode goes on with
+        virtual ones and geometry mode raises ``PathTooShort``."""
         out = []
         ds = self.path.d_tiles
         floor = self.cursor
@@ -478,8 +485,9 @@ class _Builder:
                 self._dptr += 1
             else:
                 if self.geometry:
-                    raise PathTooShort(self._d_needed + k, len(ds))
-                self._virtual = True
+                    raise PathTooShort(self._d_needed + k,
+                                       self._d_needed + len(out))
+                self._d_virtual += 1
                 period = ds[1] - ds[0] if len(ds) > 1 else 4
                 floor = max(floor, ds[-1] if ds else 0) + period
                 out.append(floor)
@@ -556,22 +564,30 @@ class _Builder:
             self.live[fam] = self._flip_chains(fam, d1, d2, chains)
         self.cursor = d2
 
-    def _bucket(self, new_order: Dict[str, List[int]]) -> None:
-        """Bucket pass: one step into the next D entry; every channel is
-        copied with fresh outgoing values assigned along ``new_order``
-        (positions into the current live list)."""
+    def _bucket(self, in_first) -> None:
+        """Bucket pass: one step into the next D entry whose outgoing
+        coordinate is x.  ``in_first(tag)`` assigns every live channel to
+        one of the two increasing parts of ``BUCKET_ENTRY``; each channel
+        is copied with a fresh x, the first part's below the second's and
+        each part in its incoming order.  A D entry on the way whose
+        outgoing coordinate is y keeps the x of the tile before, so it
+        gets plain copies."""
+        ds, oc = self.path.d_tiles, self.path.out_coord
+        while self._dptr < len(ds) and (ds[self._dptr] <= self.cursor
+                                        or oc[ds[self._dptr]] == "y"):
+            self._dptr += 1
         (d,) = self._take_d(1)
         self._advance_to(d - 1)
         for fam in _FAMS:
-            order = new_order[fam]
-            live = self.live[fam]
+            order = sorted(self.live[fam], key=lambda pid: not in_first(
+                self.tag[fam][pid]))
             step = self.bound / (2 * len(order) + 1)
             new = []
-            for k, pos in enumerate(order):
-                new += self._gadget("bucket", fam, d, (live[pos],),
-                                    args=(step, k))
+            for k, pid in enumerate(order):
+                new += self._gadget("bucket", fam, d, (pid,), args=(step, k))
             self.live[fam] = new
         self.cursor = d
+        self._refresh_occ_order()
 
     def _mark_layer(self, kind: str) -> None:
         self.layers.append((kind, self.cursor))
@@ -776,90 +792,18 @@ class _Builder:
                for i in range(m - 1)):
             self._mark_layer("sorted")
             return
-        # split type: ``BUCKET_ENTRY`` splits along x, which is "free" when
-        # x is the tile's outgoing (freshly assigned) coordinate and
-        # "carried" when it is the coordinate inherited from the previous
-        # tile
-        t0 = self.path.d_tiles[min(self._dptr, len(self.path.d_tiles) - 1)]
-        free = self.path.out_coord[t0] == "x"
-
-        bits = max(1, (m - 1).bit_length())
-        if free:
-            # radix sort on the target position, least significant bit
-            # first; the fresh coordinate realises any stable two-bucket
-            # partition
-            for bit in range(bits):
-                def in_first(tag, _bit=bit):
-                    if tag[0] == "anchor":
-                        return tag[1] == 0
-                    return not (key[tag[1]] >> _bit) & 1
-                self._pass(in_first)
-                self._mark_layer("bucket")
-        else:
-            # the carried coordinate only supports prefix/suffix splits:
-            # record the forward radix passes that sort the target order
-            # back into the current one, then execute their inverses in
-            # reverse (each = prefix split + interleave)
-            start_pos = {o: i for i, o in enumerate(self.occ_order)}
-            seq = sorted(self.occ_order, key=lambda o: key[o])
-            plans = []
-            for bit in range(bits):
-                zero = [o for o in seq if not (start_pos[o] >> bit) & 1]
-                one = [o for o in seq if (start_pos[o] >> bit) & 1]
-                plans.append((set(zero), list(seq)))
-                seq = zero + one
-            if seq != self.occ_order:
-                raise ReductionError("radix plan does not invert the order")
-            for zero_set, target_seq in reversed(plans):
-                rank = {o: r for r, o in enumerate(target_seq)}
-
-                def in_first(tag, _z=zero_set):
-                    if tag[0] == "anchor":
-                        return tag[1] == 0
-                    return tag[1] in _z
-
-                def target_rank(tag, _r=rank):
-                    if tag[0] == "anchor":
-                        return -1 if tag[1] == 0 else len(_r) + 1
-                    return _r[tag[1]]
-
-                self._pass(in_first, target_rank)
-                self._mark_layer("bucket")
-                if self.occ_order != target_seq:
-                    raise ReductionError("bucket pass missed its target")
+        # radix sort on the target position, least significant bit first;
+        # each pass builds in a D tile whose outgoing coordinate is x, and
+        # the fresh x realises any stable two-part partition
+        for bit in range(max(1, (m - 1).bit_length())):
+            def in_first(tag, _bit=bit):
+                if tag[0] == "anchor":
+                    return tag[1] == 0
+                return not (key[tag[1]] >> _bit) & 1
+            self._bucket(in_first)
+            self._mark_layer("bucket")
         if [key[o] for o in self.occ_order] != sorted(key):
             raise ReductionError("bucket passes left occurrences unsorted")
-
-    def _pass(self, in_first, target_rank=None) -> None:
-        """One juxtaposition bucket pass over every live channel.
-
-        ``in_first(tag)`` assigns channels to the two increasing parts of
-        ``BUCKET_ENTRY``; each part keeps its incoming order.  On a free
-        split the first part simply precedes the second.  A carried split
-        (``target_rank`` given) needs the first part to be a prefix of the
-        live order, and ``target_rank(tag)`` prescribes how the two parts
-        interleave in the outgoing order.
-        """
-        orders = {}
-        for fam in _FAMS:
-            live = self.live[fam]
-            part = [in_first(self.tag[fam][pid]) for pid in live]
-            first = [p for p in range(len(live)) if part[p]]
-            second = [p for p in range(len(live)) if not part[p]]
-            if target_rank is None:
-                orders[fam] = first + second
-                continue
-            if first != list(range(len(first))):
-                raise ReductionError(
-                    "carried split requires a prefix partition")
-            by_target = sorted(
-                range(len(live)),
-                key=lambda p: (target_rank(self.tag[fam][live[p]]), p))
-            it1, it2 = iter(first), iter(second)
-            orders[fam] = [next(it1) if part[p] else next(it2)
-                           for p in by_target]
-        self._bucket(orders)
-        self._refresh_occ_order()
 
     def build_phase_evaluation(self) -> None:
         m = len(self.occ_order)
@@ -1063,11 +1007,13 @@ def plan_layers(formula: CNFFormula, path: PathSpec, mode: str
 
     Returns the layer schedule, D usage and exact sizes.  Raises
     PathTooShort when the path does not provide enough D entries,
-    reporting how many the formula needs."""
+    reporting how many D tiles the layers build in and how many of them
+    the path supplies; a D tile the cursor has passed, and one a bucket
+    pass copies through, counts toward neither."""
     b = _Builder(formula, path, mode, geometry=False)
     b.build()
-    if b._virtual:
-        raise PathTooShort(b._d_needed, len(path.d_tiles))
+    if b._d_virtual:
+        raise PathTooShort(b._d_needed, b._d_needed - b._d_virtual)
     return b.plan()
 
 

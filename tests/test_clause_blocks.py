@@ -18,19 +18,19 @@ import pytest
 from gridppm.reduction import checks, reduce_formula
 from gridppm.reduction.builder import CHOOSE, FLIPTEXT
 
-from test_golden import CARRIED_FORMULA, carried_matrix
+from test_golden import USER_FORMULA, user_matrix
 from test_reduction import FORMULAS
 
 ROLES = ("ya", "zbar_b", "za", "yb", "zc", "ztilde_b", "yc")
 
 CASES = [(mode, f, None) for mode in ("gadgets", "juxtaposition")
-         for f in FORMULAS] + [("juxtaposition", CARRIED_FORMULA, "carried")]
+         for f in FORMULAS] + [("juxtaposition", USER_FORMULA, "user")]
 
 
 @functools.lru_cache(maxsize=None)
 def _instance(mode, f, matrix):
     return reduce_formula(f, mode=mode,
-                          matrix=carried_matrix() if matrix else None)
+                          matrix=user_matrix() if matrix else None)
 
 
 @pytest.mark.parametrize("mode,f,matrix", CASES)

@@ -3,10 +3,8 @@
 The sha256 of ``instance.json``, ``pattern.perm``, ``text.perm`` and
 ``provenance.json`` for every formula of ``test_reduction.FORMULAS``
 in both modes, and for one juxtaposition instance on a user staircase
-whose bucket passes take the carried split.  The default rich paths
-sort through the free split, so between them the pins cover both
-splits of the one bucket shape, ``juxth:inc,inc``.  A change to the
-coordinate arithmetic, the assembly order, the rich-path matrix or the
+whose sort meets a D tile with outgoing coordinate y, which its bucket
+passes copy through.  A change to the coordinate arithmetic, the assembly order, the rich-path matrix or the
 writer that alters a single byte fails here.
 
 The embedding ``embedding_from_assignment`` gives for every satisfying
@@ -128,11 +126,11 @@ def test_written_instance_bytes(mode, k, tmp_path):
     check_stored(inst, str(tmp_path))
 
 
-# a user staircase whose first bucket pass lands on a tile that shares
-# its row with the next one, so the split runs along the coordinate
-# carried from the previous tile; the default rich paths never do this
-CARRIED_FORMULA = CNFFormula(3, ((3, -1, 2), (2, 1, -3)))
-CARRIED_GOLDEN = {
+# a user staircase whose first D tile past the cursor when the sort
+# starts shares its row with the next tile, so its outgoing coordinate
+# is y; the default rich paths never do this
+USER_FORMULA = CNFFormula(3, ((3, -1, 2), (2, 1, -3)))
+USER_GOLDEN = {
     "instance.json":
         "1b94f6dcee636edcf57a5abdd3c8a8545d11471870d21242b71c5a5ea236b51d",
     "pattern.perm":
@@ -144,26 +142,32 @@ CARRIED_GOLDEN = {
 }
 
 
-def carried_matrix():
-    """``staircase(12, inc, av:321)`` with cell (4, 4) also ``av:321``."""
-    m = staircase(12, INC, av(perm(3, 2, 1)))
+def user_matrix():
+    """``staircase(13, inc, av:321)`` with cell (4, 4) also ``av:321``."""
+    m = staircase(13, INC, av(perm(3, 2, 1)))
     return GriddingMatrix(m.cols, m.rows,
                           {**m.filled, (4, 4): av(perm(3, 2, 1))})
 
 
-def test_carried_split_bytes(tmp_path):
-    """``reduce`` sorts through the carried split on a user path; its
-    written files, validity and embedding are pinned."""
-    inst = reduce_formula(CARRIED_FORMULA, mode="juxtaposition",
-                          matrix=carried_matrix())
-    first = next(t for kind, t in inst.layers if kind == "bucket")
-    assert inst.path.out_coord[first] == "y"
+def test_user_path_bytes(tmp_path):
+    """On a user path, the bucket passes copy through the D tile whose
+    outgoing coordinate is y and build in the next ones; the written
+    files, validity and embedding are pinned."""
+    inst = reduce_formula(USER_FORMULA, mode="juxtaposition",
+                          matrix=user_matrix())
+    kinds = [kind for kind, _ in inst.layers]
+    start = inst.layers[kinds.index("bucket") - 1][1]
+    y_tile = next(t for t in inst.path.d_tiles if t > start)
+    assert (y_tile, inst.path.out_coord[y_tile]) == (6, "y")
+    buckets = [t for kind, t in inst.layers if kind == "bucket"]
+    assert buckets == [7, 9, 11]
+    assert {inst.path.out_coord[t] for t in buckets} == {"x"}
     assert validate_instance(inst)["violations"] == []
-    assert len(embedding_from_assignment(inst, (True,) * 3)) == 1600
+    assert len(embedding_from_assignment(inst, (True,) * 3)) == 1744
     write_instance(inst, str(tmp_path))
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-           for name in CARRIED_GOLDEN}
-    assert got == CARRIED_GOLDEN
+           for name in USER_GOLDEN}
+    assert got == USER_GOLDEN
     check_stored(rebuild_instance(read_instance_summary(str(tmp_path))),
                  str(tmp_path))
 

@@ -184,15 +184,45 @@ def test_d_tiles_the_cursor_has_passed_are_skipped(monkeypatch):
     monkeypatch.setattr(_Builder, "_take_d", counting_take_d)
     f = normalize_3cnf(3, [(1, -2, 3), (-2, 3, 1)])
     d = av(Permutation((3, 2, 1)))
-    for k, mode, points in [(8, "juxtaposition", 1074),
+    for k, mode, points in [(9, "juxtaposition", 1242),
                             (40, "gadgets", 6570)]:
         skipped.clear()
         inst = reduce_formula(f, mode=mode, matrix=staircase(k, d, d))
         assert (inst.sizes["text"], sum(skipped)) == (points, 4)
         assert validate_instance(inst)["violations"] == []
         embedding_from_assignment(inst, (True, False, True))
-    with pytest.raises(PathTooShort, match="provides 72 .* needs 74"):
+    with pytest.raises(PathTooShort, match="provides 70 .* needs 74"):
         reduce_formula(f, mode="gadgets", matrix=staircase(36, d, d))
+
+
+@pytest.mark.parametrize("mode", ["gadgets", "juxtaposition"])
+def test_path_too_short_supplies_fewer_than_it_needs(mode):
+    """``PathTooShort`` counts only the D tiles a layer builds in; a D
+    tile the cursor has passed, or one a bucket pass copies through,
+    counts toward neither side.  So a short path always supplies fewer
+    than the construction needs, in the planning pass and in a geometry
+    pass run on its own."""
+    raised = 0
+    for sigma, clauses in (((3, 1, 4, 2), [(3, 2, 1), (2, 1, 3)]),
+                           ((3, 2, 1), [(1, -2, 3), (-2, 3, 1)])):
+        d = av(Permutation(sigma))
+        f = normalize_3cnf(3, clauses)
+        for k in range(1, 41):
+            path = make_path_spec(staircase(k, d, d))
+            try:
+                plan = plan_layers(f, path, mode)
+            except PathTooShort as exc:
+                raised += 1
+                assert exc.available_d < exc.required_d, (sigma, k)
+                with pytest.raises(PathTooShort) as geo:
+                    _Builder(f, path, mode, geometry=True).build()
+                assert geo.value.available_d < geo.value.required_d
+            else:
+                assert plan.d_used <= len(path.d_tiles)
+    assert raised >= 6
+    with pytest.raises(PathTooShort) as exc:
+        plan_layers(f, make_path_spec(staircase(5, INC, DEC)), mode)
+    assert exc.value.available_d == 0
 
 
 # every sigma of size 3 and 4, and the size-5 sigma that pass the
