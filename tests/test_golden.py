@@ -132,13 +132,13 @@ def test_written_instance_bytes(mode, k, tmp_path):
 USER_FORMULA = CNFFormula(3, ((3, -1, 2), (2, 1, -3)))
 USER_GOLDEN = {
     "instance.json":
-        "1b94f6dcee636edcf57a5abdd3c8a8545d11471870d21242b71c5a5ea236b51d",
+        "50d84f74e8bf19a367945305c4b45b16af536ce4e672153e30ca0579eeaaa036",
     "pattern.perm":
-        "65d19b2eeee85a96f39e04c7b94cd2f4c3d39a74f6c1fb08afd5a1486b183e30",
+        "7b3618cd4b95038f810636fd6511c6bfd4669c1a7c8766c20befed8550f8429a",
     "text.perm":
-        "cb1dde7a9b7736e94be07ebb90015a0a0feb8dcb3e4768a5741f208b8ebe9580",
+        "00807c244af51fbbd2fb507565a4f3787391dacfb7abb5746d59d75b2e480543",
     "provenance.json":
-        "4d34f2e55fb4928b192f32dc05252483ded4805245c7d0fa100925a0fdc53fa0",
+        "af79e73c403ca4688b6abd43eb1c0db72bb78e0924881ccf7071344b78e907e0",
 }
 
 
