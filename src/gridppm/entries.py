@@ -29,6 +29,10 @@ class ClassEntry:
             raise ValueError(f"unknown entry kind {self.kind!r}")
         if self.kind == "av" and self.sigma is None:
             raise ValueError("av entry needs a pattern")
+        if self.kind == "av" and len(self.sigma) < 2:
+            # Av(1) holds only the empty permutation, Av() holds nothing
+            raise ValueError(f"{format_entry(self)} holds no point: an av "
+                             "pattern needs at least 2 points")
         if self.kind in ("juxth", "juxtv"):
             if self.d1 not in ("inc", "dec") or self.d2 not in ("inc", "dec"):
                 raise ValueError("juxtaposition parts must be inc or dec")

@@ -222,6 +222,15 @@ def test_staircase_without_steps_exits_one(length, capsys):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("entry", ["av:1", "av:"])
+def test_staircase_rejects_an_av_entry_of_no_point(entry, capsys):
+    assert run(["staircase", "--length", "2", "inc", entry]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"gridppm: {entry} holds no point: an av "
+                            "pattern needs at least 2 points\n")
+
+
 def test_staircase_rejects_extra_entries(capsys):
     assert run(["staircase", "--length", "2", "inc", "av:321",
                 "dec", "fib+"]) == 1

@@ -120,6 +120,18 @@ def test_entry_string_roundtrip():
         assert E.format_entry(E.parse_entry(s)) == s
 
 
+@pytest.mark.parametrize("text,ranks", [("av:1", (1,)), ("av:", ())])
+def test_av_entry_needs_two_points(text, ranks):
+    """Av(1) holds only the empty permutation and Av() holds none, so
+    neither is a cell class; the constructor and the parser refuse both,
+    naming the entry."""
+    with pytest.raises(ValueError, match=f"^{text} holds no point"):
+        E.av(Permutation(ranks))
+    with pytest.raises(ValueError, match=f"^{text} holds no point"):
+        E.parse_entry(text)
+    assert E.parse_entry("av:21") == E.av(perm(2, 1))
+
+
 # -- matrix construction and JSON ----------------------------------------------
 
 
