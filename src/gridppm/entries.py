@@ -129,7 +129,8 @@ def _longest_increasing(vals: Tuple[int, ...]) -> int:
     return len(piles)
 
 
-def entry_contains(e: ClassEntry, p: Permutation) -> bool:
+def _contains_linear(e: ClassEntry, p: Permutation) -> bool:
+    """Membership in every kind but av, in linear time."""
     n = len(p)
     if e.kind == "empty":
         return n == 0
@@ -139,14 +140,6 @@ def entry_contains(e: ClassEntry, p: Permutation) -> bool:
         return is_fibonacci(p)
     if e.kind == "fib-":
         return is_fibonacci(apply_symmetry(p, SymmetryOp("r")))
-    if e.kind == "av":
-        # monotone patterns reduce to a longest-run computation
-        if is_monotone_run(e.sigma.ranks, "inc"):
-            return _longest_increasing(p.ranks) < len(e.sigma)
-        if is_monotone_run(e.sigma.ranks, "dec"):
-            rev = tuple(reversed(p.ranks))
-            return _longest_increasing(rev) < len(e.sigma)
-        return avoids(p, e.sigma)
     # juxth: a column cut, prefix in d1 and suffix in d2.  A cut fits
     # exactly when the longest d1 prefix and the longest d2 suffix cover
     # p.  juxtv, a row cut by value with d1 the bottom part, is juxth of
@@ -156,6 +149,29 @@ def entry_contains(e: ClassEntry, p: Permutation) -> bool:
     back = "dec" if e.d2 == "inc" else "inc"
     return _monotone_prefix(ranks, e.d1) \
         + _monotone_prefix(ranks[::-1], back) >= n
+
+
+# the classes of the vocabulary whose membership test is linear
+_LINEAR_CLASSES = (INC, DEC, FIBP, FIBM) + tuple(
+    ClassEntry(kind, d1=d1, d2=d2) for kind in ("juxth", "juxtv")
+    for d1 in ("inc", "dec") for d2 in ("inc", "dec"))
+
+
+def entry_contains(e: ClassEntry, p: Permutation) -> bool:
+    if e.kind != "av":
+        return _contains_linear(e, p)
+    # monotone patterns reduce to a longest-run computation
+    if is_monotone_run(e.sigma.ranks, "inc"):
+        return _longest_increasing(p.ranks) < len(e.sigma)
+    if is_monotone_run(e.sigma.ranks, "dec"):
+        rev = tuple(reversed(p.ranks))
+        return _longest_increasing(rev) < len(e.sigma)
+    # a class is closed under patterns, so p avoids sigma when it lies in
+    # a class that sigma lies outside; only then comes the brute force
+    if any(_contains_linear(w, p) for w in _LINEAR_CLASSES
+           if not _contains_linear(w, e.sigma)):
+        return True
+    return avoids(p, e.sigma)
 
 
 def parse_entry(s: str) -> ClassEntry:

@@ -22,7 +22,7 @@ from gridppm.grid import (BoxOverflow, DimensionMismatch, Gridding,
                           matrix_from_rows_top_down, matrix_to_obj,
                           parse_matrix_json, refine, sample_member, staircase,
                           sum_closing_orientation)
-from gridppm.perm import Permutation, perm
+from gridppm.perm import Permutation, SymmetryOp, apply_symmetry, perm
 from gridppm.reduction import rich_path_matrix
 from microassembly import direct_sum, inflate, make_tile, pt, skew_sum
 
@@ -63,6 +63,50 @@ def test_av_monotone_fast_path_matches_backtracking():
         assert E.entry_contains(av(P321), p) == avoids(p, P321)
         assert E.entry_contains(av(perm(1, 2, 3)), p) == \
             avoids(p, perm(1, 2, 3))
+
+
+@st.composite
+def _linear_class_members(draw):
+    """A member of up to 10 points of inc, dec, fib+, fib- or a
+    juxtaposition: each part of a juxth member is its values in d order,
+    and a juxtv member is the inverse of a juxth one."""
+    kind = draw(st.sampled_from(["inc", "dec", "fib+", "fib-", "juxth",
+                                 "juxtv"]))
+    if kind in ("fib+", "fib-"):
+        ranks = []
+        for size in draw(st.lists(st.sampled_from([1, 2]), max_size=6)):
+            ranks += [len(ranks) + 2, len(ranks) + 1][2 - size:]
+        p = Permutation(tuple(ranks))
+        return kind, p if kind == "fib+" else apply_symmetry(
+            p, SymmetryOp("r"))
+    n = draw(st.integers(0, 10))
+    if kind in ("inc", "dec"):
+        ranks = range(1, n + 1)
+        return kind, Permutation(tuple(ranks if kind == "inc"
+                                       else reversed(ranks)))
+    d1, d2 = draw(st.sampled_from(["inc", "dec"])), \
+        draw(st.sampled_from(["inc", "dec"]))
+    left = draw(st.sets(st.integers(1, n))) if n else set()
+    ranks = tuple(sorted(left, reverse=d1 == "dec")) + tuple(sorted(
+        set(range(1, n + 1)) - left, reverse=d2 == "dec"))
+    p = Permutation(ranks)
+    e = E.ClassEntry(kind, d1=d1, d2=d2)
+    return E.format_entry(e), p if kind == "juxth" else apply_symmetry(
+        p, SymmetryOp("i"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_linear_class_members(), st.integers(2, 5).flatmap(
+    lambda k: st.permutations(range(1, k + 1))))
+def test_av_class_shortcut_matches_backtracking(member, sigma):
+    """Av(sigma) membership first asks whether p lies in a linear class
+    that sigma lies outside; on members of every such class it agrees
+    with the brute-force search."""
+    from gridppm.perm import avoids
+    name, p = member
+    sigma = Permutation(tuple(sigma))
+    assert E.entry_contains(E.parse_entry(name), p)
+    assert E.entry_contains(av(sigma), p) == avoids(p, sigma)
 
 
 def _juxt_by_splits(e, p):
