@@ -3,8 +3,8 @@
 Each input runs in-process through ``cli.run``: DIMACS through ``sat``
 and ``reduce``, ``.perm`` text through ``brute``, matrix JSON through
 ``gridcheck``, cycle matrices through ``richpath``, entry strings
-through ``staircase`` and a tampered ``instance.json`` through
-``verify``.
+through ``staircase``, staircases through ``reduce --matrix`` and on
+to ``verify``, and a tampered ``instance.json`` through ``verify``.
 Every run must return 0, 1 or 2 and raise nothing.  The inputs stay
 small, at most 12 variables (4 for ``reduce``) and at most 8 points,
 and the written instance comes from a one-clause formula, so the
@@ -194,6 +194,49 @@ def test_richpath_builds_a_path_or_exits_one(matrix, length):
 def test_staircase_builds_a_path_or_exits_one(entries, length):
     _assert_path_or_one_line(*_run_reporting(
         ["staircase", "--length", str(length)] + entries))
+
+
+@st.composite
+def d_staircases(draw):
+    """The entries and length of a staircase whose D cells hold a D
+    entry, and whose C cells hold the same one, a monotone entry or
+    another D entry."""
+    d = draw(D_ENTRY)
+    c = draw(st.sampled_from([d, "inc", "dec"]) | D_ENTRY)
+    return c, d, draw(st.integers(6, 12))
+
+
+@settings(max_examples=30, deadline=None)
+@given(d_staircases())
+# reduce wrote a text outside its matrix, and verify exited 2
+@example(("av:3142", "av:3142", 7))
+@example(("av:3142", "av:3142", 8))
+def test_reduce_on_a_staircase_writes_what_verify_accepts(staircase):
+    """reduce on a staircase of D entries, in juxtaposition mode: either
+    it exits 1 with one line, or verify accepts what it wrote."""
+    c, d, length = staircase
+    code, _, rep = _run_reporting(
+        ["staircase", "--length", str(length), c, d])
+    if code:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        matrix, cnf = os.path.join(tmp, "m.json"), os.path.join(tmp, "f.cnf")
+        out = os.path.join(tmp, "inst")
+        with open(matrix, "w", encoding="utf-8") as fh:
+            json.dump(rep["matrix"], fh)
+        with open(cnf, "w", encoding="utf-8") as fh:
+            fh.write("p cnf 3 2\n3 2 1 0\n2 1 3 0\n")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = run(["reduce", "--cnf", cnf, "--mode", "juxtaposition",
+                        "--matrix", matrix, "--out", out])
+        assert code in (0, 1)
+        if code:
+            assert err.getvalue().count("\n") == 1
+            return
+        code, err, rep = _run_reporting(["verify", out])
+    assert (code, err) == (0, ""), rep
 
 
 @pytest.fixture(scope="module")
