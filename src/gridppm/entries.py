@@ -167,7 +167,7 @@ def entry_contains(e: ClassEntry, p: Permutation) -> bool:
         rev = tuple(reversed(p.ranks))
         return _longest_increasing(rev) < len(e.sigma)
     # a class is closed under patterns, so p avoids sigma when it lies in
-    # a class that sigma lies outside; only then comes the brute force
+    # a class that sigma lies outside; otherwise the brute force decides
     if any(_contains_linear(w, p) for w in _LINEAR_CLASSES
            if not _contains_linear(w, e.sigma)):
         return True

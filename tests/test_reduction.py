@@ -220,8 +220,9 @@ def test_path_too_short_supplies_fewer_than_it_needs(mode):
             else:
                 assert plan.d_used <= len(path.d_tiles)
     assert raised >= 6
+    no_d = make_path_spec(staircase(5, INC, DEC))
     with pytest.raises(PathTooShort) as exc:
-        plan_layers(f, make_path_spec(staircase(5, INC, DEC)), mode)
+        plan_layers(normalize_3cnf(1, [(1,)]), no_d, mode)
     assert exc.value.available_d == 0
 
 
