@@ -408,14 +408,13 @@ def staircase(k: int, c: ClassEntry, d: ClassEntry) -> GriddingMatrix:
                                      if not E.is_empty(e)})
 
 
-def build_rich_path(m: GriddingMatrix, length: int
-                    ) -> Tuple[GriddingMatrix, List[Cell], List[Cell]]:
+def build_rich_path(m: GriddingMatrix, length: int) -> GriddingMatrix:
     """Turn a proper-turning-cycle matrix with a single non-monotone
     entry D into a matrix whose cell graph is one long proper-turning
-    path containing a constant fraction of D entries.
-
-    Returns (matrix, path vertices in order, cells holding D).
-    """
+    path holding ``length`` D cells (``2 * length`` when the cycle must
+    first be refined by 2 to orient).  ``cell_walk`` gives its order."""
+    if length < 1:
+        raise ValueError(f"rich path length must be at least 1, got {length}")
     if cell_walk(m)[0] != "ProperTurningCycle":
         raise NoCycle("cell graph is not a single proper-turning cycle")
     ds = [e for e in m.filled.values() if not E.is_monotone(e)]
@@ -461,11 +460,9 @@ def build_rich_path(m: GriddingMatrix, length: int
         filled[col_of_label[s], row_of_label[s + 1]] = shift_entry
 
     out = GriddingMatrix(refined.cols, refined.rows, filled)
-    shape, order = cell_walk(out)
-    if shape != "ProperTurningPath":
+    if cell_walk(out)[0] != "ProperTurningPath":
         raise ConstructionError("rich path matrix is not a proper-turning path")
-    d_positions = [cc for cc in order if not E.is_monotone(filled[cc])]
-    return out, order, d_positions
+    return out
 
 
 # --- tiles and F-assembly ---------------------------------------------------

@@ -325,6 +325,8 @@ def solve_cppm(pattern: Permutation, text: Permutation, m: GriddingMatrix,
     the pattern.  Completeness: any embedding pulls the text's gridding
     back to a gridding of the pattern, which this loop reaches.
     Raises InvalidGridding, before any search, when m is not monotone.
+    ``stats`` gets the text's gridding, the pattern griddings tried, the
+    clauses encoded and, on a find, the pattern's gridding.
     """
     from .grid import find_gridding
     _require_monotone(m)
@@ -332,20 +334,16 @@ def solve_cppm(pattern: Permutation, text: Permutation, m: GriddingMatrix,
     if g_text is None:
         raise NoTextGridding("text admits no gridding (broken promise)")
     sigma = extract_partition(text, g_text, m)
-    if stats is not None:
-        stats["gridding_text"] = g_text
-    tried, emb = 0, None
+    stats = {} if stats is None else stats
+    stats.update(gridding_text=g_text, griddings_tried=0, clauses=0)
+    emb = None
     for g_pat in all_griddings(pattern, m):
-        tried += 1
+        stats["griddings_tried"] += 1
         pi = extract_partition(pattern, g_pat, m)
-        sub = {} if stats is not None else None
+        sub = {}
         emb = psi_embedding(pattern, pi, text, sigma, stats=sub)
-        if stats is not None:
-            stats["clauses"] = stats.get("clauses", 0) + sub.get("clauses", 0)
-            if emb is not None:
-                stats["gridding_pattern"] = g_pat
+        stats["clauses"] += sub.get("clauses", 0)
         if emb is not None:
+            stats["gridding_pattern"] = g_pat
             break
-    if stats is not None:
-        stats["griddings_tried"] = tried
     return emb

@@ -55,9 +55,7 @@ class Permutation:
 
 
 def perm(*ranks: int) -> Permutation:
-    if len(ranks) == 1 and isinstance(ranks[0], (list, tuple)):
-        ranks = tuple(ranks[0])
-    return Permutation(tuple(ranks))
+    return Permutation(ranks)
 
 
 EMPTY = Permutation(())

@@ -72,7 +72,7 @@ __all__ = [
     "normalize_3cnf", "PathSpec", "make_path_spec",
     "Trace", "KINDS", "LayerPlan", "ReductionInstance", "plan_layers",
     "default_path", "reduce_formula",
-    "default_matrix", "rich_path_matrix",
+    "default_matrix",
 ]
 
 # the monotone juxtaposition every bucket pass sorts through: two
@@ -488,8 +488,9 @@ class _Builder:
                     raise PathTooShort(self._d_needed + k,
                                        self._d_needed + len(out))
                 self._d_virtual += 1
-                period = ds[1] - ds[0] if len(ds) > 1 else 4
-                floor = max(floor, ds[-1] if ds else 0) + period
+                # plan_layers refuses a plan with a virtual tile, so no
+                # output reads where it sits; it need only lie past floor
+                floor = max(floor, ds[-1] if ds else 0) + 1
                 out.append(floor)
         self._d_needed += k
         return out
@@ -959,11 +960,6 @@ def default_matrix(mode: str) -> GriddingMatrix:
     return matrix_from_rows_top_down([[E.DEC, E.INC], [d, E.DEC]])
 
 
-def rich_path_matrix(mode: str, length: int) -> GriddingMatrix:
-    m, _, _ = build_rich_path(default_matrix(mode), length)
-    return m
-
-
 def _reduction_want(entry: E.ClassEntry) -> int:
     """The sign ``make_path_spec`` asks of a cell: -1 for dec, else +1.
     A D cell takes +1 because the gadgets are sums of 1s and 21s (fib+),
@@ -1024,7 +1020,7 @@ def default_path(formula: CNFFormula, mode: str
     to twice its length or to two more than the D entries it needs."""
     length = 8
     for _ in range(12):
-        path = make_path_spec(rich_path_matrix(mode, length))
+        path = make_path_spec(build_rich_path(default_matrix(mode), length))
         try:
             return path, plan_layers(formula, path, mode)
         except PathTooShort as exc:

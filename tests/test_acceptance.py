@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from gridppm.entries import DEC, INC, av
+from gridppm.entries import DEC, INC, av, is_monotone
 from gridppm.grid import (build_rich_path, cell_walk, find_gridding,
                           sample_member, staircase)
 from gridppm.matcher import psi_embedding, solve_cppm
@@ -326,8 +326,10 @@ def test_rich_two_by_two_non_members(basis, sigma):
 @pytest.mark.parametrize("length", [4, 8, 16])
 def test_rich_path_builder_output(length):
     base = default_matrix("juxtaposition")
-    out, order, d_positions = build_rich_path(base, length)
-    assert cell_walk(out)[0] == "ProperTurningPath"
+    out = build_rich_path(base, length)
+    shape, order = cell_walk(out)
+    assert shape == "ProperTurningPath"
+    d_positions = [cc for cc in order if not is_monotone(out.filled[cc])]
     assert len(d_positions) >= length / 5
     rng = random.Random(7000 + length)
     cells = out.nonempty_cells()

@@ -1,12 +1,16 @@
 """The command-line surface: exit codes, report shapes, determinism."""
 
+import ast
 import json
+import pathlib
 import random
 import re
 
 import pytest
 
+from gridppm import cli
 from gridppm.cli import run
+from gridppm.entries import is_monotone
 from gridppm.grid import find_gridding, matrix_from_obj, sample_member
 
 
@@ -92,9 +96,12 @@ def test_gridcheck_non_member(files, capsys):
     assert r["found"] is False and r["gridding"] is None
 
 
+# the 2x2 cycle that richpath refines, with one fib+ entry
+FIB_CYCLE = '{"cols":2,"rows":2,"entries":[["dec","inc"],["fib+","dec"]]}'
+
+
 def test_richpath(files, capsys):
-    m = files("m.json",
-              '{"cols":2,"rows":2,"entries":[["dec","inc"],["fib+","dec"]]}')
+    m = files("m.json", FIB_CYCLE)
     assert run(["richpath", "--matrix", m, "--length", "6"]) == 0
     r = report(capsys)
     assert r["shape"] == "ProperTurningPath"
@@ -131,6 +138,16 @@ def test_richpath_with_a_sum_and_skew_closed_d_entry(d, files, tmp_path,
     assert r["report"]["violations"] == [] and r["simulate"] is True
     assert run(["embed", inst]) == 0
     assert report(capsys)["satisfiable"] is True
+
+
+@pytest.mark.parametrize("length", [0, -3])
+def test_richpath_length_below_one_exits_one(length, files, capsys):
+    m = files("m.json", FIB_CYCLE)
+    assert run(["richpath", "--matrix", m, "--length", str(length)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("gridppm: rich path length must be at least 1, "
+                            f"got {length}\n")
 
 
 def test_staircase(files, capsys):
@@ -487,16 +504,58 @@ def test_out_flag_writes_file(files, tmp_path, capsys):
     assert json.loads(dest.read_text())["found"] is True
 
 
-def test_reports_deterministic_modulo_stats(files, capsys):
+def test_reports_deterministic_modulo_stats(files, tmp_path, capsys):
+    """Every subcommand's report names the command and carries its wall
+    time under stats.time_ms; two runs agree once that time is dropped.
+    reduce, verify and embed share one instance directory."""
     m = files("m.json",
               '{"cols":2,"rows":1,"entries":[["inc","dec"]]}')
+    cycle = files("c.json", FIB_CYCLE)
     p = files("p.perm", "1 2\n")
     t = files("t.perm", "1 2 4 3\n")
-    runs = []
-    for _ in range(2):
-        assert run(["match", "--matrix", m, "--pattern", p,
-                    "--text", t]) == 0
-        r = report(capsys)
-        r["stats"].pop("time_ms")
-        runs.append(r)
-    assert runs[0] == runs[1]
+    f = files("f.cnf", "p cnf 2 2\n1 2 0\n-1 2 0\n")
+    inst = str(tmp_path / "inst")
+    argvs = [["brute", "--pattern", p, "--text", t],
+             ["match", "--matrix", m, "--pattern", p, "--text", t],
+             ["gridcheck", "--matrix", m, "--perm", t],
+             ["richpath", "--matrix", cycle, "--length", "3"],
+             ["staircase", "--length", "3"],
+             ["reduce", "--cnf", f, "--mode", "juxtaposition", "--out", inst],
+             ["verify", inst], ["embed", inst], ["sat", "--cnf", f]]
+    reports = {}
+    for argv in argvs:
+        runs = []
+        for _ in range(2):
+            assert run(argv) == 0
+            r = report(capsys)
+            assert r["command"] == argv[0]
+            elapsed = r["stats"].pop("time_ms")
+            assert isinstance(elapsed, (int, float)) and elapsed >= 0
+            runs.append(r)
+        assert runs[0] == runs[1], argv[0]
+        reports[argv[0]] = r
+    # richpath's D cells are the non-monotone cells of its order, in order
+    r = reports["richpath"]
+    out = matrix_from_obj(r["matrix"])
+    assert r["d_positions"] == [c for c in r["order"]
+                                if not is_monotone(out.filled[tuple(c)])]
+    assert len(r["d_positions"]) == 3
+
+
+def test_only_run_reads_the_clock_or_names_the_command():
+    """In cli.py only ``run`` uses the ``time`` module, and no ``_cmd_*``
+    function writes a "command" key: each report is named and timed in
+    one place."""
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text())
+    clocks, named = set(), []
+    for stmt in tree.body:
+        where = getattr(stmt, "name", "<module>")
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Attribute) and \
+                    getattr(node.value, "id", None) == "time":
+                clocks.add(where)
+            if where.startswith("_cmd_") and isinstance(node, ast.Constant) \
+                    and node.value == "command":
+                named.append(where)
+    assert clocks == {"run"}
+    assert named == []

@@ -176,7 +176,7 @@ def cycle_matrices(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(cycle_matrices(), st.integers(1, 4))
+@given(cycle_matrices(), st.integers(-1, 4))
 @example('{"cols": 2, "rows": 2, "entries": [["inc", "dec"], '
          '["av:2413", "inc"]]}', 2)   # refine and the orientation disagreed
 def test_richpath_builds_a_path_or_exits_one(matrix, length):

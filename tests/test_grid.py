@@ -23,7 +23,7 @@ from gridppm.grid import (BoxOverflow, DimensionMismatch, Gridding,
                           parse_matrix_json, refine, sample_member, staircase,
                           sum_closing_orientation)
 from gridppm.perm import Permutation, SymmetryOp, apply_symmetry, perm
-from gridppm.reduction import rich_path_matrix
+from gridppm.reduction import default_matrix
 from microassembly import direct_sum, inflate, make_tile, pt, skew_sum
 
 P321 = perm(3, 2, 1)
@@ -283,7 +283,7 @@ def _shape_corpus():
         yield GriddingMatrix(k, l, dict.fromkeys(cells, INC))
     for mode in ("juxtaposition", "gadgets"):
         for length in range(1, 30):
-            yield rich_path_matrix(mode, length)
+            yield build_rich_path(default_matrix(mode), length)
 
 
 def test_shapes_and_path_orders_are_pinned():
@@ -488,16 +488,18 @@ def test_rich_path_requires_cycle_and_single_d():
 
 
 def test_rich_path_degenerate_length_one():
-    out, order, dpos = build_rich_path(CYCLE_D, 1)
-    assert cell_walk(out)[0] == "ProperTurningPath"
+    shape, order = cell_walk(build_rich_path(CYCLE_D, 1))
+    assert shape == "ProperTurningPath"
     assert len(order) >= 3
 
 
 @pytest.mark.parametrize("L", [2, 4, 8])
 def test_rich_path_structure(L):
-    out, order, dpos = build_rich_path(CYCLE_D, L)
-    assert cell_walk(out) == ("ProperTurningPath", order)
+    out = build_rich_path(CYCLE_D, L)
+    shape, order = cell_walk(out)
+    assert shape == "ProperTurningPath"
     assert len(order) >= L
+    dpos = [cc for cc in order if not E.is_monotone(out.entry(*cc))]
     # one D entry per cycle copy
     cycle_len = len(CYCLE_D.nonempty_cells())
     assert len(dpos) >= len(order) // (cycle_len + 1)
@@ -508,7 +510,7 @@ def test_rich_path_structure(L):
 @pytest.mark.parametrize("L", [2, 4])
 def test_rich_path_members_stay_in_input_class(L):
     rng = random.Random(L)
-    out, _, _ = build_rich_path(CYCLE_D, L)
+    out = build_rich_path(CYCLE_D, L)
     cells = out.nonempty_cells()
     for _ in range(10):
         chosen = rng.sample(cells, min(6, len(cells)))

@@ -127,8 +127,7 @@ def test_unusable_d_entry_is_rejected():
 
 def _cycle_path(d):
     """The 2x2 cycle with D entry ``d``, refined into a rich path."""
-    m, _, _ = build_rich_path(mat([DEC, INC], [d, DEC]), 60)
-    return m
+    return build_rich_path(mat([DEC, INC], [d, DEC]), 60)
 
 
 # av:sigma classes that are sum- or skew-closed, so they refine into a
