@@ -72,11 +72,14 @@ def _gridding_payload(g):
 
 def _emit(report, out_path):
     text = json.dumps(report, indent=1, sort_keys=True) + "\n"
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {out_path}: {exc.strerror}")
 
 
 def _cmd_brute(args):
@@ -149,7 +152,11 @@ def _cmd_reduce(args):
             raise
         raise _UsageError(f"{args.matrix}: {exc}")
     if args.out:
-        write_instance(inst, args.out)
+        try:
+            write_instance(inst, args.out)
+        except OSError as exc:   # a failed write names no file
+            raise _UsageError(f"cannot write {exc.filename or args.out}: "
+                              f"{exc.strerror}")
     return {"mode": inst.mode, "sizes": dict(inst.sizes),
             "layers": len(inst.layers), "d_used": inst.d_used,
             "out": args.out}
@@ -255,17 +262,17 @@ def run(argv):
         args = parser.parse_args(argv)
         t0 = time.perf_counter()
         result = args.cmd(args)
+        report, code = result if isinstance(result, tuple) else (result, 0)
+        report["command"] = args.command
+        report.setdefault("stats", {})["time_ms"] = \
+            (time.perf_counter() - t0) * 1000.0
+        _emit(report, args.out if args.command != "reduce" else None)
     except (_UsageError, OSError) as exc:
         sys.stderr.write(f"gridppm: {exc}\n")
         return 1
     except (ReductionError, NoTextGridding) as exc:
         sys.stderr.write(f"gridppm: validation failure: {exc}\n")
         return 2
-    report, code = result if isinstance(result, tuple) else (result, 0)
-    report["command"] = args.command
-    report.setdefault("stats", {})["time_ms"] = \
-        (time.perf_counter() - t0) * 1000.0
-    _emit(report, args.out if args.command != "reduce" else None)
     return code
 
 

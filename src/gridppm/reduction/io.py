@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import os
+from itertools import repeat
 from typing import Dict, Iterator
 
 from ..entries import format_entry
@@ -30,6 +31,10 @@ from .builder import (BUCKET_ENTRY, ReductionError, ReductionInstance,
 
 __all__ = ["write_instance", "read_instance_summary", "rebuild_instance",
            "check_stored"]
+
+# provenance lines rendered per ``%``: enough that the work per slice is
+# negligible, few enough that a slice's strings stay near 25 kB
+_SLICE = 1024
 
 
 def _instance_payload(inst: ReductionInstance) -> Dict:
@@ -64,22 +69,34 @@ def write_instance(inst: ReductionInstance, directory: str) -> None:
 
 
 def _provenance_chunks(inst: ReductionInstance) -> Iterator[str]:
-    """The bytes ``json.dump(..., indent=1)`` plus a newline would write
-    for {"pattern": {"i,j:idx": pos, ...}, "text": {...}}, without the
-    pure-Python encoder that indentation forces on ``json``.  Keys come
-    in the order of their cells, then of the point indices in each
-    cell's list.  Each cell's lines come as one chunk, made when asked
-    for, so the file is never held whole.  Every cell of ``prov`` holds
-    points, and both maps are non-empty: every family carries its anchor
-    points."""
+    """The bytes of ``provenance.json``: what ``json.dump(..., indent=1)``
+    plus a newline would write for {"pattern": {"i,j:idx": pos, ...},
+    "text": {...}}, without the pure-Python encoder that indentation
+    forces on ``json``.  That is ``{\\n "pattern": {\\n``, the pattern
+    lines, ``\\n },\\n "text": {\\n``, the text lines, ``\\n }\\n}\\n``,
+    where each line is ``  "i,j:idx": pos`` (two leading spaces) and the
+    lines of a map are separated by ``,\\n``.  Keys come in the order of
+    their cells, then of the point indices 0, 1, ... in each cell's
+    list; ``pos`` is the point's 1-based position in its permutation.
+    The lines are rendered a slice of at most ``_SLICE`` at a time, by
+    one ``%`` on a template of the slice's lines, and each slice comes as
+    one chunk when asked for, so the file is never held whole.  Every
+    cell of ``prov`` holds points, and both maps are non-empty: every
+    family carries its anchor points."""
     head = "{\n"
     for fam, name in (("P", "pattern"), ("T", "text")):
         yield f'{head} "{name}": {{\n'
         sep = ""
         for (i, j), poss in sorted(inst.prov[fam].items()):
-            yield sep + ",\n".join([f'  "{i},{j}:{idx}": {pos}'
-                                    for idx, pos in enumerate(poss)])
-            sep = ",\n"
+            line = f'  "{i},{j}:%d": %d'
+            for s in range(0, len(poss), _SLICE):
+                chunk = poss[s:s + _SLICE]
+                n = len(chunk)
+                args = [0] * (2 * n)
+                args[0::2] = range(s, s + n)
+                args[1::2] = chunk
+                yield sep + ",\n".join(repeat(line, n)) % tuple(args)
+                sep = ",\n"
         yield "\n }"
         head = ",\n"
     yield "\n}\n"

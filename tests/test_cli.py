@@ -504,6 +504,75 @@ def test_out_flag_writes_file(files, tmp_path, capsys):
     assert json.loads(dest.read_text())["found"] is True
 
 
+def test_out_report_in_a_missing_directory_exits_one(files, tmp_path,
+                                                     capsys):
+    f = files("f.cnf", "p cnf 1 1\n1 0\n")
+    dest = tmp_path / "missing" / "r.json"
+    assert run(["sat", "--cnf", f, "--out", str(dest)]) == 1
+    assert capsys.readouterr().err == (
+        f"gridppm: cannot write {dest}: No such file or directory\n")
+
+
+def test_out_report_on_a_directory_exits_one(files, tmp_path, capsys):
+    f = files("f.cnf", "p cnf 1 1\n1 0\n")
+    out = str(tmp_path / "inst")
+    assert run(["reduce", "--cnf", f, "--out", out]) == 0
+    capsys.readouterr()
+    assert run(["verify", out, "--out", out]) == 1
+    assert capsys.readouterr().err == (
+        f"gridppm: cannot write {out}: Is a directory\n")
+
+
+def test_reduce_out_on_a_regular_file_exits_one(files, capsys):
+    f = files("f.cnf", "p cnf 1 1\n1 0\n")
+    taken = files("taken", "")
+    assert run(["reduce", "--cnf", f, "--out", taken]) == 1
+    assert capsys.readouterr().err == (
+        f"gridppm: cannot write {taken}: File exists\n")
+
+
+def _change_a_digit_at_a_slice_boundary(data):
+    """One digit of the position on the line of the longest text cell
+    where the 1,024-line slice boundary nearest its middle falls."""
+    cells = {}
+    for key in json.loads(data)["text"]:
+        cell, idx = key.split(":")
+        cells[cell] = max(cells.get(cell, 0), int(idx) + 1)
+    cell, n = max(cells.items(), key=lambda kv: kv[1])
+    idx = 1024 * round(n / 2048)
+    assert 0 < idx < n - 1
+    at = data.index(f'"{cell}:{idx}": '.encode(), data.index(b'"text"'))
+    end = data.index(b",", at) - 1
+    digit = b"%d" % ((data[end] - ord("0") + 1) % 10)
+    return data[:end] + digit + data[end + 1:]
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda data: data + b"\n",
+    lambda data: data[:-1],
+    lambda data: b"",
+    _change_a_digit_at_a_slice_boundary,
+], ids=["byte-appended", "last-byte-removed", "empty",
+        "digit-at-slice-boundary"])
+def test_provenance_tampered_at_its_edges_exits_two(tamper, files, tmp_path,
+                                                    capsys):
+    """verify's streamed compare of provenance.json is exact at both ends
+    of the file and across a slice boundary inside its longest cell."""
+    f = files("f.cnf", "p cnf 2 2\n1 2 0\n-1 2 0\n")
+    out = tmp_path / "inst"
+    assert run(["reduce", "--cnf", f, "--mode", "juxtaposition",
+                "--out", str(out)]) == 0
+    capsys.readouterr()
+    path = out / "provenance.json"
+    data = path.read_bytes()
+    path.write_bytes(tamper(data))
+    assert path.read_bytes() != data
+    assert run(["verify", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "gridppm: validation failure: stored provenance.json does not "
+        "match a deterministic rebuild\n")
+
+
 def test_reports_deterministic_modulo_stats(files, tmp_path, capsys):
     """Every subcommand's report names the command and carries its wall
     time under stats.time_ms; two runs agree once that time is dropped.
