@@ -23,7 +23,7 @@ from .entries import is_monotone, parse_entry
 from .matcher import InvalidGridding, NoTextGridding, solve_cppm
 from .perm import contains, parse_perm
 from .sat import parse_dimacs, solve_sat
-from .reduction import (NotAPath, PathTooShort, ReductionError,
+from .reduction import (MODES, NotAPath, PathTooShort, ReductionError,
                         UnusableMatrix, check_stored,
                         embedding_from_assignment,
                         normalize_3cnf, read_instance_summary,
@@ -242,8 +242,7 @@ def build_parser():
                    help="cell entries: C then D (default: inc av:321)")
     add("reduce", _cmd_reduce, "compile a 3-CNF formula into a C-PPM instance",
         **{"--cnf": {"required": True},
-           "--mode": {"choices": ["gadgets", "juxtaposition"],
-                      "default": "gadgets"},
+           "--mode": {"choices": MODES, "default": "gadgets"},
            "--matrix": {"default": None}})
     p = add("verify", _cmd_verify,
             "re-derive and validate a reduce output directory")

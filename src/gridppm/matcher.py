@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import entries as E
 from .grid import (Gridding, GriddingMatrix, all_griddings, cell_positions,
-                   check_gridding)
+                   check_gridding, find_gridding)
 from .perm import Permutation, is_order_isomorphic
 
 
@@ -165,7 +165,8 @@ def psi_embedding(pattern: Permutation, pi: Partition,
     into the i-th text part, or None.
 
     Returns the embedding as a tuple of 0-based text positions indexed
-    by pattern position.
+    by pattern position.  ``stats`` gets "clauses" only if the encoding
+    reaches the 2-SAT solve; one refuted while it is built sets nothing.
     """
     _check_partitions(pattern, pi, text, sigma)
     if any(len(a) > len(b) for a, b in zip(pi, sigma)):
@@ -326,9 +327,9 @@ def solve_cppm(pattern: Permutation, text: Permutation, m: GriddingMatrix,
     back to a gridding of the pattern, which this loop reaches.
     Raises InvalidGridding, before any search, when m is not monotone.
     ``stats`` gets the text's gridding, the pattern griddings tried, the
-    clauses encoded and, on a find, the pattern's gridding.
+    clauses of the encodings that reached the 2-SAT solve (one refuted
+    while it is built adds none) and, on a find, the pattern's gridding.
     """
-    from .grid import find_gridding
     _require_monotone(m)
     g_text = find_gridding(text, m)
     if g_text is None:

@@ -8,6 +8,9 @@ eight symmetries operate on this diagram view.
 from __future__ import annotations
 
 import bisect
+import itertools
+import operator
+from array import array
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -63,20 +66,20 @@ EMPTY = Permutation(())
 
 def is_order_isomorphic(text: Permutation, pattern: Permutation,
                         embedding: Sequence[int]) -> bool:
-    """Check that text restricted to `embedding` (0-based positions,
-    strictly increasing) induces exactly `pattern`."""
+    """Check, in linear time, that text restricted to `embedding`
+    (0-based positions, strictly increasing) induces exactly `pattern`:
+    the images' values rise along the pattern's inverse."""
     if len(embedding) != len(pattern):
         return False
-    if any(j <= i for i, j in zip(embedding, embedding[1:])):
+    lows = itertools.chain((-1,), embedding)
+    highs = itertools.chain(embedding, (len(text),))
+    if not all(map(operator.lt, lows, highs)):
         return False
-    if embedding and not (0 <= embedding[0] and embedding[-1] < len(text)):
-        return False
-    vals = [text[i] for i in embedding]
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            if (vals[i] < vals[j]) != (pattern[i] < pattern[j]):
-                return False
-    return True
+    inv = array("i", [0]) * len(pattern)
+    for i, v in enumerate(pattern.ranks):
+        inv[v - 1] = i
+    vals = [text.ranks[embedding[i]] for i in inv]
+    return all(map(operator.lt, vals, itertools.islice(vals, 1, None)))
 
 
 def embeddings(text: Permutation, pattern: Permutation,

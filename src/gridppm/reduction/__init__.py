@@ -6,7 +6,7 @@ from .builder import (ReductionError, EmptyClause, ClauseTooWide,
                       UnusableMatrix, normalize_3cnf, PathSpec,
                       make_path_spec, LayerPlan, ReductionInstance,
                       plan_layers, default_path, reduce_formula,
-                      default_matrix)
+                      default_matrix, MODES)
 from .checks import (validate_instance, simulate_grid_preserving,
                      embedding_from_assignment)
 from .io import (write_instance, read_instance_summary, rebuild_instance,
@@ -17,7 +17,7 @@ __all__ = [
     "TooManyVariables", "NotAPath", "UnusableMatrix",
     "normalize_3cnf", "PathSpec", "make_path_spec",
     "LayerPlan", "ReductionInstance", "plan_layers", "default_path",
-    "reduce_formula", "default_matrix",
+    "reduce_formula", "default_matrix", "MODES",
     "validate_instance", "simulate_grid_preserving",
     "embedding_from_assignment", "write_instance",
     "read_instance_summary", "rebuild_instance", "check_stored",

@@ -39,7 +39,8 @@ copy or a flip keep its channel ids, so ``plan_layers`` computes a
 ``LayerPlan`` (exact sizes and the layer schedule) cheaply even for
 large formulas.  Both modes keep one point total per family and raise
 it in the code they share: once per gadget, per counting-mode copy and
-per flip layer.
+per flip layer.  Both go on past the path's last D tile with virtual
+ones, so ``PathTooShort`` reports the same counts in either mode.
 
 Every fact is recorded once: the tiles' box bound lives on their
 ``TileFamily``, a point's index within its tile is the length of the
@@ -72,8 +73,11 @@ __all__ = [
     "normalize_3cnf", "PathSpec", "make_path_spec",
     "Trace", "KINDS", "LayerPlan", "ReductionInstance", "plan_layers",
     "default_path", "reduce_formula",
-    "default_matrix",
+    "default_matrix", "MODES",
 ]
+
+# the construction's two ways to sort the occurrences
+MODES = ("gadgets", "juxtaposition")
 
 # the monotone juxtaposition every bucket pass sorts through: two
 # increasing parts side by side
@@ -320,7 +324,7 @@ _GADGETS = {"initial": G.gadget_initial, "copy": G.gadget_copy,
 class _Builder:
     def __init__(self, formula: CNFFormula, path: PathSpec, mode: str,
                  geometry: bool):
-        if mode not in ("gadgets", "juxtaposition"):
+        if mode not in MODES:
             raise ReductionError(f"unknown mode {mode!r}")
         self.formula = formula
         self.path = path
@@ -351,8 +355,8 @@ class _Builder:
 
     # -- emission ---------------------------------------------------------
     #
-    # Only ``_gadget``, ``_copy``, ``_flip_chains`` and ``_take_d`` look
-    # at the mode.  Geometry mode places exact points and traces every
+    # Only ``_gadget``, ``_copy`` and ``_flip_chains`` look at the
+    # mode.  Geometry mode places exact points and traces every
     # gadget; counting mode only raises the families' point totals.
 
     def _put_raw(self, fam: str, t: int, rp: G.RawPoint) -> int:
@@ -471,8 +475,8 @@ class _Builder:
 
     def _take_d(self, k: int) -> List[int]:
         """The next k D tiles past the cursor, each one a layer builds
-        in.  Past the path's last D tile, counting mode goes on with
-        virtual ones and geometry mode raises ``PathTooShort``."""
+        in.  Past the path's last D tile it goes on with virtual ones,
+        which ``build`` counts against the path."""
         out = []
         ds = self.path.d_tiles
         floor = self.cursor
@@ -484,11 +488,8 @@ class _Builder:
                 out.append(floor)
                 self._dptr += 1
             else:
-                if self.geometry:
-                    raise PathTooShort(self._d_needed + k,
-                                       self._d_needed + len(out))
                 self._d_virtual += 1
-                # plan_layers refuses a plan with a virtual tile, so no
+                # build refuses a path that needs a virtual tile, so no
                 # output reads where it sits; it need only lie past floor
                 floor = max(floor, ds[-1] if ds else 0) + 1
                 out.append(floor)
@@ -938,7 +939,10 @@ class _Builder:
             griddings=grids)
 
     def build(self) -> None:
-        """Run every phase the formula needs."""
+        """Run every phase the formula needs, then raise PathTooShort if
+        the path is short: the count of D tiles the layers build in, and
+        of those the path supplies (a D tile the cursor has passed, or
+        one a bucket pass copies through, counts toward neither)."""
         self.build_phase_initial()
         if self.formula.clauses:
             self.build_phase_assignment()
@@ -948,6 +952,9 @@ class _Builder:
             else:
                 self.build_phase_sorting_juxtaposition()
             self.build_phase_evaluation()
+        if self._d_virtual:
+            raise PathTooShort(self._d_needed,
+                               self._d_needed - self._d_virtual)
 
 
 # --- public entry points -------------------------------------------------
@@ -1001,15 +1008,10 @@ def plan_layers(formula: CNFFormula, path: PathSpec, mode: str
                 ) -> LayerPlan:
     """Dry-run the construction in counting mode.
 
-    Returns the layer schedule, D usage and exact sizes.  Raises
-    PathTooShort when the path does not provide enough D entries,
-    reporting how many D tiles the layers build in and how many of them
-    the path supplies; a D tile the cursor has passed, and one a bucket
-    pass copies through, counts toward neither."""
+    Returns the layer schedule, D usage and exact sizes; raises
+    PathTooShort as ``_Builder.build`` does."""
     b = _Builder(formula, path, mode, geometry=False)
     b.build()
-    if b._d_virtual:
-        raise PathTooShort(b._d_needed, b._d_needed - b._d_virtual)
     return b.plan()
 
 
@@ -1031,17 +1033,14 @@ def default_path(formula: CNFFormula, mode: str
 def reduce_formula(formula: CNFFormula, mode: str = "gadgets",
                    matrix: Optional[GriddingMatrix] = None
                    ) -> ReductionInstance:
-    """Build the full geometric instance for a formula.
-
-    With no explicit matrix, it builds on ``default_path``: a rich path
-    of sufficient length derived from the default 2x2 cycle."""
-    if matrix is not None:
-        path = make_path_spec(matrix)
-        _capability_check(matrix, mode)
-        plan_layers(formula, path, mode)   # raises PathTooShort if unfit
-    else:
+    """Build the full geometric instance for a formula, in one geometry
+    build.  With no explicit matrix, it builds on ``default_path``: a
+    rich path of sufficient length derived from the default 2x2 cycle."""
+    if matrix is None:
         path, _ = default_path(formula, mode)
-        _capability_check(path.matrix, mode)
+    else:
+        path = make_path_spec(matrix)
+    _capability_check(path.matrix, mode)
     b = _Builder(formula, path, mode, geometry=True)
     b.build()
     return b.finish()

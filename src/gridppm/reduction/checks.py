@@ -7,8 +7,8 @@ the source formula.  ``embedding_from_assignment`` turns a satisfying
 assignment into an explicit embedding by propagating the pair
 correspondence through the gadget trace's int columns: each pattern
 point's image goes straight into the embedding through the provenance
-arrays, with no per-point map, and the value order is checked along
-the pattern's inverse, with no sort.
+arrays, with no per-point map, and ``perm.is_order_isomorphic`` checks
+the result.
 ``validate_instance`` re-checks the geometric invariants of an instance
 from its raw tiles.
 """
@@ -20,6 +20,7 @@ from array import array
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..grid import BoxOverflow, Tile, assemble, check_gridding
+from ..perm import is_order_isomorphic
 from .builder import (BUCKET, CHOOSE, COPY, FLIPPAT, FLIPTEXT, FOLLOW,
                       INITIAL, KINDS, MERGE, MULTIPLY, PICK, ReductionError,
                       ReductionInstance, TooManyVariables)
@@ -201,26 +202,15 @@ def embedding_from_assignment(inst: ReductionInstance,
     emb = [-1] * len(inst.pattern)
     _propagate(inst, rho, emb)
     # every image is a position >= 0: a slot still at -1 was never
-    # written, and a slot written twice keeps its last image
+    # written, and a slot written twice keeps its last image; a -1 left
+    # anywhere fails the order check
     covered = len(emb) - emb.count(-1)
     if covered != inst.sizes["pattern"]:
         raise ReductionError(
             f"propagation covered {covered} of "
             f"{inst.sizes['pattern']} pattern points")
-    if covered < len(emb):
-        raise ReductionError("embedding misses pattern positions")
-    if any(a >= b for a, b in itertools.pairwise(emb)):
-        raise ReductionError("embedding is not left-to-right monotone")
-    # the images' values must rise along the pattern's values
-    inv = array("i", [0]) * len(emb)
-    for i, v in enumerate(inst.pattern.ranks):
-        inv[v - 1] = i
-    text, prev = inst.text.ranks, 0
-    for i in inv:
-        v = text[emb[i]]
-        if v <= prev:
-            raise ReductionError("embedding does not respect value order")
-        prev = v
+    if not is_order_isomorphic(inst.text, inst.pattern, emb):
+        raise ReductionError("embedding does not induce the pattern")
     return tuple(emb)
 
 

@@ -26,8 +26,8 @@ from ..entries import format_entry
 from ..grid import matrix_from_obj, matrix_to_obj
 from ..perm import format_perm, parse_perm
 from ..sat import CNFFormula
-from .builder import (BUCKET_ENTRY, ReductionError, ReductionInstance,
-                      reduce_formula)
+from .builder import (BUCKET_ENTRY, MODES, ReductionError,
+                      ReductionInstance, reduce_formula)
 
 __all__ = ["write_instance", "read_instance_summary", "rebuild_instance",
            "check_stored"]
@@ -130,13 +130,19 @@ def check_stored(inst: ReductionInstance, directory: str) -> None:
 
 def read_instance_summary(directory: str) -> Dict:
     """The instance.json payload, with the formula and matrix parsed into
-    "formula_obj" and "matrix_obj".  A malformed formula, mode or matrix
-    raises ValueError; ``rebuild_instance`` checks the other fields."""
+    "formula_obj" and "matrix_obj".  A stored "formula_obj" or
+    "matrix_obj", and a malformed top level, formula, mode or matrix
+    raise ValueError; ``rebuild_instance`` checks the other fields."""
     with open(os.path.join(directory, "instance.json")) as fh:
         try:
             data = json.load(fh)
         except RecursionError:   # the C decoder's answer to deep nesting
             raise ValueError("instance.json nests too deeply") from None
+    if not isinstance(data, dict):
+        raise ValueError("instance.json is not a JSON object")
+    extra = sorted(data.keys() & {"formula_obj", "matrix_obj"})
+    if extra:
+        raise ValueError(f"fields differ from a rebuild: {', '.join(extra)}")
     nvars, clauses = data["formula"]["nvars"], data["formula"]["clauses"]
     if not (type(nvars) is int and nvars >= 0
             and isinstance(clauses, list)
@@ -146,7 +152,7 @@ def read_instance_summary(directory: str) -> Dict:
                          'three int literals')
     # the constructor rejects a literal that is 0 or beyond +-nvars
     data["formula_obj"] = CNFFormula(nvars, tuple(map(tuple, clauses)))
-    if data["mode"] not in ("gadgets", "juxtaposition"):
+    if data["mode"] not in MODES:
         raise ValueError(f'unknown "mode" {data["mode"]!r}')
     data["matrix_obj"] = matrix_from_obj(data["matrix"])
     return data

@@ -405,6 +405,7 @@ def test_malformed_instance_json_exits_one(command, files, tmp_path, capsys):
     bad_matrices = [json.dumps(dict(json.loads(good), matrix=json.loads(t)))
                     for t in MALFORMED_MATRICES + UNUSABLE_MATRICES]
     for broken in [good[: len(good) // 2], "[" * 100_000,
+                   json.dumps([stored]), "5", "null", '"instance"',
                    json.dumps(no_formula),
                    json.dumps(bad_clauses)] + bad_matrices + [
                        json.dumps(b) for b in bad_fields]:
@@ -413,6 +414,14 @@ def test_malformed_instance_json_exits_one(command, files, tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith(f"gridppm: {out}: malformed instance.json: ")
         assert err.count("\n") == 1
+    # a field no writer gives is refused by name, the names the reader
+    # parses the formula and matrix into included
+    for key in ("extra", "formula_obj", "matrix_obj"):
+        meta.write_text(json.dumps(dict(stored, **{key: stored["formula"]})))
+        assert run([command, str(out)]) == 1, key
+        assert capsys.readouterr().err == (
+            f"gridppm: {out}: malformed instance.json: fields differ from "
+            f"a rebuild: {key}\n")
     meta.write_text(good)
     for name in ("pattern.perm", "text.perm"):
         perm_file = out / name

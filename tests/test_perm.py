@@ -203,6 +203,55 @@ def test_contains_agrees_with_brute_force(n, k):
                 assert got == want  # both lexicographically least
 
 
+def pairwise_order_isomorphic(text, pattern, positions):
+    """The definition, pair by pair: one position per pattern point,
+    each inside the text, every pair strictly increasing and ordered by
+    value as the two pattern points are."""
+    k = len(pattern)
+    if len(positions) != k or any(not 0 <= q < len(text) for q in positions):
+        return False
+    for i in range(k):
+        for j in range(i + 1, k):
+            a, b = positions[i], positions[j]
+            if a >= b or (text[a] < text[b]) != (pattern[i] < pattern[j]):
+                return False
+    return True
+
+
+@st.composite
+def _order_cases(draw):
+    """A text of up to 8 points, a pattern of up to 4 and positions that
+    are either an ascending choice of one per pattern point or an
+    arbitrary list: unsorted, repeated, out of range or of the wrong
+    length."""
+    n, k = draw(st.integers(0, 8)), draw(st.integers(0, 4))
+    text = Permutation(tuple(draw(st.permutations(range(1, n + 1)))))
+    pattern = Permutation(tuple(draw(st.permutations(range(1, k + 1)))))
+    arbitrary = st.lists(st.integers(-2, n + 1), max_size=6)
+    if n >= k:
+        ascending = st.permutations(range(n)).map(lambda q: sorted(q[:k]))
+        arbitrary = ascending | arbitrary
+    return text, pattern, draw(arbitrary)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_order_cases())
+@example((perm(2, 1, 3), perm(1, 2), [1, 2]))
+@example((perm(2, 1, 3), perm(1, 2), [2, 1]))      # unsorted
+@example((perm(2, 1, 3), perm(1, 2), [1, 1]))      # repeated
+@example((perm(2, 1, 3), perm(1, 2), [-1, 2]))     # before the text
+@example((perm(2, 1, 3), perm(1, 2), [1, 3]))      # past the text
+@example((perm(2, 1, 3), perm(1, 2), [1]))         # too short
+@example((perm(2, 1, 3), perm(1, 2), [0, 1, 2]))   # too long
+@example((perm(2, 1, 3), EMPTY, []))
+@example((EMPTY, perm(1), [0]))
+def test_order_isomorphism_agrees_with_the_pairwise_definition(case):
+    text, pattern, positions = case
+    got = is_order_isomorphic(text, pattern, positions)
+    assert got is pairwise_order_isomorphic(text, pattern, positions)
+    assert got is is_order_isomorphic(text, pattern, tuple(positions))
+
+
 def _subsets(n):
     """Ascending lists of positions in range(n), the empty one included."""
     return st.lists(st.booleans(), min_size=n, max_size=n).map(

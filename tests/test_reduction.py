@@ -169,7 +169,7 @@ def test_short_path_reports_requirement():
 def test_d_tiles_the_cursor_has_passed_are_skipped(monkeypatch):
     """On a path whose every cell is av:321, the D tiles a layer asks for
     can lie behind the cursor; ``_take_d`` skips them.  Each build below
-    skips 4, over its planning pass and its geometry pass."""
+    skips 2, in its one geometry pass."""
     skipped = []
     take_d = _Builder._take_d
 
@@ -187,11 +187,34 @@ def test_d_tiles_the_cursor_has_passed_are_skipped(monkeypatch):
                             (40, "gadgets", 6570)]:
         skipped.clear()
         inst = reduce_formula(f, mode=mode, matrix=staircase(k, d, d))
-        assert (inst.sizes["text"], sum(skipped)) == (points, 4)
+        assert (inst.sizes["text"], sum(skipped)) == (points, 2)
         assert validate_instance(inst)["violations"] == []
         embedding_from_assignment(inst, (True, False, True))
     with pytest.raises(PathTooShort, match="provides 70 .* needs 74"):
         reduce_formula(f, mode="gadgets", matrix=staircase(36, d, d))
+
+
+def test_a_given_matrix_is_built_once(monkeypatch):
+    """``reduce_formula`` on a given matrix runs one build, a geometry
+    one, whether the path is long enough or too short."""
+    geometry = []
+    build = _Builder.build
+
+    def counted_build(self):
+        geometry.append(self.geometry)
+        build(self)
+
+    monkeypatch.setattr(_Builder, "build", counted_build)
+    f = normalize_3cnf(3, [(1, -2, 3), (-2, 3, 1)])
+    d = av(Permutation((3, 2, 1)))
+    for mode in ("gadgets", "juxtaposition"):
+        geometry.clear()
+        reduce_formula(f, mode=mode, matrix=staircase(40, d, d))
+        assert geometry == [True]
+    geometry.clear()
+    with pytest.raises(PathTooShort):
+        reduce_formula(f, mode="gadgets", matrix=staircase(36, d, d))
+    assert geometry == [True]
 
 
 @pytest.mark.parametrize("mode", ["gadgets", "juxtaposition"])
@@ -199,8 +222,8 @@ def test_path_too_short_supplies_fewer_than_it_needs(mode):
     """``PathTooShort`` counts only the D tiles a layer builds in; a D
     tile the cursor has passed, or one a bucket pass copies through,
     counts toward neither side.  So a short path always supplies fewer
-    than the construction needs, in the planning pass and in a geometry
-    pass run on its own."""
+    than the construction needs, and a geometry pass run on its own
+    reports the same two counts as the planning pass."""
     raised = 0
     for sigma, clauses in (((3, 1, 4, 2), [(3, 2, 1), (2, 1, 3)]),
                            ((3, 2, 1), [(1, -2, 3), (-2, 3, 1)])):
@@ -215,7 +238,8 @@ def test_path_too_short_supplies_fewer_than_it_needs(mode):
                 assert exc.available_d < exc.required_d, (sigma, k)
                 with pytest.raises(PathTooShort) as geo:
                     _Builder(f, path, mode, geometry=True).build()
-                assert geo.value.available_d < geo.value.required_d
+                assert (geo.value.required_d, geo.value.available_d) == \
+                    (exc.required_d, exc.available_d), (sigma, k)
             else:
                 assert plan.d_used <= len(path.d_tiles)
     assert raised >= 6
@@ -307,7 +331,8 @@ def _two_pattern_copies(trace):
 
 def test_replay_rejects_tampered_instances():
     """Each failure branch of ``embedding_from_assignment`` raises its
-    own ``ReductionError`` on an instance tampered in memory."""
+    own ``ReductionError`` on an instance tampered in memory; both order
+    tampers fail its one order check, ``perm.is_order_isomorphic``."""
     rho = (True,)
 
     def replay(inst):
@@ -324,7 +349,7 @@ def test_replay_rejects_tampered_instances():
     prov = inst.prov["T"][inst.path.cells[0]]
     prov[0], prov[1] = prov[1], prov[0]
     with pytest.raises(ReductionError,
-                       match="^embedding is not left-to-right monotone$"):
+                       match="^embedding does not induce the pattern$"):
         replay(inst)
     prov[0], prov[1] = prov[1], prov[0]
 
@@ -332,7 +357,7 @@ def test_replay_rejects_tampered_instances():
     r = list(inst.text.ranks)
     r[emb[0]], r[emb[1]] = r[emb[1]], r[emb[0]]
     with pytest.raises(ReductionError,
-                       match="^embedding does not respect value order$"):
+                       match="^embedding does not induce the pattern$"):
         replay(replace(inst, text=Permutation(tuple(r))))
 
     # a pattern copy's slot names its neighbour's points, so its own two
