@@ -165,6 +165,8 @@ def _cmd_reduce(args):
 def _rebuild(directory):
     try:
         summary = read_instance_summary(directory)
+    except OSError as exc:
+        raise _UsageError(f"cannot read {exc.filename}: {exc.strerror}")
     except (ValueError, KeyError, TypeError) as exc:   # incl. JSON syntax
         raise _UsageError(f"{directory}: malformed instance.json: {exc}")
     try:

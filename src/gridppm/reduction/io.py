@@ -2,28 +2,30 @@
 
 A written instance directory holds:
 
-* ``instance.json``   -- formula, mode, matrix, sizes, layer schedule;
-* ``pattern.perm`` / ``text.perm`` -- the two permutations, one-line form;
-* ``provenance.json`` -- per-family map from (cell, point index in tile)
-  to permutation position (1-based).
+* ``instance.json`` -- formula, mode, matrix, sizes, layer schedule, and
+  the griddings of both permutations under the matrix;
+* ``pattern.perm`` / ``text.perm`` -- the two permutations, one-line form.
+
+The matrix, the two griddings and the two permutations are a membership
+certificate that needs no rebuild: ``grid.check_gridding`` accepts each
+permutation with its gridding under the matrix.
 
 The geometry itself is reproducible: rebuilding from the formula, mode
 and matrix is deterministic, so verification trusts only those three.
 ``rebuild_instance`` compares every field of ``instance.json`` with the
 payload the writer builds for the rebuild, as parsed JSON values, so the
 file's layout does not matter; ``check_stored`` compares the two
-permutations as permutations and ``provenance.json`` byte for byte.
+permutations with the rebuild's, as permutations.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from itertools import repeat
-from typing import Dict, Iterator
+from typing import Dict
 
 from ..entries import format_entry
-from ..grid import matrix_from_obj, matrix_to_obj
+from ..grid import gridding_to_obj, matrix_from_obj, matrix_to_obj
 from ..perm import format_perm, parse_perm
 from ..sat import CNFFormula
 from .builder import (BUCKET_ENTRY, MODES, ReductionError,
@@ -31,11 +33,6 @@ from .builder import (BUCKET_ENTRY, MODES, ReductionError,
 
 __all__ = ["write_instance", "read_instance_summary", "rebuild_instance",
            "check_stored"]
-
-# provenance lines rendered per ``%``: enough that the work per slice is
-# negligible, few enough that a slice's strings stay near 25 kB
-_SLICE = 1024
-
 
 def _instance_payload(inst: ReductionInstance) -> Dict:
     bound = inst.families["P"].box_bound
@@ -50,6 +47,8 @@ def _instance_payload(inst: ReductionInstance) -> Dict:
         "d_used": inst.d_used,
         "path_cells": [list(c) for c in inst.path.cells],
         "bucket_entry": format_entry(BUCKET_ENTRY),
+        "griddings": {name: gridding_to_obj(inst.griddings[fam])
+                      for name, fam in (("pattern", "P"), ("text", "T"))},
     }
 
 
@@ -64,68 +63,27 @@ def write_instance(inst: ReductionInstance, directory: str) -> None:
         fh.write(format_perm(inst.pattern) + "\n")
     with open(os.path.join(directory, "text.perm"), "w") as fh:
         fh.write(format_perm(inst.text) + "\n")
-    with open(os.path.join(directory, "provenance.json"), "w") as fh:
-        fh.writelines(_provenance_chunks(inst))
-
-
-def _provenance_chunks(inst: ReductionInstance) -> Iterator[str]:
-    """The bytes of ``provenance.json``: what ``json.dump(..., indent=1)``
-    plus a newline would write for {"pattern": {"i,j:idx": pos, ...},
-    "text": {...}}, without the pure-Python encoder that indentation
-    forces on ``json``.  That is ``{\\n "pattern": {\\n``, the pattern
-    lines, ``\\n },\\n "text": {\\n``, the text lines, ``\\n }\\n}\\n``,
-    where each line is ``  "i,j:idx": pos`` (two leading spaces) and the
-    lines of a map are separated by ``,\\n``.  Keys come in the order of
-    their cells, then of the point indices 0, 1, ... in each cell's
-    list; ``pos`` is the point's 1-based position in its permutation.
-    The lines are rendered a slice of at most ``_SLICE`` at a time, by
-    one ``%`` on a template of the slice's lines, and each slice comes as
-    one chunk when asked for, so the file is never held whole.  Every
-    cell of ``prov`` holds points, and both maps are non-empty: every
-    family carries its anchor points."""
-    head = "{\n"
-    for fam, name in (("P", "pattern"), ("T", "text")):
-        yield f'{head} "{name}": {{\n'
-        sep = ""
-        for (i, j), poss in sorted(inst.prov[fam].items()):
-            line = f'  "{i},{j}:%d": %d'
-            for s in range(0, len(poss), _SLICE):
-                chunk = poss[s:s + _SLICE]
-                n = len(chunk)
-                args = [0] * (2 * n)
-                args[0::2] = range(s, s + n)
-                args[1::2] = chunk
-                yield sep + ",\n".join(repeat(line, n)) % tuple(args)
-                sep = ",\n"
-        yield "\n }"
-        head = ",\n"
-    yield "\n}\n"
 
 
 def check_stored(inst: ReductionInstance, directory: str) -> None:
-    """Check the stored permutations and provenance against ``inst``, the
-    rebuild of the directory's ``instance.json``.  An unparsable ``.perm``
-    file raises ValueError naming it, and a stored file that differs from
-    the rebuild raises ReductionError.  The permutations are compared as
-    permutations, the provenance byte for byte, streamed."""
+    """Check the stored permutations against ``inst``, the rebuild of the
+    directory's ``instance.json``, as permutations.  An unparsable
+    ``.perm`` file raises ValueError naming it, and otherwise the first
+    stored one that differs from the rebuild raises ReductionError
+    naming it."""
+    names = ("pattern.perm", "text.perm")
     stored = []
-    for name in ("pattern.perm", "text.perm"):
+    for name in names:
         path = os.path.join(directory, name)
         with open(path) as fh:
             try:
                 stored.append(parse_perm(fh.read()))
             except ValueError as exc:   # undecodable text too
                 raise ValueError(f"{path}: {exc}") from None
-    if stored != [inst.pattern, inst.text]:
-        raise ReductionError(
-            "stored permutations do not match a deterministic rebuild")
-    with open(os.path.join(directory, "provenance.json"), "rb") as fh:
-        same = all(fh.read(len(chunk)) == chunk for chunk
-                   in map(str.encode, _provenance_chunks(inst)))
-        if not same or fh.read(1):
+    for name, got, want in zip(names, stored, (inst.pattern, inst.text)):
+        if got != want:
             raise ReductionError(
-                "stored provenance.json does not match a deterministic "
-                "rebuild")
+                f"stored {name} does not match a deterministic rebuild")
 
 
 def read_instance_summary(directory: str) -> Dict:

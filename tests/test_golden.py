@@ -1,10 +1,10 @@
 """Written instances are pinned byte for byte.
 
-The sha256 of ``instance.json``, ``pattern.perm``, ``text.perm`` and
-``provenance.json`` for every formula of ``test_reduction.FORMULAS``
-in both modes, and for one juxtaposition instance on a user staircase
-whose sort meets a D tile with outgoing coordinate y, which its bucket
-passes copy through.  A change to the coordinate arithmetic, the
+The sha256 of ``instance.json``, ``pattern.perm`` and ``text.perm``,
+the three files ``write_instance`` writes, for every formula of
+``test_reduction.FORMULAS`` in both modes, and for one juxtaposition
+instance on a user staircase whose sort meets a D tile with outgoing
+coordinate y, which its bucket passes copy through.  A change to the coordinate arithmetic, the
 assembly order, the rich-path matrix or the writer that alters a
 single byte fails here.
 
@@ -120,6 +120,8 @@ GOLDEN = {
 def test_written_instance_bytes(mode, k, tmp_path):
     """The pinned files, and the reader's acceptance of them."""
     write_instance(reduce_formula(FORMULAS[k], mode=mode), str(tmp_path))
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "instance.json", "pattern.perm", "text.perm"]
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in GOLDEN[(mode, k)]}
     assert got == GOLDEN[(mode, k)]
