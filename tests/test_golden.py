@@ -35,50 +35,42 @@ _F0 = {
         "5fc2fe173dd5f7563c54d627946fb6458934578ff321dec64d7c408869254fb2",
     "text.perm":
         "d09c2118be1a740784241d6575e58a806ddd3bea081bc361919338def9b353de",
-    "provenance.json":
-        "5129878ba8d7369e7046c334e77f96aad49e9700132b1699235bc74fa7b34da7",
 }
 _F1 = {
     "pattern.perm":
         "dffd4298553e51d82435eaa163227407b2f6af4d51d8d2a483ebce75a05be9eb",
     "text.perm":
         "2217378d5eefd4e44b4e4f85c2a801e9943c2f21b4db95c40c5e38fea241be29",
-    "provenance.json":
-        "06d1ed1034e845ae9501c58d886f73d3f4773cda5b34d3fbb8402a960da64625",
 }
 
 GOLDEN = {
     ("gadgets", 0): {
         **_F0,
         "instance.json":
-            "c75dfbc46d96678df471ff6dfc04b5a8b31d1d938f746402b20254b45873c058",
+            "aa5cfa03d178a7d50f8b9e201745dbecc04a27091d1164941f83f35af00e37ae",
     },
     ("gadgets", 1): {
         **_F1,
         "instance.json":
-            "fd58f9db51b67db009cadde485875e7c824a9dffc7e19f2f196af160ddb09e0b",
+            "94fac221a2f5b4dd563cd19b9b9cc135b6067d564882f3b94d7e1a1376052cf7",
     },
     ("gadgets", 2): {
         "instance.json":
-            "ccb2d2d623493617ef328e173b9c636563f401f5ea6da5a7eff1e5aec9979ef1",
+            "66ef9df482146459c85e74fb571908cac61f0e0ab2b2545be5789ec391c2c186",
         "pattern.perm":
             "c03316f26b8726e6231d3dc73246ddd3a941148e982e7f0c02634e032dfd61a6",
         "text.perm":
             "ba759e046d7e5cde31d68fbe300e9f8633561359a35d482b64636008bc63ba90",
-        "provenance.json":
-            "66a87cf1a50ee1f434af26e6adeade52fd14b20dd0a66062df561b88a7f43fb1",
     },
     # three variables in three clauses: the first formula with a
     # sorting phase
     ("gadgets", 3): {
         "instance.json":
-            "1f546a8ae6594ebc636731a057c1eddef5adc23ba36df845aeeb482f7e4da72f",
+            "b6fca3bcf102ad53dd79b142667c09a8f5542e53e2482d335ff42f43d7d378c4",
         "pattern.perm":
             "be0ee31a3f397e6524b77fdf3ef76cee782e9b172c622a71e5f1b01c1902afe1",
         "text.perm":
             "55051162b42a2d35cef0c89e6cb74ea60185e5c363d08bea5d9b6eaa03ee9c47",
-        "provenance.json":
-            "a5cc72c632cf96298e5e8988a8e481ffbe0179f8feefd9842108eeff39a88147",
     },
     # one- and two-clause formulas on one variable need no sorting
     # phase, so both modes build the same instance; only the mode field
@@ -86,32 +78,28 @@ GOLDEN = {
     ("juxtaposition", 0): {
         **_F0,
         "instance.json":
-            "a45e00bf585cf9bfd7d15ab08d0abc6a1e721633739f9369124e989c96ac325b",
+            "76b5437038d51220d3787834ec73d146981fc25e406f3c384f46c920cf3ebab6",
     },
     ("juxtaposition", 1): {
         **_F1,
         "instance.json":
-            "159de559a3e4da8b18d1e87fd2bae91aec56ff94a071275e8785d122c67f6832",
+            "0d469fb8457b627ff8d38d5014fef00c3d574d883c0f27ea2bb833f6c4a1fb3e",
     },
     ("juxtaposition", 2): {
         "instance.json":
-            "f762326977593a970dc1ced3f52054d62252f2bdc684bd7fd9a7edad95f2069f",
+            "1dcf362e1f48582f2a3afe386c5d55065da646d0977b565999d5267b2f4fdf2b",
         "pattern.perm":
             "9ed8d00fcc3af352539d3830edaeec843603f3370b768364730127db36d32c73",
         "text.perm":
             "691c428f3ed3edafbc1ff95c8e41ea95ea6d642f0e8f7575a77054d9db3ca944",
-        "provenance.json":
-            "a200d6789cd6a5281b7464f17ffb6258376090e14ef47f842e752046f0aca1ab",
     },
     ("juxtaposition", 3): {
         "instance.json":
-            "07a03049656a6df349f523468f2e5308abe3b47bbc917dbcb5b1aae9954f2100",
+            "7031ac09ef0c0b2e6d03aa0ed5fc183085a3e63b4336f2942074c24f43167453",
         "pattern.perm":
             "7248ec34615cfed60dc45f607cecae63e09f0a3f594ce4c99cc915599fbf5618",
         "text.perm":
             "eed8308d0485d2e3409cc3b0bf7bee95efced24ee2b7b84fe9ba2ba5923e8733",
-        "provenance.json":
-            "64f808bfdc4438be524fe3dbb8ef2191a12acf2163beb537a20ed5a43aba5e68",
     },
 }
 
@@ -135,13 +123,11 @@ def test_written_instance_bytes(mode, k, tmp_path):
 USER_FORMULA = CNFFormula(3, ((3, -1, 2), (2, 1, -3)))
 USER_GOLDEN = {
     "instance.json":
-        "50d84f74e8bf19a367945305c4b45b16af536ce4e672153e30ca0579eeaaa036",
+        "a1d6cf52b1c560a014a96b563cd929e83a6cf645bfd54516bde839586513b7f4",
     "pattern.perm":
         "7b3618cd4b95038f810636fd6511c6bfd4669c1a7c8766c20befed8550f8429a",
     "text.perm":
         "00807c244af51fbbd2fb507565a4f3787391dacfb7abb5746d59d75b2e480543",
-    "provenance.json":
-        "af79e73c403ca4688b6abd43eb1c0db72bb78e0924881ccf7071344b78e907e0",
 }
 
 
