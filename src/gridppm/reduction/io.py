@@ -34,6 +34,7 @@ from .builder import (BUCKET_ENTRY, MODES, ReductionError,
 __all__ = ["write_instance", "read_instance_summary", "rebuild_instance",
            "check_stored"]
 
+
 def _instance_payload(inst: ReductionInstance) -> Dict:
     bound = inst.families["P"].box_bound
     return {
@@ -67,20 +68,17 @@ def write_instance(inst: ReductionInstance, directory: str) -> None:
 
 def check_stored(inst: ReductionInstance, directory: str) -> None:
     """Check the stored permutations against ``inst``, the rebuild of the
-    directory's ``instance.json``, as permutations.  An unparsable
-    ``.perm`` file raises ValueError naming it, and otherwise the first
-    stored one that differs from the rebuild raises ReductionError
-    naming it."""
-    names = ("pattern.perm", "text.perm")
-    stored = []
-    for name in names:
+    directory's ``instance.json``, as permutations, pattern first.  An
+    unparsable ``.perm`` file raises ValueError naming it, and one that
+    differs from the rebuild raises ReductionError naming it."""
+    for name, want in (("pattern.perm", inst.pattern),
+                       ("text.perm", inst.text)):
         path = os.path.join(directory, name)
         with open(path) as fh:
             try:
-                stored.append(parse_perm(fh.read()))
+                got = parse_perm(fh.read())
             except ValueError as exc:   # undecodable text too
                 raise ValueError(f"{path}: {exc}") from None
-    for name, got, want in zip(names, stored, (inst.pattern, inst.text)):
         if got != want:
             raise ReductionError(
                 f"stored {name} does not match a deterministic rebuild")
