@@ -4,9 +4,9 @@ The sha256 of ``instance.json``, ``pattern.perm`` and ``text.perm``,
 the three files ``write_instance`` writes, for every formula of
 ``test_reduction.FORMULAS`` in both modes, and for one juxtaposition
 instance on a user staircase whose sort meets a D tile with outgoing
-coordinate y, which its bucket passes copy through.  A change to the coordinate arithmetic, the
-assembly order, the rich-path matrix or the writer that alters a
-single byte fails here.
+coordinate y, which its bucket passes copy through.  A change to the
+coordinate arithmetic, the assembly order, the rich-path matrix or the
+writer that alters a single byte fails here.
 
 The embedding ``embedding_from_assignment`` gives for every satisfying
 assignment of each satisfiable formula of ``FORMULAS``, in both modes,
